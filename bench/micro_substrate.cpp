@@ -9,6 +9,7 @@
 #include "core/buffered_predictor.h"
 #include "core/cdh.h"
 #include "ftl/ftl.h"
+#include "ftl/sip_index.h"
 #include "host/page_cache.h"
 
 namespace {
@@ -140,6 +141,49 @@ void BM_PageCacheWrite(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PageCacheWrite);
+
+// The absorbed-write path: a hot set of dirty pages overwritten again and
+// again, with a flusher tick (and SIP delta hand-off) every flush period —
+// the page-cache work of a buffered, SIP-tracking run such as YCSB under
+// JIT-GC.
+void BM_PageCacheOverwrite(benchmark::State& state) {
+  host::PageCacheConfig cfg;
+  host::PageCache cache(cfg);
+  cache.enable_sip_tracking();
+  Rng rng(8);
+  const Lba hot = 1 << 14;
+  TimeUs now = 0;
+  for (Lba l = 0; l < hot; ++l) cache.write(l, now);
+  TimeUs next_tick = cfg.flush_period;
+  for (auto _ : state) {
+    cache.write(rng.uniform(hot), now);
+    now += 100;
+    if (now >= next_tick) {
+      benchmark::DoNotOptimize(cache.flusher_tick(now));
+      benchmark::DoNotOptimize(cache.pending_sip_delta());
+      cache.commit_sip_checkpoint();
+      next_tick += cfg.flush_period;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PageCacheOverwrite);
+
+// SIP membership probes over a device-sized universe with 1/16 of the LBAs
+// listed: what GC pays per migrated or overwritten page.
+void BM_SipIndexContains(benchmark::State& state) {
+  const Lba universe = 1 << 22;
+  ftl::SipIndex sip(universe);
+  Rng rng(9);
+  for (Lba i = 0; i < universe / 16; ++i) sip.insert(rng.uniform(universe));
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    hits += sip.contains(rng.uniform(universe)) ? 1 : 0;
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SipIndexContains);
 
 void BM_BufferedPredictorScan(benchmark::State& state) {
   host::PageCacheConfig cfg;

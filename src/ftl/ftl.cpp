@@ -37,6 +37,7 @@ Ftl::Ftl(const FtlConfig& config)
                    "OP space smaller than the GC headroom plus the spare pool");
 
   map_.assign(user_pages_, nand::Ppa{kNoBlock, 0});
+  sip_ = SipIndex(user_pages_);
   block_last_update_seq_.assign(nand_.num_blocks(), 0);
   block_fill_seq_.assign(nand_.num_blocks(), 0);
   block_sip_count_.assign(nand_.num_blocks(), 0);
@@ -480,7 +481,7 @@ void Ftl::set_sip_list(const std::vector<Lba>& lbas) {
   }
   // The exact shadow counts set membership (a duplicated input LBA counts
   // once), so it is rebuilt from the deduplicated index.
-  for (const Lba lba : sip_) {
+  for (const Lba lba : sip_.sorted()) {
     if (lba >= user_pages_) continue;
     const nand::Ppa entry = map_[lba];
     if (entry.block != kNoBlock) ++block_sip_exact_[entry.block];
@@ -926,11 +927,8 @@ void Ftl::save_state(BinaryWriter& w) const {
   save_u64_vec(w, lba_last_write_seq_);
   w.u64(hot_window_);
 
-  // SIP membership, sorted so the blob is a pure function of the state (the
-  // unordered set's iteration order is not).
-  std::vector<Lba> sip_lbas(sip_.begin(), sip_.end());
-  std::sort(sip_lbas.begin(), sip_lbas.end());
-  save_u64_vec(w, sip_lbas);
+  // SIP membership, ascending, so the blob is a pure function of the state.
+  save_u64_vec(w, sip_.sorted());
 
   map_cache_.save_state(w);
 

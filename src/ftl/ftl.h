@@ -536,6 +536,7 @@ class Ftl {
   std::vector<std::uint64_t> lba_last_write_seq_;
   std::uint64_t hot_window_ = 0;
 
+  /// Bitmap over [0, user_pages_), sized in the constructor.
   SipIndex sip_;
   MappingCache map_cache_;
   /// Mutable alongside the dirty set: queries are logically const but must

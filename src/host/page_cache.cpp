@@ -1,6 +1,7 @@
 #include "host/page_cache.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/ensure.h"
 
@@ -26,35 +27,54 @@ std::uint64_t PageCache::interval_key(TimeUs last_update) const {
 }
 
 void PageCache::histogram_add(TimeUs last_update) {
-  ++dirty_by_interval_[interval_key(last_update)];
+  const std::uint64_t key = interval_key(last_update);
+  if (hist_.empty()) {
+    hist_base_ = key;
+    hist_.push_back(1);
+    return;
+  }
+  if (key < hist_base_) {
+    hist_.insert(hist_.begin(), hist_base_ - key, 0);
+    hist_base_ = key;
+  } else if (key - hist_base_ >= hist_.size()) {
+    hist_.resize(key - hist_base_ + 1, 0);
+  }
+  ++hist_[key - hist_base_];
 }
 
 void PageCache::histogram_remove(TimeUs last_update) {
-  const auto it = dirty_by_interval_.find(interval_key(last_update));
-  JITGC_ENSURE(it != dirty_by_interval_.end() && it->second > 0);
-  if (--it->second == 0) dirty_by_interval_.erase(it);
+  const std::uint64_t key = interval_key(last_update);
+  JITGC_ENSURE(key >= hist_base_ && key - hist_base_ < hist_.size() &&
+               hist_[key - hist_base_] > 0);
+  --hist_[key - hist_base_];
+  // Trim empty buckets off both ends; the window is only a handful of
+  // buckets wide, so shifting it down is cheap.
+  const auto first = std::find_if(hist_.begin(), hist_.end(), [](std::uint64_t c) { return c > 0; });
+  hist_base_ += static_cast<std::uint64_t>(first - hist_.begin());
+  hist_.erase(hist_.begin(), first);
+  while (!hist_.empty() && hist_.back() == 0) hist_.pop_back();
+}
+
+std::map<std::uint64_t, std::uint64_t> PageCache::dirty_interval_histogram() const {
+  std::map<std::uint64_t, std::uint64_t> out;
+  for (std::size_t i = 0; i < hist_.size(); ++i) {
+    if (hist_[i] > 0) out.emplace_hint(out.end(), hist_base_ + i, hist_[i]);
+  }
+  return out;
 }
 
 void PageCache::note_insert(Lba lba) {
   if (!sip_tracking_) return;
-  const auto it = pending_.find(lba);
-  if (it == pending_.end()) {
-    pending_.emplace(lba, true);
-  } else if (!it->second) {
-    // Removed then re-inserted within one interval: net no change.
-    pending_.erase(it);
-  }
+  const auto [it, inserted] = pending_.try_emplace(lba, true);
+  // Removed then re-inserted within one interval: net no change.
+  if (!inserted && !it->second) pending_.erase(it);
 }
 
 void PageCache::note_remove(Lba lba) {
   if (!sip_tracking_) return;
-  const auto it = pending_.find(lba);
-  if (it == pending_.end()) {
-    pending_.emplace(lba, false);
-  } else if (it->second) {
-    // Inserted then removed within one interval: net no change.
-    pending_.erase(it);
-  }
+  const auto [it, inserted] = pending_.try_emplace(lba, false);
+  // Inserted then removed within one interval: net no change.
+  if (!inserted && it->second) pending_.erase(it);
 }
 
 SipDelta PageCache::pending_sip_delta() const {
@@ -62,35 +82,40 @@ SipDelta PageCache::pending_sip_delta() const {
   for (const auto& [lba, added] : pending_) {
     (added ? delta.added : delta.removed).push_back(lba);
   }
+  std::sort(delta.added.begin(), delta.added.end());
+  std::sort(delta.removed.begin(), delta.removed.end());
   return delta;
 }
 
 void PageCache::write(Lba lba, TimeUs now) {
+  // The node goes after every page last updated at or before `now` (ties
+  // keep insertion order): step back from the tail past newer pages only.
+  auto pos = by_age_.end();
+  while (pos != by_age_.begin() && std::prev(pos)->last_update > now) --pos;
+
   auto [it, inserted] = by_lba_.try_emplace(lba);
-  if (!inserted) {
-    // Overwrite of dirty data: absorbed in RAM, age resets (Fig. 4's B -> B').
-    by_age_.erase(it->second.order_key);
-    histogram_remove(it->second.last_update);
-    ++absorbed_;
-  } else {
-    note_insert(lba);
-  }
-  const OrderKey key{now, next_seq_++};
-  it->second = Entry{now, key};
-  by_age_.emplace(key, lba);
   histogram_add(now);
+  if (inserted) {
+    it->second = by_age_.insert(pos, DirtyPage{lba, now});
+    note_insert(lba);
+  } else {
+    // Overwrite of dirty data: absorbed in RAM, age resets (Fig. 4's B -> B').
+    histogram_remove(it->second->last_update);
+    by_age_.splice(pos, by_age_, it->second);
+    it->second->last_update = now;
+    ++absorbed_;
+  }
 }
 
 Lba PageCache::pop_oldest() {
   JITGC_ENSURE(!by_age_.empty());
-  const auto it = by_age_.begin();
-  const Lba lba = it->second;
-  histogram_remove(it->first.first);
-  by_age_.erase(it);
-  by_lba_.erase(lba);
-  note_remove(lba);
+  const DirtyPage oldest = by_age_.front();
+  histogram_remove(oldest.last_update);
+  by_age_.pop_front();
+  by_lba_.erase(oldest.lba);
+  note_remove(oldest.lba);
   ++pages_flushed_;
-  return lba;
+  return oldest.lba;
 }
 
 std::vector<Lba> PageCache::flusher_tick(TimeUs now, std::size_t max_pages) {
@@ -103,9 +128,8 @@ std::vector<Lba> PageCache::flusher_tick(TimeUs now, std::size_t max_pages) {
   if (now >= config_.tau_expire) {
     const std::uint64_t cutoff =
         static_cast<std::uint64_t>((now - config_.tau_expire) / config_.flush_period);
-    for (const auto& [key, count] : dirty_by_interval_) {
-      if (key > cutoff) break;
-      expected += count;
+    for (std::size_t i = 0; i < hist_.size() && hist_base_ + i <= cutoff; ++i) {
+      expected += hist_[i];
     }
   }
   const Bytes threshold = config_.tau_flush_bytes();
@@ -117,8 +141,7 @@ std::vector<Lba> PageCache::flusher_tick(TimeUs now, std::size_t max_pages) {
 
   // Condition 1: evict everything whose age reached tau_expire.
   while (!by_age_.empty() && out.size() < max_pages) {
-    const TimeUs last_update = by_age_.begin()->first.first;
-    if (now - last_update < config_.tau_expire) break;
+    if (now - by_age_.front().last_update < config_.tau_expire) break;
     out.push_back(pop_oldest());
   }
 
@@ -150,8 +173,8 @@ std::size_t PageCache::discard(Lba lba, std::uint64_t pages) {
   for (std::uint64_t i = 0; i < pages; ++i) {
     const auto it = by_lba_.find(lba + i);
     if (it == by_lba_.end()) continue;
-    by_age_.erase(it->second.order_key);
-    histogram_remove(it->second.last_update);
+    histogram_remove(it->second->last_update);
+    by_age_.erase(it->second);
     by_lba_.erase(it);
     note_remove(lba + i);
     ++discarded;
@@ -162,9 +185,9 @@ std::size_t PageCache::discard(Lba lba, std::uint64_t pages) {
 std::vector<DirtyPage> PageCache::scan_dirty() const {
   std::vector<DirtyPage> out;
   out.reserve(by_age_.size());
-  for (const auto& [key, lba] : by_age_) {
-    out.push_back(DirtyPage{lba, key.first});
-  }
+  // A push_back loop rather than assign(begin, end): GCC 12 raises a false
+  // -Waggressive-loop-optimizations on vector::assign from list iterators.
+  for (const DirtyPage& page : by_age_) out.push_back(page);
   return out;
 }
 

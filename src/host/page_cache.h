@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +59,12 @@ struct SipDelta {
 class PageCache {
  public:
   explicit PageCache(const PageCacheConfig& config);
+  // by_lba_ holds iterators into by_age_: moving keeps them valid, copying
+  // would not.
+  PageCache(const PageCache&) = delete;
+  PageCache& operator=(const PageCache&) = delete;
+  PageCache(PageCache&&) = default;
+  PageCache& operator=(PageCache&&) = default;
 
   const PageCacheConfig& config() const { return config_; }
 
@@ -110,21 +117,14 @@ class PageCache {
   void commit_sip_checkpoint() { pending_.clear(); }
 
   /// Dirty-page counts keyed by flusher interval c = ceil(last_update / p),
-  /// maintained incrementally on every write/writeback/discard. The
-  /// predictor derives its per-interval write-back demand from this instead
-  /// of re-bucketing a full scan.
-  const std::map<std::uint64_t, std::uint64_t>& dirty_interval_histogram() const {
-    return dirty_by_interval_;
-  }
+  /// maintained incrementally on every write/writeback/discard and listed
+  /// here (non-zero buckets only) in O(#buckets). The predictor derives its
+  /// per-interval write-back demand from this instead of re-bucketing a
+  /// full scan.
+  std::map<std::uint64_t, std::uint64_t> dirty_interval_histogram() const;
 
  private:
-  /// Age-order key: (last_update, insertion seq) — unique per entry.
-  using OrderKey = std::pair<TimeUs, std::uint64_t>;
-
-  struct Entry {
-    TimeUs last_update = 0;
-    OrderKey order_key{};
-  };
+  using AgeList = std::list<DirtyPage>;
 
   Lba pop_oldest();
 
@@ -135,17 +135,26 @@ class PageCache {
   void note_remove(Lba lba);
 
   PageCacheConfig config_;
-  std::unordered_map<Lba, Entry> by_lba_;
-  /// Dirty pages ordered by last-update time (ties broken by insertion seq).
-  std::map<OrderKey, Lba> by_age_;
-  std::uint64_t next_seq_ = 0;
+  /// Dirty pages oldest first, ordered by (last_update, insertion order).
+  /// Writes append at the tail after stepping back past any newer nodes, so
+  /// a non-decreasing write clock inserts in O(1); overwrites re-link their
+  /// node with splice() and allocate nothing.
+  AgeList by_age_;
+  /// Each dirty LBA's node in by_age_.
+  std::unordered_map<Lba, AgeList::iterator> by_lba_;
   std::uint64_t pages_flushed_ = 0;
   std::uint64_t absorbed_ = 0;
   bool sip_tracking_ = false;
   /// Net membership change per LBA since the last checkpoint: true = became
-  /// dirty, false = left the cache. Cancelling transitions erase the entry.
-  std::map<Lba, bool> pending_;
-  std::map<std::uint64_t, std::uint64_t> dirty_by_interval_;
+  /// dirty, false = left the cache. Cancelling transitions erase the entry;
+  /// pending_sip_delta() sorts.
+  std::unordered_map<Lba, bool> pending_;
+  /// Dirty-page counts for the contiguous interval keys
+  /// [hist_base_, hist_base_ + hist_.size()); the end buckets are never
+  /// zero. Keys only drift forward with the clock, so the window stays a
+  /// few buckets wide (about N_wb + 1) and each update is O(1).
+  std::vector<std::uint64_t> hist_;
+  std::uint64_t hist_base_ = 0;
 };
 
 }  // namespace jitgc::host

@@ -299,7 +299,9 @@ TimeUs Simulator::execute_op(const wl::AppOp& op, TimeUs issue) {
       if (cache_.dirty_bytes() + op.bytes(page_size) > cache_.config().capacity) {
         const std::vector<Lba> forced = cache_.evict_oldest(op.pages);
         for (const Lba lba : forced) {
-          completion = device_write(lba, 1, issue);
+          // With several service queues a later writeback can finish before
+          // an earlier one: the writer waits for the slowest.
+          completion = std::max(completion, device_write(lba, 1, issue));
           interval_flush_bytes_ += page_size;
         }
       }

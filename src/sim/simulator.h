@@ -117,6 +117,8 @@ class Simulator {
 
   const Ssd& ssd() const { return ssd_; }
   const host::PageCache& page_cache() const { return cache_; }
+  /// The device's service queues (read-only; e.g. when the device goes quiet).
+  const ServiceModel& service_model() const { return service_; }
 
  private:
   template <typename Host>

@@ -240,7 +240,9 @@ TEST(Rebuild, MirrorWithoutSpareStaysDegradedButCompletes) {
   EXPECT_EQ(sink.array_states()[0].state, "degraded");
   EXPECT_TRUE(sink.rebuild_progress().empty());
   for (const auto& rec : sink.array_intervals()) {
-    if (rec.interval >= 3) EXPECT_EQ(rec.state, "degraded");
+    if (rec.interval >= 3) {
+      EXPECT_EQ(rec.state, "degraded");
+    }
   }
 }
 

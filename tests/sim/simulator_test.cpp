@@ -312,6 +312,90 @@ TEST(Simulator, DirtyThrottlingPacesTheWriter) {
   EXPECT_LE(simulator.page_cache().dirty_bytes(), sim.cache.capacity);
 }
 
+/// Closed-loop stream of multi-page buffered writes with no think time over
+/// the whole user space. Each next() call comes right after the previous op
+/// was served: it reads that op's issue instant back from the page cache
+/// (the instant its pages were dirtied) and notes when the device goes quiet.
+/// With no think time an op's completion is its successor's issue instant,
+/// so a throttled write must not complete before its forced writebacks.
+class ThrottledWriteProbe final : public wl::WorkloadGenerator {
+ public:
+  ThrottledWriteProbe(const Simulator& sim, std::uint32_t pages)
+      : sim_(sim), pages_(pages), user_pages_(sim.ssd().ftl().user_pages()) {}
+
+  std::string name() const override { return "throttled-write-probe"; }
+  Lba footprint_pages() const override { return user_pages_; }
+  Lba working_set_pages() const override { return user_pages_; }
+
+  std::optional<wl::AppOp> next() override {
+    if (served_ > 0) {
+      const TimeUs issue = issue_of(lba_);
+      if (served_ > 1 && prev_throttled_) {
+        ++checked_;
+        if (issue < prev_quiet_at_) ++violations_;
+      }
+      prev_quiet_at_ = sim_.service_model().all_free();
+      prev_throttled_ = sim_.page_cache().pages_flushed() > flushed_before_;
+    }
+    flushed_before_ = sim_.page_cache().pages_flushed();
+    ++served_;
+    lba_ = (lba_ + 7 * pages_) % (user_pages_ - pages_);
+    return wl::AppOp{.think_us = 0, .type = wl::OpType::kWrite, .lba = lba_, .pages = pages_};
+  }
+
+  std::uint64_t checked() const { return checked_; }
+  std::uint64_t violations() const { return violations_; }
+
+ private:
+  TimeUs issue_of(Lba lba) const {
+    for (const host::DirtyPage& page : sim_.page_cache().scan_dirty()) {
+      if (page.lba == lba) return page.last_update;
+    }
+    ADD_FAILURE() << "LBA " << lba << " of the op just served is not dirty";
+    return 0;
+  }
+
+  const Simulator& sim_;
+  std::uint32_t pages_;
+  Lba user_pages_;
+  Lba lba_ = 0;
+  std::uint64_t served_ = 0;
+  std::uint64_t flushed_before_ = 0;
+  bool prev_throttled_ = false;
+  TimeUs prev_quiet_at_ = 0;
+  std::uint64_t checked_ = 0;
+  std::uint64_t violations_ = 0;
+};
+
+/// Requests no background GC, so only the writer's own writebacks reach the
+/// device.
+class NoBgcPolicy final : public core::BgcPolicy {
+ public:
+  std::string name() const override { return "none"; }
+  core::PolicyDecision on_interval(const core::PolicyContext&) override { return {}; }
+};
+
+TEST(Simulator, ThrottledWriteWaitsForSlowestWritebackOnManyQueues) {
+  // One queue per plane: forced writebacks of one throttled write spread
+  // over the queues, and a foreground-GC stall on one of them can outlast
+  // writebacks dispatched after it. A full device keeps such stalls coming.
+  SimConfig sim = test_config();
+  sim.ssd.service_queues = 0;
+  sim.cache.capacity = 64 * KiB;  // 16 pages: every write past the first few throttles
+  sim.cache.tau_flush_fraction = 1.0;
+  sim.cache.tau_expire = seconds(1000);  // the flusher never writes back
+  sim.duration = seconds(60);
+  Simulator simulator(sim);
+  ASSERT_GT(simulator.service_model().queues(), 1u);
+
+  ThrottledWriteProbe probe(simulator, 4);
+  NoBgcPolicy policy;
+  const SimReport r = simulator.run(probe, policy);
+  EXPECT_GT(r.fgc_cycles, 0u);
+  EXPECT_GT(probe.checked(), 500u);
+  EXPECT_EQ(probe.violations(), 0u) << "of " << probe.checked() << " throttled writes";
+}
+
 TEST(Simulator, WritebackIsDevicePaced) {
   // One giant buffered dump, then silence: each tick may flush only what the
   // device can absorb, so the dirty set drains over multiple ticks instead

@@ -4,12 +4,15 @@
 // paper-reproduction sweeps run in seconds.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "core/buffered_predictor.h"
 #include "core/cdh.h"
 #include "ftl/ftl.h"
 #include "ftl/sip_index.h"
+#include "ftl/victim_index.h"
 #include "host/page_cache.h"
 
 namespace {
@@ -124,6 +127,38 @@ void BM_VictimSelectReference(benchmark::State& state) {
   state.counters["blocks"] = static_cast<double>(ftl.nand().num_blocks());
 }
 BENCHMARK(BM_VictimSelectReference)->Arg(1)->Arg(4)->Arg(16);
+
+// Victim-index upkeep at 1x/4x/16x block counts: every candidate block
+// re-bucketed to a fresh (raw, SIP-adjusted) valid count, the per-block work
+// Ftl::flush_victim_index does after writes and GC. Should stay flat.
+void BM_VictimIndexUpdate(benchmark::State& state) {
+  const ftl::FtlConfig cfg = bench_ftl_config(static_cast<std::uint32_t>(state.range(0)));
+  const std::uint32_t blocks = cfg.geometry.total_blocks();
+  const std::uint32_t ppb = cfg.geometry.pages_per_block;
+  // Greedy's needs: the two bucket families, no order sets.
+  ftl::VictimIndex index(blocks, ppb,
+                         ftl::VictimIndex::Needs{.by_recency = false, .by_fill = false});
+  Rng rng(7);
+  ftl::VictimIndex::BlockState s;
+  s.candidate = true;
+  for (std::uint32_t b = 0; b < blocks; ++b) {
+    s.valid = static_cast<std::uint32_t>(rng.uniform(ppb));
+    s.adjusted_valid = s.valid;
+    index.update(b, s);
+  }
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    const auto b = static_cast<std::uint32_t>(rng.uniform(blocks));
+    s.valid = static_cast<std::uint32_t>(rng.uniform(ppb));
+    s.adjusted_valid = std::min(ppb, s.valid + static_cast<std::uint32_t>(rng.uniform(4)));
+    s.last_update_seq = ++seq;
+    index.update(b, s);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["blocks"] = static_cast<double>(blocks);
+}
+BENCHMARK(BM_VictimIndexUpdate)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_PageCacheWrite(benchmark::State& state) {
   host::PageCacheConfig cfg;

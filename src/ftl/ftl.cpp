@@ -16,12 +16,9 @@ Ftl::Ftl(const FtlConfig& config)
       map_cache_(config.mapping_cache_pages,
                  static_cast<std::uint32_t>(config.geometry.page_size / 4)),
       index_(nand_.num_blocks(), config.geometry.pages_per_block,
-             // Skip maintaining order structures this configuration can
-             // never query: by_recency feeds only cost-benefit, by_fill only
-             // FIFO, and the adjusted bucket family only the SIP filter
-             // (select_victim_indexed reads raw buckets otherwise).
+             // Skip maintaining order sets this configuration can never
+             // query: by_recency feeds only cost-benefit, by_fill only FIFO.
              VictimIndex::Needs{
-                 .adjusted = config.enable_sip_filter,
                  .by_recency = config.victim_policy == VictimPolicyKind::kCostBenefit,
                  .by_fill = config.victim_policy == VictimPolicyKind::kFifo}) {
   JITGC_ENSURE_MSG(config_.min_free_blocks >= 1, "GC needs at least one reserved free block");

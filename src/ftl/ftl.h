@@ -205,13 +205,8 @@ class Ftl {
   void apply_sip_delta(const std::vector<Lba>& added, const std::vector<Lba>& removed);
 
   /// Enables/disables SIP-aware victim selection (the simulator flips this
-  /// to match the active BGC policy's capabilities). Enabling makes the
-  /// index start maintaining the adjusted-bucket family if the fast path
-  /// had skipped it.
-  void set_sip_filter_enabled(bool on) {
-    config_.enable_sip_filter = on;
-    if (on) index_.require_adjusted();
-  }
+  /// to match the active BGC policy's capabilities).
+  void set_sip_filter_enabled(bool on) { config_.enable_sip_filter = on; }
 
   /// Runs one background-GC cycle; respects the SIP filter if enabled.
   GcResult background_collect_once();

@@ -10,22 +10,23 @@ VictimIndex::VictimIndex(std::uint32_t num_blocks, std::uint32_t pages_per_block
     : ppb_(pages_per_block),
       needs_(needs),
       state_(num_blocks),
-      raw_buckets_(pages_per_block + 1),
-      adj_buckets_(needs.adjusted ? pages_per_block + 1 : 0),
+      raw_(pages_per_block, num_blocks, needs.by_recency),
+      adj_(pages_per_block, num_blocks, needs.by_recency),
       wl_state_(num_blocks) {}
 
 void VictimIndex::update(std::uint32_t b, const BlockState& s) {
+  // Validate first: a rejected state must leave the index as it was.
+  JITGC_ENSURE(b < state_.size() &&
+               (!s.candidate || (s.valid <= ppb_ && s.adjusted_valid <= ppb_)));
   BlockState& old = state_[b];
   if (old == s) return;
 
   if (old.candidate) {
-    Bucket& raw = raw_buckets_[old.valid];
-    raw.by_id.erase(b);
-    if (needs_.by_recency) raw.by_recency.erase({old.last_update_seq, b});
-    if (needs_.adjusted) {
-      Bucket& adj = adj_buckets_[old.adjusted_valid];
-      adj.by_id.erase(b);
-      if (needs_.by_recency) adj.by_recency.erase({old.last_update_seq, b});
+    raw_.by_id.erase(old.valid, b);
+    adj_.by_id.erase(old.adjusted_valid, b);
+    if (needs_.by_recency) {
+      raw_.by_recency[old.valid].erase({old.last_update_seq, b});
+      adj_.by_recency[old.adjusted_valid].erase({old.last_update_seq, b});
     }
     if (needs_.by_fill) by_fill_.erase({old.fill_seq, b});
   }
@@ -33,29 +34,13 @@ void VictimIndex::update(std::uint32_t b, const BlockState& s) {
   old = s;
 
   if (s.candidate) {
-    JITGC_ENSURE(s.valid <= ppb_ && s.adjusted_valid <= ppb_);
-    Bucket& raw = raw_buckets_[s.valid];
-    raw.by_id.insert(b);
-    if (needs_.by_recency) raw.by_recency.insert({s.last_update_seq, b});
-    if (needs_.adjusted) {
-      Bucket& adj = adj_buckets_[s.adjusted_valid];
-      adj.by_id.insert(b);
-      if (needs_.by_recency) adj.by_recency.insert({s.last_update_seq, b});
+    raw_.by_id.insert(s.valid, b);
+    adj_.by_id.insert(s.adjusted_valid, b);
+    if (needs_.by_recency) {
+      raw_.by_recency[s.valid].insert({s.last_update_seq, b});
+      adj_.by_recency[s.adjusted_valid].insert({s.last_update_seq, b});
     }
     if (needs_.by_fill) by_fill_.insert({s.fill_seq, b});
-  }
-}
-
-void VictimIndex::require_adjusted() {
-  if (needs_.adjusted) return;
-  needs_.adjusted = true;
-  adj_buckets_.assign(ppb_ + 1, Bucket{});
-  for (std::uint32_t b = 0; b < state_.size(); ++b) {
-    const BlockState& s = state_[b];
-    if (!s.candidate) continue;
-    Bucket& adj = adj_buckets_[s.adjusted_valid];
-    adj.by_id.insert(b);
-    if (needs_.by_recency) adj.by_recency.insert({s.last_update_seq, b});
   }
 }
 
@@ -70,12 +55,13 @@ void VictimIndex::update_wl(std::uint32_t b, bool wl_candidate, std::uint64_t er
 VictimIndex::Selection VictimIndex::select(const VictimPolicy& policy, VictimPolicyKind kind,
                                            std::uint64_t now_seq, bool adjusted,
                                            const Excluded& excluded) const {
+  const Family& family = adjusted ? adj_ : raw_;
   switch (kind) {
     case VictimPolicyKind::kGreedy:
-      return select_bucket_min(buckets(adjusted), excluded);
+      return select_bucket_min(family, excluded);
     case VictimPolicyKind::kCostBenefit:
       JITGC_ENSURE_MSG(needs_.by_recency, "cost-benefit queried without by_recency maintenance");
-      return select_cost_benefit(policy, buckets(adjusted), now_seq, excluded);
+      return select_cost_benefit(policy, family, now_seq, excluded);
     case VictimPolicyKind::kFifo:
       // The score ignores valid_pages: adjusted == raw by construction.
       JITGC_ENSURE_MSG(needs_.by_fill, "FIFO queried without by_fill maintenance");
@@ -85,30 +71,29 @@ VictimIndex::Selection VictimIndex::select(const VictimPolicy& policy, VictimPol
       return select_scored_all(policy, now_seq, excluded);
     case VictimPolicyKind::kSampledGreedy:
       return select_sampled(static_cast<const SampledGreedyVictimPolicy&>(policy),
-                            buckets(adjusted), now_seq, excluded);
+                            family, now_seq, excluded);
   }
   JITGC_ENSURE_MSG(false, "unknown victim policy kind");
   return Selection{};
 }
 
-VictimIndex::Selection VictimIndex::select_bucket_min(const std::vector<Bucket>& buckets,
+VictimIndex::Selection VictimIndex::select_bucket_min(const Family& family,
                                                       const Excluded& excluded) const {
   // Greedy's score IS the bucket index, so the winner is the first
   // non-excluded id in the lowest non-empty bucket.
   Selection sel;
-  for (const Bucket& bucket : buckets) {
-    for (const std::uint32_t id : bucket.by_id) {
+  for (std::uint32_t v = 0; v <= ppb_; ++v) {
+    sel.block = family.by_id.walk(v, [&](std::uint32_t id) {
       ++sel.visited;
-      if (is_excluded(id, excluded)) continue;
-      sel.block = id;
-      return sel;
-    }
+      return !is_excluded(id, excluded);
+    });
+    if (sel.block != kNoBlock) return sel;
   }
   return sel;
 }
 
 VictimIndex::Selection VictimIndex::select_cost_benefit(const VictimPolicy& policy,
-                                                        const std::vector<Bucket>& buckets,
+                                                        const Family& family,
                                                         std::uint64_t now_seq,
                                                         const Excluded& excluded) const {
   // One representative per bucket: at fixed valid count the score is
@@ -118,18 +103,15 @@ VictimIndex::Selection VictimIndex::select_cost_benefit(const VictimPolicy& poli
   // back to the scan's id order.
   Selection sel;
   double best = std::numeric_limits<double>::infinity();
-  for (std::uint32_t v = 0; v < buckets.size(); ++v) {
-    const Bucket& bucket = buckets[v];
+  for (std::uint32_t v = 0; v <= ppb_; ++v) {
     std::uint32_t rep = kNoBlock;
     if (v == 0 || v == ppb_) {
-      for (const std::uint32_t id : bucket.by_id) {
+      rep = family.by_id.walk(v, [&](std::uint32_t id) {
         ++sel.visited;
-        if (is_excluded(id, excluded)) continue;
-        rep = id;
-        break;
-      }
+        return !is_excluded(id, excluded);
+      });
     } else {
-      for (const auto& [seq, id] : bucket.by_recency) {
+      for (const auto& [seq, id] : family.by_recency[v]) {
         ++sel.visited;
         if (is_excluded(id, excluded)) continue;
         rep = id;
@@ -169,10 +151,10 @@ VictimIndex::Selection VictimIndex::select_scored_all(const VictimPolicy& policy
                                                       const Excluded& excluded) const {
   Selection sel;
   double best = std::numeric_limits<double>::infinity();
-  for (std::uint32_t v = 0; v < raw_buckets_.size(); ++v) {
-    for (const std::uint32_t id : raw_buckets_[v].by_id) {
+  for (std::uint32_t v = 0; v <= ppb_; ++v) {
+    raw_.by_id.walk(v, [&](std::uint32_t id) {
       ++sel.visited;
-      if (is_excluded(id, excluded)) continue;
+      if (is_excluded(id, excluded)) return false;
       const BlockState& s = state_[id];
       const VictimCandidate cand{.block_id = id,
                                  .valid_pages = v,
@@ -185,14 +167,14 @@ VictimIndex::Selection VictimIndex::select_scored_all(const VictimPolicy& policy
         best = score;
         sel.block = id;
       }
-    }
+      return false;
+    });
   }
   return sel;
 }
 
 VictimIndex::Selection VictimIndex::select_sampled(const SampledGreedyVictimPolicy& policy,
-                                                   const std::vector<Bucket>& buckets,
-                                                   std::uint64_t now_seq,
+                                                   const Family& family, std::uint64_t now_seq,
                                                    const Excluded& excluded) const {
   // Walk candidates in (valid, id) == (score-within-sample, id) order; the
   // first in-sample hit is the winner (the out-of-sample offset guarantees
@@ -201,16 +183,14 @@ VictimIndex::Selection VictimIndex::select_sampled(const SampledGreedyVictimPoli
   // candidate seen — wins.
   Selection sel;
   std::uint32_t fallback = kNoBlock;
-  for (const Bucket& bucket : buckets) {
-    for (const std::uint32_t id : bucket.by_id) {
+  for (std::uint32_t v = 0; v <= ppb_; ++v) {
+    sel.block = family.by_id.walk(v, [&](std::uint32_t id) {
       ++sel.visited;
-      if (is_excluded(id, excluded)) continue;
+      if (is_excluded(id, excluded)) return false;
       if (fallback == kNoBlock) fallback = id;
-      if (policy.is_sampled(id, now_seq)) {
-        sel.block = id;
-        return sel;
-      }
-    }
+      return policy.is_sampled(id, now_seq);
+    });
+    if (sel.block != kNoBlock) return sel;
   }
   sel.block = fallback;
   return sel;

@@ -5,14 +5,21 @@
 // index keeps the candidate set (fully-programmed blocks with something to
 // reclaim) bucketed by valid-page count — once under the raw count and once
 // under the SIP-penalty-adjusted count — so every policy's argmin is
-// answerable without touching non-candidates:
+// answerable without touching non-candidates. Each bucket is an id-ordered
+// bitset (IdBuckets), so update() re-buckets a block with two bit flips per
+// family, O(1); only the cost-benefit and FIFO order sets cost O(log N), and
+// only under those policies. Selection walks the set words of the bitsets in
+// ascending id order:
 //
-//   greedy         first id in the lowest non-empty bucket           O(log N)
+//   greedy         first id in the lowest non-empty bucket           O(ppb + N/64)
 //   sampled greedy first in-sample candidate in (valid, id) order    O(1/f) exp.
 //   cost-benefit   one representative per bucket, <= ppb+1 scored    O(ppb)
 //   FIFO           head of a (fill_seq, id) set                      O(log N)
 //   random         scores every candidate (hash is per-candidate by
 //                  construction; excluded from scan-free guarantees) O(C)
+//
+// Memory: (pages_per_block + 1) * num_blocks / 8 bytes per bucket family,
+// two families (about 33 KB each at 1024 blocks x 256 pages).
 //
 // Exactness contract: select() returns the lexicographic (score, block_id)
 // minimum over eligible candidates — precisely the block the reference
@@ -31,6 +38,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -40,18 +48,69 @@
 
 namespace jitgc::ftl {
 
+/// Block ids in [0, num_ids) kept in `num_buckets` buckets, each an
+/// id-ordered bitset: one uint64_t word per 64 ids plus a member count,
+/// stored flat, bucket after bucket. insert/erase flip one bit; walk()
+/// visits a bucket's members in ascending id order, the order a
+/// std::set<std::uint32_t> iterates in.
+class IdBuckets {
+ public:
+  static constexpr std::uint32_t kNone = UINT32_MAX;
+
+  IdBuckets(std::uint32_t num_buckets, std::uint32_t num_ids)
+      : words_per_bucket_((num_ids + 63) / 64),
+        words_(static_cast<std::size_t>(num_buckets) * words_per_bucket_, 0),
+        sizes_(num_buckets, 0) {}
+
+  void insert(std::uint32_t bucket, std::uint32_t id) {
+    std::uint64_t& w = word(bucket, id);
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    sizes_[bucket] += (w & bit) == 0;
+    w |= bit;
+  }
+  void erase(std::uint32_t bucket, std::uint32_t id) {
+    std::uint64_t& w = word(bucket, id);
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    sizes_[bucket] -= (w & bit) != 0;
+    w &= ~bit;
+  }
+  std::uint32_t size(std::uint32_t bucket) const { return sizes_[bucket]; }
+
+  /// Calls `visit(id)` on each member of `bucket` in ascending id order until
+  /// it returns true; returns that id, or kNone when no call did.
+  template <typename Visit>
+  std::uint32_t walk(std::uint32_t bucket, Visit&& visit) const {
+    const std::uint64_t* words = &words_[static_cast<std::size_t>(bucket) * words_per_bucket_];
+    std::uint32_t left = sizes_[bucket];
+    for (std::uint32_t w = 0; left != 0; ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        const std::uint32_t id = w * 64 + static_cast<std::uint32_t>(__builtin_ctzll(bits));
+        if (visit(id)) return id;
+        --left;
+      }
+    }
+    return kNone;
+  }
+
+ private:
+  std::uint64_t& word(std::uint32_t bucket, std::uint32_t id) {
+    return words_[static_cast<std::size_t>(bucket) * words_per_bucket_ + (id >> 6)];
+  }
+
+  std::uint32_t words_per_bucket_;
+  std::vector<std::uint64_t> words_;
+  std::vector<std::uint32_t> sizes_;
+};
+
 class VictimIndex {
  public:
   static constexpr std::uint32_t kNoBlock = UINT32_MAX;
 
-  /// Which query structures the owning FTL's configuration can ever read.
-  /// The FTL passes only what its fixed victim policy / SIP setting reaches,
-  /// so update() skips the dead tree traffic. Queries against a structure
-  /// declared unneeded are a correctness bug, guarded where cheap.
+  /// Which order sets the owning FTL's configuration can ever read. The FTL
+  /// passes only what its fixed victim policy reaches, so update() skips the
+  /// dead tree traffic. Queries against a structure declared unneeded are a
+  /// correctness bug, guarded where cheap.
   struct Needs {
-    /// SIP-penalty bucket family — only the SIP filter reads it; with the
-    /// filter off the adjusted counts equal the raw counts anyway.
-    bool adjusted = true;
     /// Within-bucket (last_update_seq, id) order — cost-benefit only.
     bool by_recency = true;
     /// Global (fill_seq, id) order — FIFO only.
@@ -77,7 +136,9 @@ class VictimIndex {
   };
 
   /// Re-declares block `b`'s state in the candidate buckets, replacing
-  /// whatever was indexed for it. O(log N); no-op when nothing changed.
+  /// whatever was indexed for it. O(1) bucket moves (plus O(log N) for the
+  /// needed order sets); no-op when nothing changed. Throws, leaving the
+  /// index untouched, on an out-of-range block or valid count.
   /// Does NOT touch the wear-level tracker — that is update_wl()'s job, so
   /// the FTL's deferred maintenance can settle the (per-write-queried)
   /// wear-level set without paying the full bucket update.
@@ -87,14 +148,6 @@ class VictimIndex {
   /// erase count) against a shadow independent of update()'s BlockState, so
   /// either half can be settled first. O(log N); no-op when unchanged.
   void update_wl(std::uint32_t b, bool wl_candidate, std::uint64_t erase_count);
-
-  /// Turns on adjusted-bucket maintenance after construction, rebuilding the
-  /// family from the declared states. Needed because the SIP filter is a
-  /// runtime policy choice (JitPolicy enables it at run start), not a
-  /// construction-time fact: update() always records adjusted_valid in the
-  /// BlockState, so the rebuild lands exactly where maintaining the family
-  /// all along would have. No-op when already maintained.
-  void require_adjusted();
 
   /// Blocks queries must skip (the active write streams); kNoBlock entries
   /// are harmless.
@@ -121,39 +174,35 @@ class VictimIndex {
   const BlockState& state(std::uint32_t b) const { return state_[b]; }
 
  private:
-  struct Bucket {
-    std::set<std::uint32_t> by_id;
-    /// (last_update_seq, id): cost-benefit's within-bucket score order.
-    std::set<std::pair<std::uint64_t, std::uint32_t>> by_recency;
+  /// Candidates bucketed by one valid count (raw or SIP-adjusted); ppb + 1
+  /// buckets, since the adjusted count saturates at pages_per_block.
+  struct Family {
+    Family(std::uint32_t ppb, std::uint32_t num_blocks, bool by_recency)
+        : by_id(ppb + 1, num_blocks), by_recency(by_recency ? ppb + 1 : 0) {}
+    IdBuckets by_id;
+    /// Per bucket, (last_update_seq, id): cost-benefit's within-bucket score
+    /// order. Empty unless Needs::by_recency.
+    std::vector<std::set<std::pair<std::uint64_t, std::uint32_t>>> by_recency;
   };
 
   static bool is_excluded(std::uint32_t b, const Excluded& e) {
     return b == e[0] || b == e[1] || b == e[2];
   }
 
-  const std::vector<Bucket>& buckets(bool adjusted) const {
-    // Without the SIP filter the adjusted counts equal the raw counts, so the
-    // unmaintained adjusted family safely aliases the raw one.
-    return (adjusted && needs_.adjusted) ? adj_buckets_ : raw_buckets_;
-  }
-
-  Selection select_bucket_min(const std::vector<Bucket>& buckets, const Excluded& excluded) const;
-  Selection select_cost_benefit(const VictimPolicy& policy, const std::vector<Bucket>& buckets,
+  Selection select_bucket_min(const Family& family, const Excluded& excluded) const;
+  Selection select_cost_benefit(const VictimPolicy& policy, const Family& family,
                                 std::uint64_t now_seq, const Excluded& excluded) const;
   Selection select_fifo(const Excluded& excluded) const;
   Selection select_scored_all(const VictimPolicy& policy, std::uint64_t now_seq,
                               const Excluded& excluded) const;
-  Selection select_sampled(const SampledGreedyVictimPolicy& policy,
-                           const std::vector<Bucket>& buckets, std::uint64_t now_seq,
-                           const Excluded& excluded) const;
+  Selection select_sampled(const SampledGreedyVictimPolicy& policy, const Family& family,
+                           std::uint64_t now_seq, const Excluded& excluded) const;
 
   std::uint32_t ppb_;
   Needs needs_;
   std::vector<BlockState> state_;
-  /// Candidates bucketed by raw / SIP-adjusted valid count (size ppb + 1:
-  /// the adjusted count saturates at pages_per_block).
-  std::vector<Bucket> raw_buckets_;
-  std::vector<Bucket> adj_buckets_;
+  Family raw_;
+  Family adj_;
   /// All candidates by (fill_seq, id): FIFO's global order.
   std::set<std::pair<std::uint64_t, std::uint32_t>> by_fill_;
   /// Fully-valid full blocks by (erase_count, id): the wear-level tracker.

@@ -1,10 +1,13 @@
-// Property tests for the O(log N) victim-selection index: under randomized
-// write/trim/GC/SIP interleavings, every indexed selection must match the
-// reference linear scan bit-for-bit (same block, same filtered flag), and
-// the candidate-visit counter must stay bounded — no O(num_blocks) scans in
-// the hot path.
+// Property tests for the incremental victim-selection index: under
+// randomized write/trim/GC/SIP interleavings, every indexed selection must
+// match the reference linear scan bit-for-bit (same block, same filtered
+// flag), and the candidate-visit counter must stay bounded — no
+// O(num_blocks) scans in the hot path. The bitset buckets are also checked
+// directly against a std::set reference across 64-bit word boundaries.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -43,9 +46,11 @@ using PolicyCase = std::tuple<VictimPolicyKind, bool>;
 
 class VictimIndexPropertyTest : public ::testing::TestWithParam<PolicyCase> {};
 
-TEST_P(VictimIndexPropertyTest, IndexedSelectionMatchesReferenceScan) {
-  const auto [kind, sip_filter] = GetParam();
-  Ftl ftl(index_config(kind, sip_filter, 32));
+/// Drives one FTL through a randomized interleaving, comparing the indexed
+/// selection with the reference scan every 10 steps.
+void expect_index_matches_reference(VictimPolicyKind kind, bool sip_filter,
+                                    std::uint32_t blocks_per_plane) {
+  Ftl ftl(index_config(kind, sip_filter, blocks_per_plane));
   Rng rng(0xF00D ^ (static_cast<std::uint64_t>(kind) << 8) ^ (sip_filter ? 1 : 0));
   const Lba user_pages = ftl.user_pages();
 
@@ -73,6 +78,17 @@ TEST_P(VictimIndexPropertyTest, IndexedSelectionMatchesReferenceScan) {
       ASSERT_EQ(indexed.sip_filtered, reference.sip_filtered) << "step " << step;
     }
   }
+}
+
+TEST_P(VictimIndexPropertyTest, IndexedSelectionMatchesReferenceScan) {
+  const auto [kind, sip_filter] = GetParam();
+  expect_index_matches_reference(kind, sip_filter, 32);  // one bitset word
+}
+
+TEST_P(VictimIndexPropertyTest, MatchesReferenceAcrossWordBoundaries) {
+  // 131 blocks: three bitset words, the last one partial.
+  const auto [kind, sip_filter] = GetParam();
+  expect_index_matches_reference(kind, sip_filter, 131);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -127,6 +143,119 @@ TEST(VictimIndexWearLevel, TrackerMatchesReferenceScan) {
   // Skewed overwrites wear some blocks while cold data sits still.
   for (int i = 0; i < 20000; ++i) ftl.write(rng.uniform(user_pages / 4));
   EXPECT_GT(ftl.stats().wear_level_moves, 0u);
+}
+
+/// First non-excluded member of `ref` in ascending order, with the number of
+/// members looked at: what a bucket walk over a std::set<uint32_t> returned.
+VictimIndex::Selection reference_first(const std::set<std::uint32_t>& ref,
+                                       const VictimIndex::Excluded& excluded) {
+  VictimIndex::Selection sel;
+  for (const std::uint32_t id : ref) {
+    ++sel.visited;
+    if (id == excluded[0] || id == excluded[1] || id == excluded[2]) continue;
+    sel.block = id;
+    break;
+  }
+  return sel;
+}
+
+TEST(IdBucketsTest, MatchesStdSetsAcrossWordBoundaries) {
+  constexpr std::uint32_t kIds = 131;  // not a multiple of 64
+  constexpr std::uint32_t kBuckets = 3;
+  IdBuckets buckets(kBuckets, kIds);
+  std::vector<std::set<std::uint32_t>> ref(kBuckets);
+  Rng rng(0xB175);
+  // Word edges and the last id, excluded or not.
+  const std::vector<VictimIndex::Excluded> exclusions = {
+      {VictimIndex::kNoBlock, VictimIndex::kNoBlock, VictimIndex::kNoBlock},
+      {0, 63, 64},
+      {63, 64, 127},
+      {128, 129, kIds - 1},
+      {0, 64, kIds - 1},
+  };
+  const std::vector<std::uint32_t> edges = {0, 63, 64, 127, 128, kIds - 1};
+
+  const auto expect_same = [&](std::uint32_t v, int step) {
+    ASSERT_EQ(buckets.size(v), ref[v].size()) << "step " << step;
+    std::vector<std::uint32_t> order;
+    EXPECT_EQ(buckets.walk(v,
+                           [&](std::uint32_t id) {
+                             order.push_back(id);
+                             return false;
+                           }),
+              IdBuckets::kNone);
+    ASSERT_EQ(order, std::vector<std::uint32_t>(ref[v].begin(), ref[v].end())) << "step " << step;
+    for (const VictimIndex::Excluded& excl : exclusions) {
+      const VictimIndex::Selection want = reference_first(ref[v], excl);
+      VictimIndex::Selection got;
+      got.block = buckets.walk(v, [&](std::uint32_t id) {
+        ++got.visited;
+        return id != excl[0] && id != excl[1] && id != excl[2];
+      });
+      ASSERT_EQ(got.block, want.block) << "step " << step;
+      ASSERT_EQ(got.visited, want.visited) << "step " << step;
+    }
+  };
+
+  for (int step = 0; step < 5000; ++step) {
+    // Half the operations hit a word-edge id, so the edges churn often.
+    const auto v = static_cast<std::uint32_t>(rng.uniform(kBuckets));
+    const std::uint32_t id = rng.uniform(2) == 0
+                                 ? edges[rng.uniform(edges.size())]
+                                 : static_cast<std::uint32_t>(rng.uniform(kIds));
+    if (rng.uniform(2) == 0) {
+      buckets.insert(v, id);
+      ref[v].insert(id);
+    } else {
+      buckets.erase(v, id);
+      ref[v].erase(id);
+    }
+    // Neighbouring buckets share no words: check them all.
+    for (std::uint32_t u = 0; u < kBuckets; ++u) ASSERT_NO_FATAL_FAILURE(expect_same(u, step));
+  }
+  // Every edge id in every bucket.
+  for (std::uint32_t u = 0; u < kBuckets; ++u) {
+    for (const std::uint32_t id : edges) {
+      buckets.insert(u, id);
+      ref[u].insert(id);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_same(u, -1));
+  }
+}
+
+TEST(VictimIndexUpdate, RejectedStateLeavesIndexUntouched) {
+  constexpr std::uint32_t kPpb = 8;
+  VictimIndex index(131, kPpb, VictimIndex::Needs{});
+  const auto greedy = make_victim_policy(VictimPolicyKind::kGreedy);
+  const VictimIndex::Excluded none{VictimIndex::kNoBlock, VictimIndex::kNoBlock,
+                                   VictimIndex::kNoBlock};
+  const auto select = [&] {
+    return index.select(*greedy, VictimPolicyKind::kGreedy, 0, /*adjusted=*/false, none).block;
+  };
+
+  VictimIndex::BlockState good;
+  good.candidate = true;
+  good.valid = 3;
+  good.adjusted_valid = 5;
+  index.update(64, good);
+  ASSERT_EQ(select(), 64u);
+
+  VictimIndex::BlockState bad = good;
+  bad.valid = kPpb + 1;
+  // ASSERT: a half-applied update would make the next one index out of range.
+  ASSERT_THROW(index.update(64, bad), std::logic_error);
+  ASSERT_EQ(index.state(64), good);
+  ASSERT_EQ(select(), 64u);
+
+  bad = good;
+  bad.adjusted_valid = kPpb + 1;
+  EXPECT_THROW(index.update(64, bad), std::logic_error);
+  EXPECT_THROW(index.update(7, bad), std::logic_error);
+  EXPECT_FALSE(index.state(7).candidate);
+  EXPECT_THROW(index.update(131, good), std::logic_error);
+  EXPECT_EQ(select(), 64u);
+  EXPECT_EQ(index.select(*greedy, VictimPolicyKind::kGreedy, 0, /*adjusted=*/true, none).block,
+            64u);
 }
 
 }  // namespace

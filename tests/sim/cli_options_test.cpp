@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "temp_path.h"
 #include "workload/trace.h"
 
 #include <gtest/gtest.h>
@@ -182,7 +183,7 @@ TEST(CliOptions, JsonFlagAndOutputShape) {
 TEST(CliOptions, RunFromCliReplaysTraceFile) {
   // End-to-end: synthesize a tiny trace, write it, and run it via the CLI
   // path with a buffered re-synthesis fraction.
-  const std::string path = ::testing::TempDir() + "jitgc_cli_trace.csv";
+  const std::string path = testing_util::unique_temp_path("trace.csv");
   std::vector<wl::TraceRecord> records;
   for (int i = 0; i < 2000; ++i) {
     records.push_back(

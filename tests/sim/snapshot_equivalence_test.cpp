@@ -19,6 +19,7 @@
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
 #include "sim/sweep.h"
+#include "temp_path.h"
 #include "workload/specs.h"
 #include "workload/synthetic.h"
 
@@ -43,14 +44,6 @@ std::string strip_snapshot_fields(const std::string& jsonl) {
     out += '\n';
   }
   return out;
-}
-
-// Unique per test case: ctest -j runs cases as separate processes that would
-// otherwise race on one shared snapshot directory.
-fs::path unique_cache_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  return fs::path(::testing::TempDir()) /
-         (std::string("jitgc_snap_") + info->test_suite_name() + "_" + info->name());
 }
 
 }  // namespace
@@ -101,7 +94,7 @@ std::string sweep_output(const SimConfig& base, std::size_t threads,
 class SnapshotEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = unique_cache_dir();
+    dir_ = testing_util::unique_temp_path("snap");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

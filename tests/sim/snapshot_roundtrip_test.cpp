@@ -23,6 +23,7 @@
 #include "sim/metrics_sink.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
+#include "temp_path.h"
 #include "workload/specs.h"
 #include "workload/synthetic.h"
 
@@ -118,9 +119,7 @@ TEST(SnapshotRoundTrip, VictimPoliciesGetDistinctFingerprints) {
 class SnapshotRobustnessTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("jitgc_snaprob_") + info->name());
+    dir_ = testing_util::unique_temp_path("snap");
     fs::remove_all(dir_);
     config_ = tiny_config(ftl::VictimPolicyKind::kGreedy, false);
     cold_ = run_jsonl(config_, nullptr);
@@ -241,7 +240,7 @@ std::vector<fs::path> snap_files(const fs::path& dir) {
 }
 
 TEST(SnapshotEviction, DiskLimitEvictsOldestStoreAndTakesTheDirectoryLock) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "jitgc_snap_evict";
+  const fs::path dir = testing_util::unique_temp_path("snap");
   fs::remove_all(dir);
   SnapshotCache cache(dir.string());
   cache.set_disk_limit(2);
@@ -258,7 +257,7 @@ TEST(SnapshotEviction, DiskLimitEvictsOldestStoreAndTakesTheDirectoryLock) {
 }
 
 TEST(SnapshotEviction, DiskHitRefreshesMtimeSoRecentlyUsedSnapshotsSurvive) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "jitgc_snap_lru";
+  const fs::path dir = testing_util::unique_temp_path("snap");
   fs::remove_all(dir);
   SimConfig hot = tiny_config(ftl::VictimPolicyKind::kGreedy, false);
   SimConfig stale = hot;

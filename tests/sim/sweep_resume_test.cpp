@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "sim/sweep.h"
+#include "temp_path.h"
 #include "workload/specs.h"
 
 namespace jitgc::sim {
@@ -63,11 +64,7 @@ std::string sweep_bytes(const SweepOptions& options) {
 class SweepResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test: ctest -j runs these cases as separate processes that
-    // would otherwise race on one shared checkpoint directory.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = fs::path(::testing::TempDir()) /
-           (std::string("jitgc_sweep_ckpt_") + info->name());
+    dir_ = testing_util::unique_temp_path("ckpt");
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -17,6 +17,7 @@
 #include "sim/metrics_sink.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
+#include "temp_path.h"
 #include "workload/synthetic.h"
 
 namespace jitgc::sim {
@@ -344,7 +345,7 @@ TEST(TenantCli, TraceVolumeMapFeedsEachTenantItsVolume) {
   // A two-volume MSR trace: three requests on volume 0, one on volume 7.
   // With --trace-volume-map=0,7 each tenant replays exactly its volume's
   // substream through its own queue.
-  const std::string path = testing::TempDir() + "/tenant_volumes.csv";
+  const std::string path = testing_util::unique_temp_path("volumes.csv");
   {
     std::ofstream trace(path);
     trace << "1000,host,0,Write,4096,4096,90\n"

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "temp_path.h"
+
 namespace jitgc::wl {
 namespace {
 
@@ -60,7 +62,7 @@ TEST(TraceSuite, DeterministicInSeed) {
 }
 
 TEST(TraceSuite, RoundTripsThroughMsrCsv) {
-  const std::string path = ::testing::TempDir() + "jitgc_suite_roundtrip.csv";
+  const std::string path = testing_util::unique_temp_path("roundtrip.csv");
   const auto records = synthesize_trace(msr_exchange_profile(), seconds(10), 5);
   write_msr_trace(path, records);
   const auto parsed = read_msr_trace(path);

@@ -10,13 +10,15 @@
 #include <stdexcept>
 #include <string>
 
+#include "temp_path.h"
+
 namespace jitgc::wl {
 namespace {
 
 class TraceFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "jitgc_trace_test.csv";
+    path_ = testing_util::unique_temp_path("trace.csv");
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -209,7 +211,7 @@ TEST(RecordWorkload, RoundTripsThroughReplay) {
   // record -> write CSV -> read -> replay: the replayed op count matches.
   SyntheticWorkload gen(ycsb_spec(), 20'000, 4);
   const auto records = record_workload(gen, seconds(10));
-  const std::string path = ::testing::TempDir() + "jitgc_recorded.csv";
+  const std::string path = testing_util::unique_temp_path("recorded.csv");
   write_msr_trace(path, records);
   const auto parsed = read_msr_trace(path);
   ASSERT_EQ(parsed.size(), records.size());

@@ -163,7 +163,7 @@ BENCHMARK(BM_VictimIndexUpdate)->Arg(1)->Arg(4)->Arg(16);
 void BM_PageCacheWrite(benchmark::State& state) {
   host::PageCacheConfig cfg;
   cfg.capacity = 256 * MiB;
-  host::PageCache cache(cfg);
+  host::PageCache cache(cfg, /*universe=*/1 << 20);
   Rng rng(4);
   TimeUs now = 0;
   for (auto _ : state) {
@@ -183,7 +183,7 @@ BENCHMARK(BM_PageCacheWrite);
 // JIT-GC.
 void BM_PageCacheOverwrite(benchmark::State& state) {
   host::PageCacheConfig cfg;
-  host::PageCache cache(cfg);
+  host::PageCache cache(cfg, /*universe=*/1 << 20);
   cache.enable_sip_tracking();
   Rng rng(8);
   const Lba hot = 1 << 14;
@@ -203,6 +203,34 @@ void BM_PageCacheOverwrite(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PageCacheOverwrite);
+
+// One flusher tick's SIP hand-off over a device-sized universe: `range(0)`
+// dirty-set membership changes (half writebacks, half fresh writes at
+// scattered LBAs) since the last checkpoint, then the sorted delta and the
+// commit. Only the delta and the commit are timed.
+void BM_PageCacheSipDelta(benchmark::State& state) {
+  host::PageCacheConfig cfg;
+  cfg.capacity = 1 * GiB;
+  const Lba universe = 1 << 20;
+  host::PageCache cache(cfg, universe);
+  cache.enable_sip_tracking();
+  Rng rng(10);
+  const auto changes = static_cast<std::size_t>(state.range(0));
+  TimeUs now = 0;
+  for (std::size_t i = 0; i < 4 * changes; ++i) cache.write(rng.uniform(universe), ++now);
+  cache.commit_sip_checkpoint();
+  for (auto _ : state) {
+    state.PauseTiming();
+    benchmark::DoNotOptimize(cache.evict_oldest(changes / 2));
+    for (std::size_t i = 0; i < changes / 2; ++i) cache.write(rng.uniform(universe), ++now);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(cache.pending_sip_delta());
+    cache.commit_sip_checkpoint();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(changes));
+}
+BENCHMARK(BM_PageCacheSipDelta)->Arg(1024)->Arg(16384);
 
 // SIP membership probes over a device-sized universe with 1/16 of the LBAs
 // listed: what GC pays per migrated or overwritten page.
@@ -224,8 +252,8 @@ void BM_BufferedPredictorScan(benchmark::State& state) {
   host::PageCacheConfig cfg;
   cfg.capacity = 512 * MiB;
   cfg.tau_flush_fraction = 1.0;
-  host::PageCache cache(cfg);
   const auto pages = static_cast<Lba>(state.range(0));
+  host::PageCache cache(cfg, pages);
   for (Lba l = 0; l < pages; ++l) cache.write(l, seconds(1) + static_cast<TimeUs>(l));
   core::BufferedWritePredictor predictor;
   for (auto _ : state) {

@@ -27,7 +27,7 @@ void fig4_buffered_prediction() {
   cfg.tau_expire = seconds(30);
   cfg.tau_flush_fraction = 1.0;  // the figure has no threshold flushes
   cfg.flush_period = seconds(5);
-  host::PageCache cache(cfg);
+  host::PageCache cache(cfg, /*universe=*/1024);
 
   const auto write_group = [&](Lba base, std::uint32_t pages, TimeUs t) {
     for (std::uint32_t i = 0; i < pages; ++i) cache.write(base + i, t);

@@ -7,25 +7,31 @@
 namespace jitgc::core {
 namespace {
 
-// Per-page demand bucketing — the reference path, used when `now` is not a
-// flusher-tick instant (the histogram identity below needs tick alignment).
-void bucket_by_scan(const host::PageCache& cache, TimeUs now, std::uint64_t early_flush_pages,
-                    bool want_full_list, BufferedPrediction& out) {
+// Per-page demand bucketing — the reference path, used when the histograms
+// cannot answer: off-tick calls (the histogram identity below needs tick
+// alignment), a full LBA list to emit, strict mode over several partitions,
+// or streams that are not the cache's partitions. With `predict_flushes`
+// false it only lists and counts the pages.
+void bucket_by_scan(const host::PageCache& cache, TimeUs now, bool predict_flushes,
+                    std::uint64_t early_flush_pages, bool want_full_list,
+                    const host::LbaPartitions& streams, BufferedPrediction& out) {
   const auto& cfg = cache.config();
   const std::uint32_t nwb = cfg.intervals_per_horizon();
   const TimeUs p = cfg.flush_period;
   const Bytes page = cfg.page_size;
 
-  const std::vector<host::DirtyPage> dirty = cache.scan_dirty();
-  if (want_full_list) out.sip.added.reserve(dirty.size());
+  if (want_full_list) out.sip.added.reserve(cache.dirty_pages());
 
   std::uint64_t scanned = 0;
-  for (const host::DirtyPage& dp : dirty) {
+  cache.for_each_dirty([&](const host::DirtyPage& dp) {
+    const std::uint32_t s = streams.of(dp.lba);
+    ++out.stream_pages[s];
     if (want_full_list) out.sip.added.push_back(dp.lba);
+    if (!predict_flushes) return;
 
     std::uint32_t j;
     if (scanned < early_flush_pages) {
-      // scan_dirty() is oldest-first, so these are exactly the pages the
+      // The visit is oldest-first, so these are exactly the pages the
       // flusher would evict to get back under tau_flush.
       j = 1;
     } else {
@@ -46,50 +52,61 @@ void bucket_by_scan(const host::PageCache& cache, TimeUs now, std::uint64_t earl
       // but clamp defensively.
       if (j > nwb) j = nwb;
     }
-    out.demand.add(j, page);
+    out.stream_demand[s].add(j, page);
     ++scanned;
-  }
+  });
 }
 
-// Demand from the cache's dirty-interval histogram, no per-page scan. At a
+// Demand from the cache's dirty-interval histograms, no per-page scan. At a
 // tick instant now = m * p, every page in bucket c = ceil(last_update / p)
 // shares one slot: expiry - now = last_update + (nwb - m) * p, so
 // ceil((expiry - now) / p) = c + nwb - m and the page is already expired
 // iff c + nwb <= m — the per-page arithmetic collapses to per-bucket.
 // Strict mode's early flush takes the oldest `early_flush_pages` pages;
-// buckets ascend by age, so a prefix of the walk (splitting at most one
-// bucket, where the two halves differ only in slot) covers it exactly.
-void bucket_by_histogram(const host::PageCache& cache, TimeUs now,
+// with a single partition the buckets ascend by age, so a prefix of the walk
+// (splitting at most one bucket, where the two halves differ only in slot)
+// covers it exactly. Each cache partition feeds its own stream, or all feed
+// stream 0 when one stream is asked for.
+void bucket_by_histogram(const host::PageCache& cache, TimeUs now, bool predict_flushes,
                          std::uint64_t early_flush_pages, BufferedPrediction& out) {
   const auto& cfg = cache.config();
   const std::uint32_t nwb = cfg.intervals_per_horizon();
   const Bytes page = cfg.page_size;
   const std::uint64_t m = static_cast<std::uint64_t>(now / cfg.flush_period);
+  const std::uint32_t partitions = cache.partitions().count;
+  JITGC_ENSURE(early_flush_pages == 0 || partitions == 1);
 
   std::uint64_t remaining_early = early_flush_pages;
-  for (const auto& [c, count] : cache.dirty_interval_histogram()) {
-    std::uint64_t rest = count;
-    if (remaining_early > 0) {
-      const std::uint64_t take = std::min(remaining_early, rest);
-      out.demand.add(1, take * page);
-      remaining_early -= take;
-      rest -= take;
-      if (rest == 0) continue;
-    }
-    std::uint32_t j;
-    if (c + nwb <= m) {
-      j = 1;
-    } else {
-      j = static_cast<std::uint32_t>(std::min<std::uint64_t>(c + nwb - m, nwb));
-    }
-    out.demand.add(j, rest * page);
+  for (std::uint32_t q = 0; q < partitions; ++q) {
+    const std::uint32_t s = out.stream_pages.size() == 1 ? 0 : q;
+    const host::IntervalHistogram& hist = cache.interval_histogram(q);
+    out.stream_pages[s] += hist.pages();
+    if (!predict_flushes) continue;
+    DemandVector& demand = out.stream_demand[s];
+    hist.for_each([&](std::uint64_t c, std::uint64_t count) {
+      std::uint64_t rest = count;
+      if (remaining_early > 0) {
+        const std::uint64_t take = std::min(remaining_early, rest);
+        demand.add(1, take * page);
+        remaining_early -= take;
+        rest -= take;
+        if (rest == 0) return;
+      }
+      std::uint32_t j;
+      if (c + nwb <= m) {
+        j = 1;
+      } else {
+        j = static_cast<std::uint32_t>(std::min<std::uint64_t>(c + nwb - m, nwb));
+      }
+      demand.add(j, rest * page);
+    });
   }
 }
 
 }  // namespace
 
-BufferedPrediction BufferedWritePredictor::predict(const host::PageCache& cache,
-                                                   TimeUs now) const {
+BufferedPrediction BufferedWritePredictor::predict(const host::PageCache& cache, TimeUs now,
+                                                   const host::LbaPartitions& streams) const {
   const auto& cfg = cache.config();
   const std::uint32_t nwb = cfg.intervals_per_horizon();
   const TimeUs p = cfg.flush_period;
@@ -97,6 +114,8 @@ BufferedPrediction BufferedWritePredictor::predict(const host::PageCache& cache,
 
   BufferedPrediction out;
   out.demand = DemandVector(nwb);
+  out.stream_demand.assign(streams.count, DemandVector(nwb));
+  out.stream_pages.assign(streams.count, 0);
   out.sip_size = cache.dirty_pages();
   out.sip_is_delta = cache.sip_tracking_enabled();
   if (out.sip_is_delta) out.sip = cache.pending_sip_delta();
@@ -106,26 +125,35 @@ BufferedPrediction BufferedWritePredictor::predict(const host::PageCache& cache,
   // tau_flush, condition 2 fails: nothing is predicted to flush (the SIP
   // list is still emitted — dirty data still shadows stale on-SSD pages).
   // Above it, the oldest `excess` bytes flush at the very next tick.
+  bool predict_flushes = true;
   std::uint64_t early_flush_pages = 0;
   if (!relax_) {
     const Bytes dirty_bytes = cache.dirty_bytes();
     const Bytes threshold = cfg.tau_flush_bytes();
     if (dirty_bytes <= threshold) {
-      if (want_full_list) {
-        for (const host::DirtyPage& dp : cache.scan_dirty()) out.sip.added.push_back(dp.lba);
-      }
-      return out;
+      predict_flushes = false;
+    } else {
+      early_flush_pages = (dirty_bytes - threshold + page - 1) / page;
     }
-    early_flush_pages = (dirty_bytes - threshold + page - 1) / page;
   }
 
-  const bool tick_aligned = now >= 0 && now % p == 0;
-  if (tick_aligned && !want_full_list) {
-    bucket_by_histogram(cache, now, early_flush_pages, out);
+  // The histograms serve the streams when those are the cache's partitions
+  // or one stream covering them all. Needing the full LBA list forces a scan
+  // anyway; off-tick calls need the per-page arithmetic; the early flush
+  // takes the globally oldest pages, which only a single histogram orders.
+  const host::LbaPartitions& parts = cache.partitions();
+  const bool histograms_serve =
+      !want_full_list && (streams.count == 1 || streams == parts) &&
+      (!predict_flushes ||
+       (now >= 0 && now % p == 0 && (early_flush_pages == 0 || parts.count == 1)));
+  if (histograms_serve) {
+    bucket_by_histogram(cache, now, predict_flushes, early_flush_pages, out);
   } else {
-    // Needing the full LBA list forces a scan anyway; off-tick calls need
-    // the per-page arithmetic.
-    bucket_by_scan(cache, now, early_flush_pages, want_full_list, out);
+    bucket_by_scan(cache, now, predict_flushes, early_flush_pages, want_full_list, streams, out);
+  }
+
+  for (const DemandVector& d : out.stream_demand) {
+    for (std::uint32_t i = 1; i <= nwb; ++i) out.demand.add(i, d.at(i));
   }
   return out;
 }

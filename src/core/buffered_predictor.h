@@ -1,14 +1,15 @@
 // Write-demand predictor for buffered writes (paper §3.2.1).
 //
-// Invoked right after each flusher-thread run, it scans the page cache's
+// Invoked right after each flusher-thread run, it reads the page cache's
 // dirty pages and, using the *relaxed* flush model (every dirty page flushes
 // at the first flusher tick after its age reaches tau_expire, ignoring the
 // tau_flush condition), computes an upper bound D_buf(t) on the data the
-// cache will push to the SSD in each future write-back interval. The same
-// scan emits the SIP list: the LBAs whose on-SSD versions will be
-// invalidated by those flushes.
+// cache will push to the SSD in each future write-back interval, optionally
+// split per LBA partition (one stream per tenant). It also emits the SIP
+// list: the LBAs whose on-SSD versions will be invalidated by those flushes.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/demand_vector.h"
@@ -18,6 +19,10 @@ namespace jitgc::core {
 
 struct BufferedPrediction {
   DemandVector demand;  ///< D_buf(t), one slot per future interval
+  /// `demand` and the dirty-page count split by stream (the LBA partitions
+  /// passed to predict(); a single entry by default).
+  std::vector<DemandVector> stream_demand;
+  std::vector<std::uint64_t> stream_pages;
   /// L_SIP. When the cache has SIP tracking on (`sip_is_delta == true`),
   /// this is the net change since the last checkpoint; otherwise
   /// `sip.added` carries the full dirty-LBA list (oldest first) and
@@ -46,9 +51,13 @@ class BufferedWritePredictor {
   explicit BufferedWritePredictor(bool relax_flush_condition = true)
       : relax_(relax_flush_condition) {}
 
-  /// Scans `cache` at time `now` (a flusher-tick instant) and returns
-  /// D_buf(now) plus the SIP list.
-  BufferedPrediction predict(const host::PageCache& cache, TimeUs now) const;
+  /// Predicts from `cache` at time `now` (a flusher-tick instant) and returns
+  /// D_buf(now) plus the SIP list, with demand and dirty pages attributed to
+  /// the partitions of `streams`. When `streams` is the cache's own
+  /// partitioning (or a single stream), a tick-aligned call reads the
+  /// cache's per-partition interval histograms instead of scanning pages.
+  BufferedPrediction predict(const host::PageCache& cache, TimeUs now,
+                             const host::LbaPartitions& streams = {}) const;
 
  private:
   bool relax_;

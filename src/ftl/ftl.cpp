@@ -164,7 +164,7 @@ void Ftl::note_program(std::uint32_t block_id) {
   if (nand_.block(block_id).is_full()) block_fill_seq_[block_id] = write_seq_;
 }
 
-TimeUs Ftl::map_access_cost(Lba lba, bool dirty) {
+TimeUs Ftl::cached_map_access_cost(Lba lba, bool dirty) {
   const MappingCache::AccessResult r = map_cache_.access(lba, dirty);
   return static_cast<TimeUs>(r.map_reads) * config_.timing.read_cost() +
          static_cast<TimeUs>(r.map_writes) * config_.timing.program_cost();

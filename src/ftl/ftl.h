@@ -441,8 +441,12 @@ class Ftl {
   void touch_block(std::uint32_t block_id);
   /// Post-program bookkeeping: recency touch + fill-sequence stamp.
   void note_program(std::uint32_t block_id);
-  /// Charges the mapping-cache cost of touching `lba`'s L2P entry.
-  TimeUs map_access_cost(Lba lba, bool dirty);
+  /// Charges the mapping-cache cost of touching `lba`'s L2P entry. With the
+  /// model off (the whole map in DRAM) it is free, without a call.
+  TimeUs map_access_cost(Lba lba, bool dirty) {
+    return map_cache_.enabled() ? cached_map_access_cost(lba, dirty) : 0;
+  }
+  TimeUs cached_map_access_cost(Lba lba, bool dirty);
   TimeUs maybe_static_wear_level();
 
   /// Valid count after the SIP penalty — the exact expression the reference

@@ -33,7 +33,7 @@ HostFrontend::HostFrontend(const FrontendConfig& config, Lba user_pages, Bytes p
   JITGC_ENSURE_MSG(config_.queue_depth > 0, "the admission window must be positive");
   JITGC_ENSURE_MSG(user_pages >= n, "device too small to partition across tenants");
   user_pages_ = user_pages;
-  partition_pages_ = user_pages / n;
+  partitions_ = host::LbaPartitions::equal_share(user_pages, static_cast<std::uint32_t>(n));
 
   for (std::uint32_t t = 0; t < tenants_.size(); ++t) {
     Tenant& tenant = tenants_[t];
@@ -72,9 +72,9 @@ std::string HostFrontend::name() const {
 Lba HostFrontend::partition_pages(std::uint32_t tenant) const {
   // The last tenant absorbs the division remainder.
   if (tenant + 1 == tenants_.size()) {
-    return user_pages_ - static_cast<Lba>(tenants_.size() - 1) * partition_pages_;
+    return user_pages_ - static_cast<Lba>(tenants_.size() - 1) * partitions_.share;
   }
-  return partition_pages_;
+  return partitions_.share;
 }
 
 void HostFrontend::stage_next(Tenant& tenant, TimeUs reference) {

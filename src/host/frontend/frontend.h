@@ -34,6 +34,7 @@
 #include "common/types.h"
 #include "host/frontend/dwrr.h"
 #include "host/frontend/tenant_config.h"
+#include "host/page_cache.h"
 #include "workload/workload.h"
 
 namespace jitgc::frontend {
@@ -96,15 +97,13 @@ class HostFrontend final : public wl::WorkloadGenerator {
   std::uint32_t tenant_count() const { return static_cast<std::uint32_t>(tenants_.size()); }
   const TenantSpec& spec(std::uint32_t tenant) const { return tenants_[tenant].spec; }
   std::uint32_t queue_depth() const { return config_.queue_depth; }
-  /// The tenant owning `lba` under the contiguous equal-share partition.
-  std::uint32_t tenant_of_lba(Lba lba) const {
-    const Lba t = lba / partition_pages_;
-    const Lba last = tenants_.size() - 1;
-    return static_cast<std::uint32_t>(t < last ? t : last);
-  }
+  /// The contiguous equal-share partition, one partition per tenant.
+  const host::LbaPartitions& partitions() const { return partitions_; }
+  /// The tenant owning `lba` under the partition.
+  std::uint32_t tenant_of_lba(Lba lba) const { return partitions_.of(lba); }
   Lba partition_pages(std::uint32_t tenant) const;
   Lba partition_offset(std::uint32_t tenant) const {
-    return static_cast<Lba>(tenant) * partition_pages_;
+    return static_cast<Lba>(tenant) * partitions_.share;
   }
 
   // -- event-loop interface --------------------------------------------------
@@ -202,7 +201,7 @@ class HostFrontend final : public wl::WorkloadGenerator {
   FrontendConfig config_;
   Bytes page_size_;
   Lba user_pages_ = 0;
-  Lba partition_pages_ = 0;  ///< equal share (last tenant takes the remainder)
+  host::LbaPartitions partitions_;  ///< equal share (last tenant takes the remainder)
   Lba footprint_pages_ = 0;
   Lba working_set_pages_ = 0;
   std::vector<Tenant> tenants_;

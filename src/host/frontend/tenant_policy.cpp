@@ -1,6 +1,6 @@
 #include "host/frontend/tenant_policy.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/ensure.h"
 
@@ -26,7 +26,10 @@ core::DirectEstimatorConfig estimator_config(const core::PredictorConfig& config
 
 MultiStreamJitPolicy::MultiStreamJitPolicy(const core::JitPolicyConfig& config,
                                            const HostFrontend* frontend)
-    : config_(config), frontend_(frontend), manager_(config.horizon) {
+    : config_(config),
+      frontend_(frontend),
+      buffered_(config.predictor.relax_flush_condition),
+      manager_(config.horizon) {
   JITGC_ENSURE_MSG(frontend_ != nullptr, "the multi-stream policy needs the front-end topology");
   const std::uint32_t n = frontend_->tenant_count();
   direct_.reserve(n);
@@ -42,8 +45,6 @@ core::PolicyDecision MultiStreamJitPolicy::on_interval(const core::PolicyContext
   const host::PageCache& cache = *ctx.page_cache;
   const auto& cfg = cache.config();
   const std::uint32_t nwb = cfg.intervals_per_horizon();
-  const TimeUs p = cfg.flush_period;
-  const Bytes page = cfg.page_size;
   const std::uint32_t n = frontend_->tenant_count();
   JITGC_ENSURE_MSG(ctx.tenant_interval_direct_bytes.size() == n,
                    "per-tenant direct-byte attribution must cover every tenant");
@@ -68,61 +69,17 @@ core::PolicyDecision MultiStreamJitPolicy::on_interval(const core::PolicyContext
     }
   }
 
-  // Buffered demand: one oldest-first scan, the per-page arithmetic of the
-  // single-stream predictor's bucket_by_scan, attributed per tenant through
-  // the LBA partition. The same walk emits the (global) SIP list and each
+  // Buffered demand per tenant: the single-stream predictor, attributed
+  // through the LBA partition. It emits the (global) SIP list and each
   // tenant's dirty-page count.
+  core::BufferedPrediction buf = buffered_.predict(cache, ctx.now, frontend_->partitions());
   core::Prediction prediction;
-  prediction.buffered = core::DemandVector(nwb);
+  prediction.buffered = std::move(buf.demand);
   prediction.direct = core::DemandVector(nwb);
-  prediction.sip_size = cache.dirty_pages();
-  prediction.sip_is_delta = cache.sip_tracking_enabled();
-  if (prediction.sip_is_delta) prediction.sip = cache.pending_sip_delta();
-  const bool want_full_list = !prediction.sip_is_delta;
-
-  // Strict mode mirrors the single-stream predictor: at or below tau_flush
-  // nothing is predicted to flush (the SIP list is still emitted); above it
-  // the oldest excess flushes at the very next tick.
-  bool predict_flushes = true;
-  std::uint64_t early_flush_pages = 0;
-  if (!config_.predictor.relax_flush_condition) {
-    const Bytes dirty_bytes = cache.dirty_bytes();
-    const Bytes threshold = cfg.tau_flush_bytes();
-    if (dirty_bytes <= threshold) {
-      predict_flushes = false;
-    } else {
-      early_flush_pages = (dirty_bytes - threshold + page - 1) / page;
-    }
-  }
-
-  std::vector<core::DemandVector> per_buf(n, core::DemandVector(nwb));
-  std::fill(tenant_sip_.begin(), tenant_sip_.end(), 0);
-  const std::vector<host::DirtyPage> dirty = cache.scan_dirty();
-  if (want_full_list) prediction.sip.added.reserve(dirty.size());
-  std::uint64_t scanned = 0;
-  for (const host::DirtyPage& dp : dirty) {
-    const std::uint32_t t = frontend_->tenant_of_lba(dp.lba);
-    ++tenant_sip_[t];
-    if (want_full_list) prediction.sip.added.push_back(dp.lba);
-    if (!predict_flushes) continue;
-
-    std::uint32_t j;
-    if (scanned < early_flush_pages) {
-      j = 1;
-    } else {
-      const TimeUs expiry = dp.last_update + cfg.tau_expire;
-      if (expiry <= ctx.now) {
-        j = 1;
-      } else {
-        const TimeUs delta = expiry - ctx.now;
-        j = static_cast<std::uint32_t>((delta + p - 1) / p);  // ceil(delta / p)
-      }
-      if (j > nwb) j = nwb;
-    }
-    prediction.buffered.add(j, page);
-    per_buf[t].add(j, page);
-    ++scanned;
-  }
+  prediction.sip = std::move(buf.sip);
+  prediction.sip_size = buf.sip_size;
+  prediction.sip_is_delta = buf.sip_is_delta;
+  tenant_sip_ = std::move(buf.stream_pages);
 
   // Direct demand: each tenant's estimator spread evenly over the horizon
   // (delta / Nwb per slot, remainder in slot 1 — the single-stream rule,
@@ -132,7 +89,7 @@ core::PolicyDecision MultiStreamJitPolicy::on_interval(const core::PolicyContext
     const Bytes share = delta / nwb;
     for (std::uint32_t i = 1; i <= nwb; ++i) prediction.direct.add(i, share);
     prediction.direct.add(1, delta - share * nwb);
-    tenant_predicted_[t] = per_buf[t].total() + delta;
+    tenant_predicted_[t] = buf.stream_demand[t].total() + delta;
   }
 
   last_decision_ = manager_.decide(prediction, ctx.c_free,

@@ -3,22 +3,26 @@
 // The single-stream JitPolicy sees one aggregate write-demand signal. With
 // the multi-tenant front-end the LBA space is partitioned, so every dirty
 // page and every direct write can be attributed to its tenant: this policy
-// keeps one direct-demand estimator (CDH by default) per tenant and splits
-// the buffered-write scan per tenant, then feeds the *sum* to the same
+// keeps one direct-demand estimator (CDH by default) per tenant and asks the
+// single-stream buffered-write predictor for one demand vector per tenant
+// partition (read from the page cache's per-partition interval histograms
+// when the cache is partitioned the same way), then feeds the *sum* to the same
 // JIT-GC manager the single-stream policy uses. The device-facing decision
 // is therefore identical in shape — one C_req, one D_reclaim, one SIP list —
 // but the per-stream components are exposed for the tenant_interval metrics
 // (predicted_demand_bytes, sip_pages), making the demand signal per stream
 // as the paper's multi-tenant extension sketches.
 //
-// With one tenant this degenerates to exactly JitPolicy (same scan, same
-// estimator, same manager arithmetic) — a property the tests pin down.
+// With one tenant this degenerates to exactly JitPolicy (same buffered
+// predictor, same estimator, same manager arithmetic) — a property the tests
+// pin down.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "core/bgc_policy.h"
+#include "core/buffered_predictor.h"
 #include "core/jit_manager.h"
 #include "core/jit_policy.h"
 #include "core/predictor.h"
@@ -53,6 +57,7 @@ class MultiStreamJitPolicy final : public core::BgcPolicy {
  private:
   core::JitPolicyConfig config_;
   const HostFrontend* frontend_;
+  core::BufferedWritePredictor buffered_;
   /// One direct-demand estimator per tenant, fed from the front-end's
   /// per-tenant direct-byte attribution.
   std::vector<std::unique_ptr<core::DirectDemandEstimator>> direct_;

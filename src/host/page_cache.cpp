@@ -1,22 +1,72 @@
 #include "host/page_cache.h"
 
 #include <algorithm>
-#include <iterator>
+#include <new>
+#include <string>
 
 #include "common/ensure.h"
 
 namespace jitgc::host {
 
-PageCache::PageCache(const PageCacheConfig& config) : config_(config) {
+LbaPartitions LbaPartitions::equal_share(Lba universe, std::uint32_t count) {
+  JITGC_ENSURE_MSG(count > 0, "an LBA partitioning needs at least one partition");
+  JITGC_ENSURE_MSG(universe >= count, "LBA space too small to partition");
+  return LbaPartitions{.share = universe / count, .count = count};
+}
+
+void IntervalHistogram::add(std::uint64_t key) {
+  ++pages_;
+  if (counts_.empty()) {
+    base_ = key;
+    counts_.push_back(1);
+    return;
+  }
+  if (key < base_) {
+    counts_.insert(counts_.begin(), base_ - key, 0);
+    base_ = key;
+  } else if (key - base_ >= counts_.size()) {
+    counts_.resize(key - base_ + 1, 0);
+  }
+  ++counts_[key - base_];
+}
+
+void IntervalHistogram::remove(std::uint64_t key) {
+  JITGC_ENSURE(key >= base_ && key - base_ < counts_.size() && counts_[key - base_] > 0);
+  --pages_;
+  --counts_[key - base_];
+  // Trim empty buckets off both ends; the window is only a handful of
+  // buckets wide, so shifting it down is cheap.
+  const auto first =
+      std::find_if(counts_.begin(), counts_.end(), [](std::uint64_t c) { return c > 0; });
+  base_ += static_cast<std::uint64_t>(first - counts_.begin());
+  counts_.erase(counts_.begin(), first);
+  while (!counts_.empty() && counts_.back() == 0) counts_.pop_back();
+}
+
+PageCache::PageCache(const PageCacheConfig& config, Lba universe)
+    : config_(config),
+      universe_(universe),
+      slot_(static_cast<std::uint32_t*>(std::calloc(universe, sizeof(std::uint32_t)))) {
   JITGC_ENSURE_MSG(config_.flush_period > 0, "flusher period must be positive");
   JITGC_ENSURE_MSG(config_.tau_expire % config_.flush_period == 0,
                    "tau_expire must be a multiple of the flusher period (paper assumption)");
   JITGC_ENSURE_MSG(config_.tau_flush_fraction > 0.0 && config_.tau_flush_fraction <= 1.0,
                    "tau_flush fraction must be in (0, 1]");
-  // Size the hash table for the working set up front; growing it page by
-  // page rehashes repeatedly in the write hot path.
+  JITGC_ENSURE_MSG(universe > 0 && universe < kNil, "page-cache LBA universe out of range");
+  if (!slot_) throw std::bad_alloc();
+  partitions_ = LbaPartitions::equal_share(universe, 1);
+  hist_.resize(1);
+  // Reserve the pool for a full cache: untouched capacity costs no resident
+  // memory, and the write path never re-allocates.
   const std::uint64_t max_resident = config_.capacity / config_.page_size;
-  by_lba_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(max_resident, 1u << 20)));
+  nodes_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(max_resident, universe)));
+}
+
+void PageCache::check_in_universe(Lba lba, std::uint64_t pages) const {
+  JITGC_ENSURE_MSG(lba < universe_ && pages <= universe_ - lba,
+                   "LBA range [" + std::to_string(lba) + ", " + std::to_string(lba + pages) +
+                       ") is outside the page cache's universe [0, " +
+                       std::to_string(universe_) + ")");
 }
 
 std::uint64_t PageCache::interval_key(TimeUs last_update) const {
@@ -26,96 +76,127 @@ std::uint64_t PageCache::interval_key(TimeUs last_update) const {
                                     config_.flush_period);
 }
 
-void PageCache::histogram_add(TimeUs last_update) {
-  const std::uint64_t key = interval_key(last_update);
-  if (hist_.empty()) {
-    hist_base_ = key;
-    hist_.push_back(1);
-    return;
-  }
-  if (key < hist_base_) {
-    hist_.insert(hist_.begin(), hist_base_ - key, 0);
-    hist_base_ = key;
-  } else if (key - hist_base_ >= hist_.size()) {
-    hist_.resize(key - hist_base_ + 1, 0);
-  }
-  ++hist_[key - hist_base_];
+void PageCache::set_partitions(const LbaPartitions& partitions) {
+  JITGC_ENSURE_MSG(partitions.count > 0 && (partitions.count == 1 || partitions.share > 0),
+                   "an LBA partitioning needs at least one non-empty partition");
+  partitions_ = partitions;
+  hist_.assign(partitions.count, IntervalHistogram{});
+  for_each_dirty([&](const DirtyPage& dp) {
+    histogram_of(dp.lba).add(interval_key(dp.last_update));
+  });
 }
 
-void PageCache::histogram_remove(TimeUs last_update) {
-  const std::uint64_t key = interval_key(last_update);
-  JITGC_ENSURE(key >= hist_base_ && key - hist_base_ < hist_.size() &&
-               hist_[key - hist_base_] > 0);
-  --hist_[key - hist_base_];
-  // Trim empty buckets off both ends; the window is only a handful of
-  // buckets wide, so shifting it down is cheap.
-  const auto first = std::find_if(hist_.begin(), hist_.end(), [](std::uint64_t c) { return c > 0; });
-  hist_base_ += static_cast<std::uint64_t>(first - hist_.begin());
-  hist_.erase(hist_.begin(), first);
-  while (!hist_.empty() && hist_.back() == 0) hist_.pop_back();
+void PageCache::enable_sip_tracking() {
+  if (sip_tracking_) return;
+  sip_tracking_ = true;
+  const std::size_t words = (universe_ + 63) / 64;
+  pending_.assign(words, 0);
+  touched_.assign((words + 63) / 64, 0);
 }
 
-std::map<std::uint64_t, std::uint64_t> PageCache::dirty_interval_histogram() const {
-  std::map<std::uint64_t, std::uint64_t> out;
-  for (std::size_t i = 0; i < hist_.size(); ++i) {
-    if (hist_[i] > 0) out.emplace_hint(out.end(), hist_base_ + i, hist_[i]);
-  }
-  return out;
-}
-
-void PageCache::note_insert(Lba lba) {
+void PageCache::note_membership_change(Lba lba) {
   if (!sip_tracking_) return;
-  const auto [it, inserted] = pending_.try_emplace(lba, true);
-  // Removed then re-inserted within one interval: net no change.
-  if (!inserted && !it->second) pending_.erase(it);
-}
-
-void PageCache::note_remove(Lba lba) {
-  if (!sip_tracking_) return;
-  const auto [it, inserted] = pending_.try_emplace(lba, false);
-  // Inserted then removed within one interval: net no change.
-  if (!inserted && it->second) pending_.erase(it);
+  const Lba word = lba >> 6;
+  pending_[word] ^= std::uint64_t{1} << (lba & 63);
+  touched_[word >> 6] |= std::uint64_t{1} << (word & 63);
 }
 
 SipDelta PageCache::pending_sip_delta() const {
   SipDelta delta;
-  for (const auto& [lba, added] : pending_) {
-    (added ? delta.added : delta.removed).push_back(lba);
+  for (std::size_t t = 0; t < touched_.size(); ++t) {
+    for (std::uint64_t words = touched_[t]; words != 0; words &= words - 1) {
+      const std::size_t w = t * 64 + static_cast<std::size_t>(__builtin_ctzll(words));
+      for (std::uint64_t bits = pending_[w]; bits != 0; bits &= bits - 1) {
+        const Lba lba = w * 64 + static_cast<Lba>(__builtin_ctzll(bits));
+        (is_dirty(lba) ? delta.added : delta.removed).push_back(lba);
+      }
+    }
   }
-  std::sort(delta.added.begin(), delta.added.end());
-  std::sort(delta.removed.begin(), delta.removed.end());
   return delta;
 }
 
-void PageCache::write(Lba lba, TimeUs now) {
-  // The node goes after every page last updated at or before `now` (ties
-  // keep insertion order): step back from the tail past newer pages only.
-  auto pos = by_age_.end();
-  while (pos != by_age_.begin() && std::prev(pos)->last_update > now) --pos;
-
-  auto [it, inserted] = by_lba_.try_emplace(lba);
-  histogram_add(now);
-  if (inserted) {
-    it->second = by_age_.insert(pos, DirtyPage{lba, now});
-    note_insert(lba);
-  } else {
-    // Overwrite of dirty data: absorbed in RAM, age resets (Fig. 4's B -> B').
-    histogram_remove(it->second->last_update);
-    by_age_.splice(pos, by_age_, it->second);
-    it->second->last_update = now;
-    ++absorbed_;
+void PageCache::commit_sip_checkpoint() {
+  for (std::size_t t = 0; t < touched_.size(); ++t) {
+    for (std::uint64_t words = touched_[t]; words != 0; words &= words - 1) {
+      pending_[t * 64 + static_cast<std::size_t>(__builtin_ctzll(words))] = 0;
+    }
+    touched_[t] = 0;
   }
 }
 
+std::uint32_t PageCache::alloc_node(const DirtyPage& page) {
+  if (free_ == kNil) {
+    nodes_.push_back(Node{page, kNil, kNil});
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
+  }
+  const std::uint32_t n = free_;
+  free_ = nodes_[n].next;
+  nodes_[n] = Node{page, kNil, kNil};
+  return n;
+}
+
+void PageCache::link_after(std::uint32_t node, std::uint32_t after) {
+  Node& n = nodes_[node];
+  n.prev = after;
+  n.next = after == kNil ? head_ : nodes_[after].next;
+  (n.next == kNil ? tail_ : nodes_[n.next].prev) = node;
+  (after == kNil ? head_ : nodes_[after].next) = node;
+}
+
+void PageCache::unlink(std::uint32_t node) {
+  const Node& n = nodes_[node];
+  (n.prev == kNil ? head_ : nodes_[n.prev].next) = n.next;
+  (n.next == kNil ? tail_ : nodes_[n.next].prev) = n.prev;
+}
+
+void PageCache::remove(std::uint32_t node) {
+  const DirtyPage page = nodes_[node].page;
+  histogram_of(page.lba).remove(interval_key(page.last_update));
+  unlink(node);
+  nodes_[node].next = free_;
+  free_ = node;
+  slot_[page.lba] = 0;
+  --dirty_;
+  note_membership_change(page.lba);
+}
+
+void PageCache::write(Lba lba, TimeUs now) {
+  check_in_universe(lba, 1);
+  // The node goes after every page last updated at or before `now` (ties
+  // keep insertion order): step back from the tail past newer pages only.
+  std::uint32_t stop = tail_;
+  while (stop != kNil && nodes_[stop].page.last_update > now) stop = nodes_[stop].prev;
+
+  IntervalHistogram& hist = histogram_of(lba);
+  hist.add(interval_key(now));
+  std::uint32_t& slot = slot_[lba];
+  if (slot == 0) {
+    const std::uint32_t n = alloc_node(DirtyPage{lba, now});
+    link_after(n, stop);
+    slot = n + 1;
+    ++dirty_;
+    note_membership_change(lba);
+    return;
+  }
+  // Overwrite of dirty data: absorbed in RAM, age resets (Fig. 4's B -> B').
+  // A node that is itself the stop already sits in its place.
+  const std::uint32_t n = slot - 1;
+  Node& node = nodes_[n];
+  hist.remove(interval_key(node.page.last_update));
+  node.page.last_update = now;
+  if (stop != n) {
+    unlink(n);
+    link_after(n, stop);
+  }
+  ++absorbed_;
+}
+
 Lba PageCache::pop_oldest() {
-  JITGC_ENSURE(!by_age_.empty());
-  const DirtyPage oldest = by_age_.front();
-  histogram_remove(oldest.last_update);
-  by_age_.pop_front();
-  by_lba_.erase(oldest.lba);
-  note_remove(oldest.lba);
+  JITGC_ENSURE(head_ != kNil);
+  const Lba lba = nodes_[head_].page.lba;
+  remove(head_);
   ++pages_flushed_;
-  return oldest.lba;
+  return lba;
 }
 
 std::vector<Lba> PageCache::flusher_tick(TimeUs now, std::size_t max_pages) {
@@ -128,8 +209,10 @@ std::vector<Lba> PageCache::flusher_tick(TimeUs now, std::size_t max_pages) {
   if (now >= config_.tau_expire) {
     const std::uint64_t cutoff =
         static_cast<std::uint64_t>((now - config_.tau_expire) / config_.flush_period);
-    for (std::size_t i = 0; i < hist_.size() && hist_base_ + i <= cutoff; ++i) {
-      expected += hist_[i];
+    for (const IntervalHistogram& hist : hist_) {
+      hist.for_each([&](std::uint64_t key, std::uint64_t count) {
+        if (key <= cutoff) expected += count;
+      });
     }
   }
   const Bytes threshold = config_.tau_flush_bytes();
@@ -137,11 +220,11 @@ std::vector<Lba> PageCache::flusher_tick(TimeUs now, std::size_t max_pages) {
     expected = std::max<std::size_t>(
         expected, (dirty_bytes() - threshold + config_.page_size - 1) / config_.page_size);
   }
-  out.reserve(std::min(expected, std::min(max_pages, by_age_.size())));
+  out.reserve(std::min(expected, std::min<std::size_t>(max_pages, dirty_)));
 
   // Condition 1: evict everything whose age reached tau_expire.
-  while (!by_age_.empty() && out.size() < max_pages) {
-    if (now - by_age_.front().last_update < config_.tau_expire) break;
+  while (head_ != kNil && out.size() < max_pages) {
+    if (now - nodes_[head_].page.last_update < config_.tau_expire) break;
     out.push_back(pop_oldest());
   }
 
@@ -156,39 +239,28 @@ std::vector<Lba> PageCache::flusher_tick(TimeUs now, std::size_t max_pages) {
 
 std::vector<Lba> PageCache::evict_oldest(std::size_t max_pages) {
   std::vector<Lba> out;
-  out.reserve(std::min(max_pages, by_age_.size()));
-  while (!by_age_.empty() && out.size() < max_pages) out.push_back(pop_oldest());
+  out.reserve(std::min<std::size_t>(max_pages, dirty_));
+  while (head_ != kNil && out.size() < max_pages) out.push_back(pop_oldest());
   return out;
 }
 
 std::vector<Lba> PageCache::flush_all() {
   std::vector<Lba> out;
-  out.reserve(by_age_.size());
-  while (!by_age_.empty()) out.push_back(pop_oldest());
+  out.reserve(dirty_);
+  while (head_ != kNil) out.push_back(pop_oldest());
   return out;
 }
 
 std::size_t PageCache::discard(Lba lba, std::uint64_t pages) {
+  check_in_universe(lba, pages);
   std::size_t discarded = 0;
   for (std::uint64_t i = 0; i < pages; ++i) {
-    const auto it = by_lba_.find(lba + i);
-    if (it == by_lba_.end()) continue;
-    histogram_remove(it->second->last_update);
-    by_age_.erase(it->second);
-    by_lba_.erase(it);
-    note_remove(lba + i);
+    const std::uint32_t slot = slot_[lba + i];
+    if (slot == 0) continue;
+    remove(slot - 1);
     ++discarded;
   }
   return discarded;
-}
-
-std::vector<DirtyPage> PageCache::scan_dirty() const {
-  std::vector<DirtyPage> out;
-  out.reserve(by_age_.size());
-  // A push_back loop rather than assign(begin, end): GCC 12 raises a false
-  // -Waggressive-loop-optimizations on vector::assign from list iterators.
-  for (const DirtyPage& page : by_age_) out.push_back(page);
-  return out;
 }
 
 }  // namespace jitgc::host

@@ -8,10 +8,10 @@
 // resets its age (the B -> B' case in Fig. 4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
-#include <unordered_map>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -54,25 +54,73 @@ struct SipDelta {
   std::vector<Lba> removed;
 };
 
+/// Contiguous equal-share LBA partitioning of [0, universe): partition t of
+/// `count` owns [t * share, (t + 1) * share), the last one also taking the
+/// division remainder. The multi-tenant front-end splits the device this
+/// way, one partition per tenant.
+struct LbaPartitions {
+  Lba share = 0;
+  std::uint32_t count = 1;
+
+  static LbaPartitions equal_share(Lba universe, std::uint32_t count);
+
+  std::uint32_t of(Lba lba) const {
+    if (count == 1) return 0;
+    const Lba t = lba / share;
+    return t < count - 1 ? static_cast<std::uint32_t>(t) : count - 1;
+  }
+
+  friend bool operator==(const LbaPartitions&, const LbaPartitions&) = default;
+};
+
+/// Dirty-page counts keyed by flusher interval c = ceil(last_update / p),
+/// held for a contiguous window of keys whose end buckets are never zero.
+/// Keys only drift forward with the clock, so the window stays a few
+/// buckets wide (about N_wb + 1) and each update is O(1).
+class IntervalHistogram {
+ public:
+  void add(std::uint64_t key);
+  void remove(std::uint64_t key);
+
+  /// Dirty pages counted, over all keys.
+  std::uint64_t pages() const { return pages_; }
+
+  /// Calls f(key, count) for every non-empty bucket, oldest key first.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      if (counts_[i] > 0) f(base_ + i, counts_[i]);
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t base_ = 0;
+  std::uint64_t pages_ = 0;
+};
+
 /// The page cache. Holds dirty pages only (clean caching does not affect
 /// write-demand dynamics); reads of a dirty page hit in RAM.
+///
+/// Storage is flat and indexed by LBA over the device's logical space
+/// [0, universe), allocated once at construction: a slot array maps each
+/// LBA to its node in a pooled, intrusive age list. Memory is 4 B per LBA in
+/// the universe (resident only for the slot-array pages that written LBAs
+/// touched) plus 24 B per dirty page (the pool keeps its high-water mark),
+/// plus one parity bit per LBA once SIP tracking is on.
 class PageCache {
  public:
-  explicit PageCache(const PageCacheConfig& config);
-  // by_lba_ holds iterators into by_age_: moving keeps them valid, copying
-  // would not.
-  PageCache(const PageCache&) = delete;
-  PageCache& operator=(const PageCache&) = delete;
-  PageCache(PageCache&&) = default;
-  PageCache& operator=(PageCache&&) = default;
+  /// `universe` is the device's logical page count: buffered writes and
+  /// discards must name LBAs below it.
+  PageCache(const PageCacheConfig& config, Lba universe);
 
   const PageCacheConfig& config() const { return config_; }
 
   /// Buffered write of one page: lands in the cache and (re)starts its age.
   void write(Lba lba, TimeUs now);
 
-  bool is_dirty(Lba lba) const { return by_lba_.contains(lba); }
-  std::uint64_t dirty_pages() const { return by_lba_.size(); }
+  bool is_dirty(Lba lba) const { return lba < universe_ && slot_[lba] != 0; }
+  std::uint64_t dirty_pages() const { return dirty_; }
   Bytes dirty_bytes() const { return dirty_pages() * config_.page_size; }
 
   /// Runs the flusher thread at time `now`: applies both flush conditions and
@@ -94,9 +142,12 @@ class PageCache {
   /// Forces everything out (unmount / sync / end of run).
   std::vector<Lba> flush_all();
 
-  /// Snapshot of all dirty pages, oldest first — the predictor's "scan of
-  /// the page cache".
-  std::vector<DirtyPage> scan_dirty() const;
+  /// Calls f(const DirtyPage&) for every dirty page, oldest first — the
+  /// predictor's "scan of the page cache". `f` must not modify the cache.
+  template <typename F>
+  void for_each_dirty(F&& f) const {
+    for (std::uint32_t n = head_; n != kNil; n = nodes_[n].next) f(nodes_[n].page);
+  }
 
   /// Total data ever flushed to the device (for write-breakdown accounting).
   std::uint64_t pages_flushed() const { return pages_flushed_; }
@@ -106,7 +157,7 @@ class PageCache {
   /// Starts recording dirty-set membership changes for the SIP delta
   /// protocol. Off by default: workloads that never send SIP updates should
   /// not pay for the bookkeeping.
-  void enable_sip_tracking() { sip_tracking_ = true; }
+  void enable_sip_tracking();
   bool sip_tracking_enabled() const { return sip_tracking_; }
 
   /// The net dirty-set change since the last checkpoint (ascending LBAs).
@@ -114,47 +165,73 @@ class PageCache {
 
   /// Marks the current dirty set as delivered: the next delta is relative
   /// to this point.
-  void commit_sip_checkpoint() { pending_.clear(); }
+  void commit_sip_checkpoint();
 
-  /// Dirty-page counts keyed by flusher interval c = ceil(last_update / p),
-  /// maintained incrementally on every write/writeback/discard and listed
-  /// here (non-zero buckets only) in O(#buckets). The predictor derives its
-  /// per-interval write-back demand from this instead of re-bucketing a
-  /// full scan.
-  std::map<std::uint64_t, std::uint64_t> dirty_interval_histogram() const;
+  /// Splits the dirty-interval histograms by LBA partition (one partition,
+  /// the whole universe, by default), re-counting the pages already dirty.
+  void set_partitions(const LbaPartitions& partitions);
+  const LbaPartitions& partitions() const { return partitions_; }
+
+  /// Partition `partition`'s dirty pages counted by flusher interval,
+  /// maintained on every write/writeback/discard. The predictor derives its
+  /// per-interval write-back demand from this instead of re-bucketing a full
+  /// scan.
+  const IntervalHistogram& interval_histogram(std::uint32_t partition) const {
+    return hist_[partition];
+  }
 
  private:
-  using AgeList = std::list<DirtyPage>;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
 
+  /// Age-list node; free nodes are chained through `next`.
+  struct Node {
+    DirtyPage page;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+  };
+  struct FreeDeleter {
+    void operator()(std::uint32_t* p) const { std::free(p); }
+  };
+
+  void check_in_universe(Lba lba, std::uint64_t pages) const;
+  std::uint32_t alloc_node(const DirtyPage& page);
+  void link_after(std::uint32_t node, std::uint32_t after);
+  void unlink(std::uint32_t node);
+  /// Removes `node` from the cache (writeback or discard).
+  void remove(std::uint32_t node);
   Lba pop_oldest();
 
   std::uint64_t interval_key(TimeUs last_update) const;
-  void histogram_add(TimeUs last_update);
-  void histogram_remove(TimeUs last_update);
-  void note_insert(Lba lba);
-  void note_remove(Lba lba);
+  IntervalHistogram& histogram_of(Lba lba) { return hist_[partitions_.of(lba)]; }
+  /// SIP parity: flips `lba`'s pending bit on every insert and removal.
+  void note_membership_change(Lba lba);
 
   PageCacheConfig config_;
   /// Dirty pages oldest first, ordered by (last_update, insertion order).
-  /// Writes append at the tail after stepping back past any newer nodes, so
+  /// Writes link in at the tail after stepping back past any newer nodes, so
   /// a non-decreasing write clock inserts in O(1); overwrites re-link their
-  /// node with splice() and allocate nothing.
-  AgeList by_age_;
-  /// Each dirty LBA's node in by_age_.
-  std::unordered_map<Lba, AgeList::iterator> by_lba_;
+  /// own node.
+  std::vector<Node> nodes_;
+  std::uint32_t head_ = kNil;  ///< oldest
+  std::uint32_t tail_ = kNil;  ///< newest
+  std::uint32_t free_ = kNil;
+  Lba universe_ = 0;
+  /// Each LBA's node plus one, 0 when clean. Zero-filled by calloc, so the
+  /// pages of LBAs never written stay untouched and cost no resident memory.
+  std::unique_ptr<std::uint32_t[], FreeDeleter> slot_;
+  std::uint64_t dirty_ = 0;
   std::uint64_t pages_flushed_ = 0;
   std::uint64_t absorbed_ = 0;
   bool sip_tracking_ = false;
-  /// Net membership change per LBA since the last checkpoint: true = became
-  /// dirty, false = left the cache. Cancelling transitions erase the entry;
-  /// pending_sip_delta() sorts.
-  std::unordered_map<Lba, bool> pending_;
-  /// Dirty-page counts for the contiguous interval keys
-  /// [hist_base_, hist_base_ + hist_.size()); the end buckets are never
-  /// zero. Keys only drift forward with the clock, so the window stays a
-  /// few buckets wide (about N_wb + 1) and each update is O(1).
-  std::vector<std::uint64_t> hist_;
-  std::uint64_t hist_base_ = 0;
+  /// One bit per LBA, set iff its membership changed an odd number of times
+  /// since the last checkpoint, i.e. it is in the net delta.
+  std::vector<std::uint64_t> pending_;
+  /// One bit per word of pending_: written since the last checkpoint. Walking
+  /// it in order yields the delta ascending and bounds the commit's clearing.
+  std::vector<std::uint64_t> touched_;
+  LbaPartitions partitions_;
+  /// One dirty-interval histogram per partition.
+  std::vector<IntervalHistogram> hist_;
 };
 
 }  // namespace jitgc::host

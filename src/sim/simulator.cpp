@@ -26,7 +26,7 @@ SsdConfig with_fault_seed(SsdConfig ssd, std::uint64_t run_seed) {
 Simulator::Simulator(const SimConfig& config)
     : config_(config),
       ssd_(with_fault_seed(config.ssd, config.seed)),
-      cache_(config.cache),
+      cache_(config.cache, ssd_.ftl().user_pages()),
       service_(config.ssd.resolved_service_queues()),
       accuracy_(config.cache.intervals_per_horizon() + 1) {
   JITGC_ENSURE_MSG(config_.cache.page_size == config_.ssd.ftl.geometry.page_size,
@@ -367,7 +367,9 @@ void Simulator::spo(TimeUs now) {
   // Power is gone. Dirty pages in the host page cache were never
   // acknowledged at device level (writeback had not happened), so they are
   // legitimately lost — the cache restarts empty, like the FTL's RAM.
-  cache_ = host::PageCache(config_.cache);
+  const host::LbaPartitions partitions = cache_.partitions();
+  cache_ = host::PageCache(config_.cache, ssd_.ftl().user_pages());
+  cache_.set_partitions(partitions);
   if (policy_->wants_sip_filter()) cache_.enable_sip_tracking();
 
   const ftl::RecoveryReport rep = ssd_.sudden_power_off();
@@ -404,7 +406,11 @@ SimReport Simulator::run(wl::WorkloadGenerator& workload, core::BgcPolicy& polic
   // SIP-aware policies get the cache's delta bookkeeping so each tick sends
   // the net change instead of rebuilding the whole list device-side.
   if (policy.wants_sip_filter()) cache_.enable_sip_tracking();
-  if (config_.frontend.enabled()) harness_.bind_frontend(workload);
+  if (config_.frontend.enabled()) {
+    harness_.bind_frontend(workload);
+    // Per-tenant dirty-interval histograms for the multi-stream predictor.
+    cache_.set_partitions(harness_.frontend()->partitions());
+  }
 
   // Age the device to steady state: from the snapshot cache when one is
   // attached and holds a matching post-precondition state, by cold replay

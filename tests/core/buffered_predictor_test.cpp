@@ -11,6 +11,8 @@
 namespace jitgc::core {
 namespace {
 
+constexpr Lba kUniverse = 4096;
+
 host::PageCacheConfig fig4_config() {
   host::PageCacheConfig cfg;
   cfg.page_size = 4 * KiB;
@@ -28,7 +30,7 @@ void write_group(host::PageCache& cache, Lba base, std::uint32_t pages, TimeUs t
 
 class Fig4Test : public ::testing::Test {
  protected:
-  Fig4Test() : cache_(fig4_config()) {}
+  Fig4Test() : cache_(fig4_config(), kUniverse) {}
 
   std::vector<Bytes> demand_pages(TimeUs now) {
     const BufferedPrediction p = predictor_.predict(cache_, now);
@@ -94,7 +96,7 @@ TEST_F(Fig4Test, DemandTotalMatchesDirtyBytes) {
 TEST(BufferedPredictorStrict, BelowThresholdPredictsNothing) {
   host::PageCacheConfig cfg = fig4_config();
   cfg.tau_flush_fraction = 0.01;  // ~41 pages
-  host::PageCache cache(cfg);
+  host::PageCache cache(cfg, kUniverse);
   for (Lba lba = 0; lba < 30; ++lba) cache.write(lba, seconds(12));
   // 30 dirty pages < threshold: the literal two-condition rule says no
   // flush will happen, so strict predicts zero demand — exactly the blind
@@ -111,7 +113,7 @@ TEST(BufferedPredictorStrict, BelowThresholdPredictsNothing) {
 TEST(BufferedPredictorStrict, OverThresholdMovesOldestForward) {
   host::PageCacheConfig cfg = fig4_config();
   cfg.tau_flush_fraction = 0.01;  // 40.96 pages -> threshold ~41 pages
-  host::PageCache cache(cfg);
+  host::PageCache cache(cfg, kUniverse);
   // 100 pages written mid-interval; the next tick will evict the oldest
   // ~59 pages via the threshold condition. Strict mode must predict that.
   for (Lba lba = 0; lba < 100; ++lba) cache.write(lba, seconds(12) + lba);
@@ -138,8 +140,8 @@ TEST(BufferedPredictorHistogram, MatchesScanPathAtTickInstants) {
   for (const bool relax : {true, false}) {
     host::PageCacheConfig cfg = fig4_config();
     cfg.tau_flush_fraction = 0.02;  // ~82 pages: strict's threshold engages
-    host::PageCache scanned(cfg);
-    host::PageCache tracked(cfg);
+    host::PageCache scanned(cfg, kUniverse);
+    host::PageCache tracked(cfg, kUniverse);
     tracked.enable_sip_tracking();
 
     auto write_both = [&](Lba lba, TimeUs t) {
@@ -166,7 +168,7 @@ TEST(BufferedPredictorHistogram, MatchesScanPathAtTickInstants) {
 }
 
 TEST(BufferedPredictorDelta, EmitsCacheDeltaAndFullSize) {
-  host::PageCache cache(fig4_config());
+  host::PageCache cache(fig4_config(), kUniverse);
   cache.enable_sip_tracking();
   cache.write(7, seconds(1));
   cache.write(9, seconds(2));

@@ -20,6 +20,8 @@ PolicyContext base_ctx() {
   return ctx;
 }
 
+constexpr Lba kUniverse = 1 << 14;
+
 host::PageCacheConfig cache_config() {
   host::PageCacheConfig cfg;
   cfg.page_size = 4 * KiB;
@@ -124,7 +126,7 @@ TEST(JitPolicy, EmitsSipListFromDirtyPages) {
   cfg.horizon = seconds(30);
   JitPolicy jit(cfg);
 
-  host::PageCache cache(cache_config());
+  host::PageCache cache(cache_config(), kUniverse);
   cache.write(11, seconds(2));
   cache.write(22, seconds(3));
 
@@ -147,7 +149,7 @@ TEST(JitPolicy, SipListCanBeDisabled) {
   cfg.use_sip_list = false;
   JitPolicy jit(cfg);
 
-  host::PageCache cache(cache_config());
+  host::PageCache cache(cache_config(), kUniverse);
   cache.write(11, seconds(2));
 
   PolicyContext ctx = base_ctx();
@@ -163,7 +165,7 @@ TEST(JitPolicy, InvokesBgcWhenCacheForecastsBurst) {
   cfg.horizon = seconds(30);
   JitPolicy jit(cfg);
 
-  host::PageCache cache(cache_config());
+  host::PageCache cache(cache_config(), kUniverse);
   // 48 MiB of dirty data written just now: it will all flush within the
   // horizon, and free space (10 MiB) cannot absorb it.
   for (Lba lba = 0; lba < 48 * 256; ++lba) cache.write(lba, seconds(4));
@@ -204,7 +206,7 @@ TEST(JitPolicy, MeasuredIdleMakesUrgentPathFireEarlier) {
     cfg.idle_ewma_alpha = 1.0;  // adopt the observation immediately
     JitPolicy jit(cfg);
 
-    host::PageCache cache(cache_config());
+    host::PageCache cache(cache_config(), kUniverse);
     for (Lba lba = 0; lba < 24 * 256; ++lba) cache.write(lba, seconds(4));  // 24 MiB dirty
 
     PolicyContext ctx = base_ctx();
@@ -236,7 +238,7 @@ TEST(JitPolicy, MeasuredIdleWarmupUsesAnalyticFallback) {
   cfg.idle_warmup_intervals = 2;
   JitPolicy jit(cfg);
 
-  host::PageCache cache(cache_config());
+  host::PageCache cache(cache_config(), kUniverse);
   for (Lba lba = 0; lba < 24 * 256; ++lba) cache.write(lba, seconds(4));
 
   PolicyContext ctx = base_ctx();

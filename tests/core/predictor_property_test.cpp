@@ -11,6 +11,8 @@
 namespace jitgc::core {
 namespace {
 
+constexpr Lba kUniverse = 8192;
+
 host::PageCacheConfig cache_config() {
   host::PageCacheConfig cfg;
   cfg.page_size = 4 * KiB;
@@ -26,7 +28,7 @@ class PredictorPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 /// Relaxed-mode invariant: the demand vector's total equals the dirty bytes
 /// exactly — the predictor never invents or loses demand.
 TEST_P(PredictorPropertyTest, DemandTotalEqualsDirtyBytes) {
-  host::PageCache cache(cache_config());
+  host::PageCache cache(cache_config(), kUniverse);
   Rng rng(GetParam());
   TimeUs now = 0;
   const BufferedWritePredictor predictor;
@@ -50,7 +52,7 @@ TEST_P(PredictorPropertyTest, DemandTotalEqualsDirtyBytes) {
 
 /// The SIP list is exactly the dirty set (no duplicates, nothing else).
 TEST_P(PredictorPropertyTest, SipListIsTheDirtySet) {
-  host::PageCache cache(cache_config());
+  host::PageCache cache(cache_config(), kUniverse);
   Rng rng(GetParam() ^ 0x51u);
   for (int i = 0; i < 500; ++i) {
     cache.write(rng.uniform(1000), static_cast<TimeUs>(rng.uniform(seconds(4))));
@@ -68,7 +70,7 @@ TEST_P(PredictorPropertyTest, SipListIsTheDirtySet) {
 /// time advances: whatever was predicted for interval i at time t must be
 /// predicted for interval i-1 at time t+p.
 TEST_P(PredictorPropertyTest, DemandShiftsForwardOverTime) {
-  host::PageCache cache(cache_config());
+  host::PageCache cache(cache_config(), kUniverse);
   Rng rng(GetParam() ^ 0x77u);
   for (int i = 0; i < 300; ++i) {
     cache.write(rng.uniform(5000), static_cast<TimeUs>(rng.uniform(seconds(5))));
@@ -96,7 +98,7 @@ TEST_P(PredictorPropertyTest, CombinedPredictionComposes) {
   cfg.cdh.intervals_per_window = 6;
   FutureWriteDemandPredictor predictor(cfg);
 
-  host::PageCache cache(cache_config());
+  host::PageCache cache(cache_config(), kUniverse);
   Rng rng(GetParam() ^ 0x99u);
   for (int i = 0; i < 200; ++i) cache.write(rng.uniform(1000), seconds(2));
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/types.h"
 #include "core/jit_policy.h"
 #include "host/frontend/frontend.h"
@@ -70,7 +71,7 @@ TEST(MultiStreamJitPolicy, SingleTenantMatchesJitPolicy) {
   core::JitPolicy single(config);
   MultiStreamJitPolicy multi(config, frontend.get());
 
-  host::PageCache cache{host::PageCacheConfig{}};
+  host::PageCache cache(host::PageCacheConfig{}, 1 << 20);
   std::uint64_t lba = 0;
   for (int tick = 1; tick <= 10; ++tick) {
     const TimeUs now = seconds(5 * tick);
@@ -103,7 +104,8 @@ TEST(MultiStreamJitPolicy, AttributesDirtyPagesByPartition) {
   const auto frontend = make_frontend(4, /*user_pages=*/4096);
   MultiStreamJitPolicy policy(core::JitPolicyConfig{}, frontend.get());
 
-  host::PageCache cache{host::PageCacheConfig{}};
+  host::PageCache cache(host::PageCacheConfig{}, 4096);
+  cache.set_partitions(frontend->partitions());
   const TimeUs now = seconds(5);
   // 10 pages for tenant 0, 20 for tenant 2, none for tenants 1 and 3.
   for (Lba i = 0; i < 10; ++i) cache.write(i, now);
@@ -120,7 +122,8 @@ TEST(MultiStreamJitPolicy, PerTenantDemandFollowsTraffic) {
   const auto frontend = make_frontend(2, /*user_pages=*/4096);
   MultiStreamJitPolicy policy(core::JitPolicyConfig{}, frontend.get());
 
-  host::PageCache cache{host::PageCacheConfig{}};
+  host::PageCache cache(host::PageCacheConfig{}, 4096);
+  cache.set_partitions(frontend->partitions());
   // All traffic belongs to tenant 0: dirty pages in its partition, all the
   // direct bytes attributed to it.
   for (int tick = 1; tick <= 5; ++tick) {
@@ -139,9 +142,91 @@ TEST(MultiStreamJitPolicy, RejectsMissingAttribution) {
   // is a wiring bug the policy refuses to guess around.
   const auto frontend = make_frontend(2, 4096);
   MultiStreamJitPolicy policy(core::JitPolicyConfig{}, frontend.get());
-  host::PageCache cache{host::PageCacheConfig{}};
+  host::PageCache cache(host::PageCacheConfig{}, 4096);
   EXPECT_THROW((void)policy.on_interval(make_ctx(cache, seconds(5), 0, {0})),
                std::logic_error);
+}
+
+/// The per-tenant histogram path against the per-page scan path: two caches
+/// fed identically, one partitioned like the front-end (the policy reads its
+/// per-tenant interval histograms) and one not (the policy must attribute
+/// every page by scan). Covers an uneven last partition, both flush models,
+/// tick-aligned and off-tick calls, and delta and full-list SIP; every
+/// per-tenant figure and the decision must agree.
+TEST(MultiStreamJitPolicy, HistogramPathMatchesScanPath) {
+  host::PageCacheConfig cache_config;
+  cache_config.capacity = 8 * MiB;  // tau_flush = ~204 pages: strict mode engages
+  for (const std::uint32_t tenants : {2u, 3u}) {
+    // 2 tenants: 500 + 501 pages; 3 tenants: 333 + 333 + 335.
+    const Lba user_pages = 1001;
+    const auto frontend = make_frontend(tenants, user_pages);
+    for (const bool relax : {true, false}) {
+      for (const bool delta_sip : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << tenants << " tenants, relax=" << relax
+                                          << ", delta_sip=" << delta_sip);
+        core::JitPolicyConfig config;
+        config.predictor.relax_flush_condition = relax;
+        MultiStreamJitPolicy by_histogram(config, frontend.get());
+        MultiStreamJitPolicy by_scan(config, frontend.get());
+
+        host::PageCache partitioned(cache_config, user_pages);
+        partitioned.set_partitions(frontend->partitions());
+        host::PageCache flat(cache_config, user_pages);
+        ASSERT_EQ(partitioned.partitions(), frontend->partitions());
+        ASSERT_NE(flat.partitions(), frontend->partitions());
+        if (delta_sip) {
+          partitioned.enable_sip_tracking();
+          flat.enable_sip_tracking();
+        }
+
+        Rng rng(tenants * 4 + (relax ? 2 : 0) + (delta_sip ? 1 : 0));
+        for (int tick = 1; tick <= 24; ++tick) {
+          const TimeUs tick_at = seconds(5 * tick);
+          // Off-tick calls (every third) take the scan path in both.
+          const TimeUs now = tick % 3 == 0 ? tick_at + seconds(1) + 300'000 : tick_at;
+          const auto writes = rng.uniform(tick % 5 == 0 ? 400 : 120);
+          for (std::uint64_t i = 0; i < writes; ++i) {
+            // Skewed toward the last tenant, some backdated.
+            const Lba lba = rng.chance(0.4) ? user_pages - 1 - rng.uniform(200)
+                                            : rng.uniform(user_pages);
+            const TimeUs at = now - static_cast<TimeUs>(rng.uniform(seconds(8)));
+            partitioned.write(lba, at);
+            flat.write(lba, at);
+          }
+          ASSERT_EQ(partitioned.flusher_tick(now), flat.flusher_tick(now));
+
+          std::vector<Bytes> per_tenant(tenants);
+          for (Bytes& b : per_tenant) b = rng.uniform(4) * MiB;
+          Bytes direct = 0;
+          for (const Bytes b : per_tenant) direct += b;
+          const auto a = by_histogram.on_interval(make_ctx(partitioned, now, direct, per_tenant));
+          const auto b = by_scan.on_interval(make_ctx(flat, now, direct, per_tenant));
+
+          EXPECT_EQ(a.reclaim_bytes, b.reclaim_bytes) << "tick " << tick;
+          EXPECT_EQ(a.urgent_reclaim_bytes, b.urgent_reclaim_bytes) << "tick " << tick;
+          EXPECT_DOUBLE_EQ(a.predicted_horizon_bytes, b.predicted_horizon_bytes)
+              << "tick " << tick;
+          EXPECT_EQ(a.sip_size, b.sip_size) << "tick " << tick;
+          EXPECT_EQ(a.sip_is_delta, b.sip_is_delta) << "tick " << tick;
+          EXPECT_EQ(a.sip_update.added, b.sip_update.added) << "tick " << tick;
+          EXPECT_EQ(a.sip_update.removed, b.sip_update.removed) << "tick " << tick;
+          std::uint64_t sip_pages = 0;
+          for (std::uint32_t t = 0; t < tenants; ++t) {
+            EXPECT_EQ(by_histogram.tenant_predicted_bytes(t), by_scan.tenant_predicted_bytes(t))
+                << "tick " << tick << " tenant " << t;
+            EXPECT_EQ(by_histogram.tenant_sip_pages(t), by_scan.tenant_sip_pages(t))
+                << "tick " << tick << " tenant " << t;
+            sip_pages += by_histogram.tenant_sip_pages(t);
+          }
+          EXPECT_EQ(sip_pages, partitioned.dirty_pages()) << "tick " << tick;
+          if (delta_sip) {
+            partitioned.commit_sip_checkpoint();
+            flat.commit_sip_checkpoint();
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

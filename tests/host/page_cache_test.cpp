@@ -5,9 +5,14 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
+
+#include "host/page_cache_probe.h"
 
 namespace jitgc::host {
 namespace {
+
+constexpr Lba kUniverse = 1024;
 
 PageCacheConfig small_config() {
   PageCacheConfig cfg;
@@ -28,11 +33,11 @@ TEST(PageCache, ConfigDerivedQuantities) {
 TEST(PageCache, RejectsMisalignedExpiry) {
   PageCacheConfig cfg = small_config();
   cfg.tau_expire = seconds(31);  // not a multiple of p
-  EXPECT_THROW(PageCache{cfg}, std::logic_error);
+  EXPECT_THROW((PageCache{cfg, kUniverse}), std::logic_error);
 }
 
 TEST(PageCache, WriteMakesDirty) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   EXPECT_FALSE(cache.is_dirty(10));
   cache.write(10, seconds(1));
   EXPECT_TRUE(cache.is_dirty(10));
@@ -41,7 +46,7 @@ TEST(PageCache, WriteMakesDirty) {
 }
 
 TEST(PageCache, OverwriteAbsorbsAndResetsAge) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   cache.write(10, seconds(1));
   cache.write(10, seconds(20));
   EXPECT_EQ(cache.dirty_pages(), 1u);
@@ -56,7 +61,7 @@ TEST(PageCache, OverwriteAbsorbsAndResetsAge) {
 }
 
 TEST(PageCache, ExpiryFlushAtFirstTickAfterThreshold) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   cache.write(42, seconds(2));  // expires at t=32
   EXPECT_TRUE(cache.flusher_tick(seconds(30)).empty());
   const auto flushed = cache.flusher_tick(seconds(35));
@@ -66,7 +71,7 @@ TEST(PageCache, ExpiryFlushAtFirstTickAfterThreshold) {
 }
 
 TEST(PageCache, ExpiryExactlyAtTickFlushes) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   cache.write(42, seconds(5));  // age at t=35 is exactly tau_expire
   const auto flushed = cache.flusher_tick(seconds(35));
   EXPECT_EQ(flushed.size(), 1u);
@@ -74,7 +79,7 @@ TEST(PageCache, ExpiryExactlyAtTickFlushes) {
 
 TEST(PageCache, ThresholdFlushEvictsOldestFirst) {
   PageCacheConfig cfg = small_config();
-  PageCache cache(cfg);
+  PageCache cache(cfg, kUniverse);
   const auto threshold_pages = cfg.tau_flush_bytes() / cfg.page_size;  // 102
 
   // 150 young dirty pages: over the threshold but none expired.
@@ -89,7 +94,7 @@ TEST(PageCache, ThresholdFlushEvictsOldestFirst) {
 }
 
 TEST(PageCache, FlushAllDrainsEverything) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   for (Lba lba = 0; lba < 20; ++lba) cache.write(lba, seconds(1));
   const auto flushed = cache.flush_all();
   EXPECT_EQ(flushed.size(), 20u);
@@ -98,11 +103,11 @@ TEST(PageCache, FlushAllDrainsEverything) {
 }
 
 TEST(PageCache, ScanDirtyOldestFirst) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   cache.write(5, seconds(3));
   cache.write(9, seconds(1));
   cache.write(7, seconds(2));
-  const auto scan = cache.scan_dirty();
+  const auto scan = dirty_oldest_first(cache);
   ASSERT_EQ(scan.size(), 3u);
   EXPECT_EQ(scan[0].lba, 9u);
   EXPECT_EQ(scan[1].lba, 7u);
@@ -111,18 +116,18 @@ TEST(PageCache, ScanDirtyOldestFirst) {
 }
 
 TEST(PageCache, TieBreakOnEqualTimestampsIsFifo) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   cache.write(1, seconds(1));
   cache.write(2, seconds(1));
   cache.write(3, seconds(1));
-  const auto scan = cache.scan_dirty();
+  const auto scan = dirty_oldest_first(cache);
   ASSERT_EQ(scan.size(), 3u);
   EXPECT_EQ(scan[0].lba, 1u);
   EXPECT_EQ(scan[2].lba, 3u);
 }
 
 TEST(PageCache, FlusherTickRespectsPageBudget) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   for (Lba lba = 0; lba < 10; ++lba) cache.write(lba, seconds(1));
   // All expired, but the device can only absorb 4 pages this interval.
   const auto first = cache.flusher_tick(seconds(31), 4);
@@ -134,7 +139,7 @@ TEST(PageCache, FlusherTickRespectsPageBudget) {
 }
 
 TEST(PageCache, EvictOldestIsOrderedAndBounded) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   cache.write(3, seconds(3));
   cache.write(1, seconds(1));
   cache.write(2, seconds(2));
@@ -147,7 +152,7 @@ TEST(PageCache, EvictOldestIsOrderedAndBounded) {
 }
 
 TEST(PageCache, FlushCounterTracksEvictions) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   cache.write(1, seconds(1));
   cache.write(2, seconds(1));
   cache.flusher_tick(seconds(31));
@@ -158,15 +163,15 @@ TEST(PageCache, FlushCounterTracksEvictions) {
 /// re-bucketing a full scan would produce, through writes, overwrites,
 /// writebacks and discards.
 TEST(PageCache, IntervalHistogramMatchesScan) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   const TimeUs p = cache.config().flush_period;
 
   auto check = [&] {
     std::map<std::uint64_t, std::uint64_t> expected;
-    for (const DirtyPage& dp : cache.scan_dirty()) {
+    for (const DirtyPage& dp : dirty_oldest_first(cache)) {
       ++expected[static_cast<std::uint64_t>((dp.last_update + p - 1) / p)];
     }
-    ASSERT_EQ(cache.dirty_interval_histogram(), expected);
+    ASSERT_EQ(histogram_map(cache), expected);
   };
 
   for (Lba lba = 0; lba < 40; ++lba) cache.write(lba, seconds(1) + lba * 100000);
@@ -181,11 +186,11 @@ TEST(PageCache, IntervalHistogramMatchesScan) {
   check();
   cache.flush_all();
   check();
-  EXPECT_TRUE(cache.dirty_interval_histogram().empty());
+  EXPECT_TRUE(histogram_map(cache).empty());
 }
 
 TEST(PageCache, SipDeltaTracksNetMembershipChange) {
-  PageCache cache(small_config());
+  PageCache cache(small_config(), kUniverse);
   cache.write(1, seconds(1));  // dirty before tracking: not part of any delta
   cache.enable_sip_tracking();
   cache.commit_sip_checkpoint();
@@ -209,6 +214,68 @@ TEST(PageCache, SipDeltaTracksNetMembershipChange) {
   delta = cache.pending_sip_delta();
   EXPECT_TRUE(delta.added.empty());
   EXPECT_TRUE(delta.removed.empty());
+}
+
+/// The cache is sized to the device's logical space: a buffered write or a
+/// discard naming an LBA at or past it is refused on the spot, with a message
+/// naming the LBA and the universe, instead of failing later at writeback.
+TEST(PageCache, RejectsWriteOutsideUniverse) {
+  PageCache cache(small_config(), kUniverse);
+  cache.write(kUniverse - 1, seconds(1));
+  EXPECT_TRUE(cache.is_dirty(kUniverse - 1));
+  try {
+    cache.write(kUniverse, seconds(1));
+    FAIL() << "write past the universe was accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("[1024, 1025)"), std::string::npos) << what;
+    EXPECT_NE(what.find("universe [0, 1024)"), std::string::npos) << what;
+  }
+  EXPECT_FALSE(cache.is_dirty(kUniverse));
+  EXPECT_FALSE(cache.is_dirty(~Lba{0}));
+  EXPECT_EQ(cache.dirty_pages(), 1u);
+}
+
+TEST(PageCache, RejectsDiscardOutsideUniverse) {
+  PageCache cache(small_config(), kUniverse);
+  cache.write(kUniverse - 2, seconds(1));
+  EXPECT_EQ(cache.discard(kUniverse - 2, 2), 1u);
+  try {
+    cache.discard(kUniverse - 1, 2);
+    FAIL() << "discard past the universe was accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("[1023, 1025)"), std::string::npos) << what;
+    EXPECT_NE(what.find("universe [0, 1024)"), std::string::npos) << what;
+  }
+  // A page count that would wrap the LBA range is refused too.
+  EXPECT_THROW(cache.discard(1, ~std::uint64_t{0}), std::logic_error);
+}
+
+/// With the LBA space split into partitions, each partition's histogram
+/// counts exactly its own dirty pages, including pages already dirty when
+/// the split is set.
+TEST(PageCache, PartitionHistogramsSplitByLba) {
+  PageCache cache(small_config(), kUniverse);
+  cache.write(10, seconds(1));
+  cache.write(700, seconds(6));
+  cache.set_partitions(LbaPartitions::equal_share(kUniverse, 3));  // 341, 341, 342
+  ASSERT_EQ(cache.partitions().share, 341u);
+  cache.write(340, seconds(2));
+  cache.write(341, seconds(7));
+  cache.write(kUniverse - 1, seconds(7));
+  cache.write(10, seconds(12));  // overwrite moves page 10 to a later bucket
+
+  EXPECT_EQ(histogram_map(cache, 0), (std::map<std::uint64_t, std::uint64_t>{{1, 1}, {3, 1}}));
+  EXPECT_EQ(histogram_map(cache, 1), (std::map<std::uint64_t, std::uint64_t>{{2, 1}}));
+  EXPECT_EQ(histogram_map(cache, 2), (std::map<std::uint64_t, std::uint64_t>{{2, 2}}));
+  EXPECT_EQ(cache.interval_histogram(0).pages(), 2u);
+  EXPECT_EQ(cache.interval_histogram(2).pages(), 2u);
+
+  cache.discard(682, 342);
+  EXPECT_TRUE(histogram_map(cache, 2).empty());
+  cache.flush_all();
+  for (std::uint32_t q = 0; q < 3; ++q) EXPECT_EQ(cache.interval_histogram(q).pages(), 0u);
 }
 
 }  // namespace

@@ -348,11 +348,12 @@ class ThrottledWriteProbe final : public wl::WorkloadGenerator {
 
  private:
   TimeUs issue_of(Lba lba) const {
-    for (const host::DirtyPage& page : sim_.page_cache().scan_dirty()) {
-      if (page.lba == lba) return page.last_update;
-    }
-    ADD_FAILURE() << "LBA " << lba << " of the op just served is not dirty";
-    return 0;
+    TimeUs issue = -1;
+    sim_.page_cache().for_each_dirty([&](const host::DirtyPage& page) {
+      if (page.lba == lba) issue = page.last_update;
+    });
+    if (issue < 0) ADD_FAILURE() << "LBA " << lba << " of the op just served is not dirty";
+    return issue < 0 ? 0 : issue;
   }
 
   const Simulator& sim_;

@@ -146,6 +146,25 @@ TEST(TenantSim, TwoTenantRunEmitsPerTenantRecords) {
   EXPECT_TRUE(attributed) << "no tenant interval carried a demand attribution";
 }
 
+/// A tenant run splits the page cache's dirty-interval histograms along the
+/// front-end's tenant partitions, so the multi-stream policy reads one
+/// histogram per tenant instead of scanning every dirty page; a run without
+/// a front-end keeps one partition.
+TEST(TenantSim, TenantRunPartitionsThePageCache) {
+  const auto opt = two_tenant_options(/*seed=*/3, {"2", "1"});
+  SimConfig config = default_sim_config(opt.seed);
+  config.duration = seconds(10);
+  config.frontend = frontend_config_from_cli(opt);
+  Simulator simulator(config);
+  EXPECT_EQ(simulator.page_cache().partitions().count, 1u);
+  auto fe = make_frontend_from_cli(opt, simulator.ssd().ftl().user_pages(),
+                                   config.ssd.ftl.geometry.page_size);
+  auto policy = make_policy(PolicyKind::kJit, config, 1.0, PolicyOverrides{}, fe.get());
+  (void)simulator.run(*fe, *policy);
+  EXPECT_EQ(simulator.page_cache().partitions(), fe->partitions());
+  EXPECT_EQ(simulator.page_cache().partitions().count, 2u);
+}
+
 TEST(TenantSim, TenantRunsAreDeterministic) {
   const auto opt = two_tenant_options(/*seed=*/7, {"3", "1"});
   const std::string first = serialize(run_tenant_cell(opt));

@@ -179,12 +179,11 @@ BENCHMARK(BM_PageCacheWrite);
 
 // The absorbed-write path: a hot set of dirty pages overwritten again and
 // again, with a flusher tick (and SIP delta hand-off) every flush period —
-// the page-cache work of a buffered, SIP-tracking run such as YCSB under
+// the page-cache work of a buffered, SIP-sending run such as YCSB under
 // JIT-GC.
 void BM_PageCacheOverwrite(benchmark::State& state) {
   host::PageCacheConfig cfg;
   host::PageCache cache(cfg, /*universe=*/1 << 20);
-  cache.enable_sip_tracking();
   Rng rng(8);
   const Lba hot = 1 << 14;
   TimeUs now = 0;
@@ -213,7 +212,6 @@ void BM_PageCacheSipDelta(benchmark::State& state) {
   cfg.capacity = 1 * GiB;
   const Lba universe = 1 << 20;
   host::PageCache cache(cfg, universe);
-  cache.enable_sip_tracking();
   Rng rng(10);
   const auto changes = static_cast<std::size_t>(state.range(0));
   TimeUs now = 0;

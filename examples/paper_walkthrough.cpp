@@ -42,7 +42,7 @@ void fig4_buffered_prediction() {
       std::printf("%s%llu", i > 1 ? ", " : "",
                   static_cast<unsigned long long>(p.demand.at(i) / cfg.page_size));
     }
-    std::printf(")   |SIP| = %zu\n", p.sip.added.size());
+    std::printf(")   |SIP| = %llu\n", static_cast<unsigned long long>(cache.dirty_pages()));
   };
 
   write_group(0, 20, seconds(2));     // A

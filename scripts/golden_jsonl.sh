@@ -29,6 +29,7 @@ CASES=(
   # Single SSD.
   "ssd_ycsb_jit_closed|cli|--workload=ycsb --policy=jit --seconds=20"
   "ssd_ycsb_jit_open|cli|--workload=ycsb --policy=jit --arrival=open --seconds=20"
+  "ssd_ycsb_jit_nosip|cli|--workload=ycsb --policy=jit --no-sip --seconds=20"
   "ssd_tpcc_lazy|cli|--workload=tpcc --policy=lazy --seconds=20"
   "ssd_spo|cli|--workload=ycsb --policy=jit --spo-at=5 --spo-every=5 --seconds=20"
   "ssd_fault|cli|--workload=ycsb --policy=aggressive --fault-program=0.00002 --spare-blocks=16 --seconds=20"
@@ -36,6 +37,7 @@ CASES=(
   # Multi-tenant front-end on one SSD.
   "tenants_open|cli|--tenants=2 --tenant-mix=ycsb,tpcc --tenant-arrival=open --policy=jit --seconds=20"
   "tenants_closed_rate|cli|--tenants=2 --tenant-mix=ycsb --tenant-arrival=closed --tenant-rate=0,2000000 --policy=jit --seconds=20"
+  "tenants_closed_nosip|cli|--tenants=2 --tenant-mix=ycsb --tenant-arrival=closed --policy=jit --no-sip --seconds=20"
   # RAID-0 arrays.
   "array_staggered|cli|--array-devices=4 --array-gc-mode=staggered --workload=ycsb --seconds=20 --jobs=2"
   "array_naive|cli|--array-devices=4 --array-gc-mode=naive --workload=tpcc --seconds=20 --jobs=2"

@@ -53,14 +53,6 @@ struct PolicyDecision {
   /// Bytes BGC must reclaim immediately, even if host I/O has to wait
   /// (JIT-GC's D_reclaim when T_idle < T_gc; zero for lazy policies).
   Bytes urgent_reclaim_bytes = 0;
-  /// SIP update for the extended garbage collector: a delta against the
-  /// last-delivered state when `sip_is_delta`, else a full replacement list
-  /// in `sip_update.added` (empty = clear). `sip_size` is |L_SIP| — the
-  /// full list's length, which is what the wire transfer is charged for
-  /// either way.
-  host::SipDelta sip_update;
-  std::uint64_t sip_size = 0;
-  bool sip_is_delta = false;
   /// Device-write traffic expected over the coming prediction horizon
   /// [t + p, t + p + tau_expire] — the policy's C_req (Table 2 accuracy is
   /// measured against the actual traffic of that window); negative = this
@@ -77,7 +69,9 @@ class BgcPolicy {
   /// Decide at a flusher tick. Called every p seconds.
   virtual PolicyDecision on_interval(const PolicyContext& ctx) = 0;
 
-  /// Whether the extended (SIP-aware) collector should be enabled.
+  /// Whether the extended (SIP-aware) collector should be enabled. The
+  /// simulator then ships L_SIP, read off the page cache, to the device
+  /// after every on_interval call; the decision itself carries no list.
   virtual bool wants_sip_filter() const { return false; }
 
   /// Custom host<->SSD commands this policy exchanges per interval (each

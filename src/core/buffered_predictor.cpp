@@ -9,24 +9,21 @@ namespace {
 
 // Per-page demand bucketing — the reference path, used when the histograms
 // cannot answer: off-tick calls (the histogram identity below needs tick
-// alignment), a full LBA list to emit, strict mode over several partitions,
-// or streams that are not the cache's partitions. With `predict_flushes`
-// false it only lists and counts the pages.
+// alignment), strict mode over several partitions, or streams that are not
+// the cache's partitions. With `predict_flushes` false it only counts the
+// pages.
 void bucket_by_scan(const host::PageCache& cache, TimeUs now, bool predict_flushes,
-                    std::uint64_t early_flush_pages, bool want_full_list,
-                    const host::LbaPartitions& streams, BufferedPrediction& out) {
+                    std::uint64_t early_flush_pages, const host::LbaPartitions& streams,
+                    BufferedPrediction& out) {
   const auto& cfg = cache.config();
   const std::uint32_t nwb = cfg.intervals_per_horizon();
   const TimeUs p = cfg.flush_period;
   const Bytes page = cfg.page_size;
 
-  if (want_full_list) out.sip.added.reserve(cache.dirty_pages());
-
   std::uint64_t scanned = 0;
   cache.for_each_dirty([&](const host::DirtyPage& dp) {
     const std::uint32_t s = streams.of(dp.lba);
     ++out.stream_pages[s];
-    if (want_full_list) out.sip.added.push_back(dp.lba);
     if (!predict_flushes) return;
 
     std::uint32_t j;
@@ -116,14 +113,10 @@ BufferedPrediction BufferedWritePredictor::predict(const host::PageCache& cache,
   out.demand = DemandVector(nwb);
   out.stream_demand.assign(streams.count, DemandVector(nwb));
   out.stream_pages.assign(streams.count, 0);
-  out.sip_size = cache.dirty_pages();
-  out.sip_is_delta = cache.sip_tracking_enabled();
-  if (out.sip_is_delta) out.sip = cache.pending_sip_delta();
-  const bool want_full_list = !out.sip_is_delta;
 
   // Strict mode takes the two-condition flush rule literally. At or below
-  // tau_flush, condition 2 fails: nothing is predicted to flush (the SIP
-  // list is still emitted — dirty data still shadows stale on-SSD pages).
+  // tau_flush, condition 2 fails: nothing is predicted to flush (the pages
+  // are still counted — dirty data still shadows stale on-SSD pages).
   // Above it, the oldest `excess` bytes flush at the very next tick.
   bool predict_flushes = true;
   std::uint64_t early_flush_pages = 0;
@@ -138,18 +131,18 @@ BufferedPrediction BufferedWritePredictor::predict(const host::PageCache& cache,
   }
 
   // The histograms serve the streams when those are the cache's partitions
-  // or one stream covering them all. Needing the full LBA list forces a scan
-  // anyway; off-tick calls need the per-page arithmetic; the early flush
-  // takes the globally oldest pages, which only a single histogram orders.
+  // or one stream covering them all. Off-tick calls need the per-page
+  // arithmetic; the early flush takes the globally oldest pages, which only a
+  // single histogram orders.
   const host::LbaPartitions& parts = cache.partitions();
   const bool histograms_serve =
-      !want_full_list && (streams.count == 1 || streams == parts) &&
+      (streams.count == 1 || streams == parts) &&
       (!predict_flushes ||
        (now >= 0 && now % p == 0 && (early_flush_pages == 0 || parts.count == 1)));
   if (histograms_serve) {
     bucket_by_histogram(cache, now, predict_flushes, early_flush_pages, out);
   } else {
-    bucket_by_scan(cache, now, predict_flushes, early_flush_pages, want_full_list, streams, out);
+    bucket_by_scan(cache, now, predict_flushes, early_flush_pages, streams, out);
   }
 
   for (const DemandVector& d : out.stream_demand) {

@@ -5,8 +5,9 @@
 // at the first flusher tick after its age reaches tau_expire, ignoring the
 // tau_flush condition), computes an upper bound D_buf(t) on the data the
 // cache will push to the SSD in each future write-back interval, optionally
-// split per LBA partition (one stream per tenant). It also emits the SIP
-// list: the LBAs whose on-SSD versions will be invalidated by those flushes.
+// split per LBA partition (one stream per tenant). The SIP list (the LBAs
+// whose on-SSD versions those flushes will invalidate) is not its output:
+// the simulator reads it off the page cache at the same tick.
 #pragma once
 
 #include <cstdint>
@@ -23,15 +24,6 @@ struct BufferedPrediction {
   /// passed to predict(); a single entry by default).
   std::vector<DemandVector> stream_demand;
   std::vector<std::uint64_t> stream_pages;
-  /// L_SIP. When the cache has SIP tracking on (`sip_is_delta == true`),
-  /// this is the net change since the last checkpoint; otherwise
-  /// `sip.added` carries the full dirty-LBA list (oldest first) and
-  /// `sip.removed` is empty.
-  host::SipDelta sip;
-  /// |L_SIP| == the cache's dirty-page count — the wire cost of a full
-  /// resync, charged regardless of how the update is encoded.
-  std::uint64_t sip_size = 0;
-  bool sip_is_delta = false;
 };
 
 class BufferedWritePredictor {
@@ -52,10 +44,10 @@ class BufferedWritePredictor {
       : relax_(relax_flush_condition) {}
 
   /// Predicts from `cache` at time `now` (a flusher-tick instant) and returns
-  /// D_buf(now) plus the SIP list, with demand and dirty pages attributed to
-  /// the partitions of `streams`. When `streams` is the cache's own
-  /// partitioning (or a single stream), a tick-aligned call reads the
-  /// cache's per-partition interval histograms instead of scanning pages.
+  /// D_buf(now), with demand and dirty pages attributed to the partitions of
+  /// `streams`. When `streams` is the cache's own partitioning (or a single
+  /// stream), a tick-aligned call reads the cache's per-partition interval
+  /// histograms instead of scanning pages.
   BufferedPrediction predict(const host::PageCache& cache, TimeUs now,
                              const host::LbaPartitions& streams = {}) const;
 

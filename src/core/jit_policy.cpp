@@ -33,7 +33,7 @@ PolicyDecision JitPolicy::on_interval(const PolicyContext& ctx) {
     }
   }
 
-  Prediction prediction = predictor_.predict(*ctx.page_cache, ctx.now);
+  const Prediction prediction = predictor_.predict(*ctx.page_cache, ctx.now);
   last_decision_ = manager_.decide(prediction, ctx.c_free,
                                    BandwidthEstimate{ctx.write_bps, ctx.gc_bps},
                                    ctx.reclaimable_capacity, measured_idle_s);
@@ -42,11 +42,6 @@ PolicyDecision JitPolicy::on_interval(const PolicyContext& ctx) {
   d.reclaim_bytes = last_decision_.idle_reclaim_bytes;
   d.urgent_reclaim_bytes = last_decision_.reclaim_bytes;
   d.predicted_horizon_bytes = static_cast<double>(prediction.required_capacity());
-  if (config_.use_sip_list) {
-    d.sip_update = std::move(prediction.sip);
-    d.sip_size = prediction.sip_size;
-    d.sip_is_delta = prediction.sip_is_delta;
-  }
   return d;
 }
 

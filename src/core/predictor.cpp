@@ -24,11 +24,7 @@ FutureWriteDemandPredictor::FutureWriteDemandPredictor(const PredictorConfig& co
 
 Prediction FutureWriteDemandPredictor::predict(const host::PageCache& cache, TimeUs now) const {
   Prediction out;
-  BufferedPrediction buf = buffered_.predict(cache, now);
-  out.buffered = std::move(buf.demand);
-  out.sip = std::move(buf.sip);
-  out.sip_size = buf.sip_size;
-  out.sip_is_delta = buf.sip_is_delta;
+  out.buffered = buffered_.predict(cache, now).demand;
 
   // D^i_dir = delta_dir / Nwb, remainder in slot 1 (total stays exact).
   const std::uint32_t nwb = config_.cdh.intervals_per_window;

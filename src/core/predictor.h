@@ -1,7 +1,8 @@
 // Future Write Demand Predictor (paper Fig. 3): the host-side module that
 // combines the buffered-write predictor (page-cache scan) with the
 // direct-write predictor (CDH) and hands the JIT-GC manager one consolidated
-// view per flusher tick.
+// view per flusher tick. L_SIP is not part of that view: the host sends it
+// straight from the page cache.
 #pragma once
 
 #include <vector>
@@ -20,11 +21,6 @@ namespace jitgc::core {
 struct Prediction {
   DemandVector buffered;  ///< D_buf(t)
   DemandVector direct;    ///< D_dir(t)
-  /// L_SIP: a delta against the last checkpoint when `sip_is_delta`, else
-  /// the full dirty-LBA list in `sip.added` (see BufferedPrediction).
-  host::SipDelta sip;
-  std::uint64_t sip_size = 0;  ///< |L_SIP| (the full list's wire size)
-  bool sip_is_delta = false;
 
   /// C_req(t) = sum_i (D^i_buf + D^i_dir).
   Bytes required_capacity() const { return buffered.total() + direct.total(); }

@@ -70,15 +70,11 @@ core::PolicyDecision MultiStreamJitPolicy::on_interval(const core::PolicyContext
   }
 
   // Buffered demand per tenant: the single-stream predictor, attributed
-  // through the LBA partition. It emits the (global) SIP list and each
-  // tenant's dirty-page count.
+  // through the LBA partition, plus each tenant's dirty-page count.
   core::BufferedPrediction buf = buffered_.predict(cache, ctx.now, frontend_->partitions());
   core::Prediction prediction;
   prediction.buffered = std::move(buf.demand);
   prediction.direct = core::DemandVector(nwb);
-  prediction.sip = std::move(buf.sip);
-  prediction.sip_size = buf.sip_size;
-  prediction.sip_is_delta = buf.sip_is_delta;
   tenant_sip_ = std::move(buf.stream_pages);
 
   // Direct demand: each tenant's estimator spread evenly over the horizon
@@ -100,11 +96,6 @@ core::PolicyDecision MultiStreamJitPolicy::on_interval(const core::PolicyContext
   d.reclaim_bytes = last_decision_.idle_reclaim_bytes;
   d.urgent_reclaim_bytes = last_decision_.reclaim_bytes;
   d.predicted_horizon_bytes = static_cast<double>(prediction.required_capacity());
-  if (config_.use_sip_list) {
-    d.sip_update = std::move(prediction.sip);
-    d.sip_size = prediction.sip_size;
-    d.sip_is_delta = prediction.sip_is_delta;
-  }
   return d;
 }
 

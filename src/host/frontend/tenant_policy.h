@@ -8,10 +8,11 @@
 // partition (read from the page cache's per-partition interval histograms
 // when the cache is partitioned the same way), then feeds the *sum* to the same
 // JIT-GC manager the single-stream policy uses. The device-facing decision
-// is therefore identical in shape — one C_req, one D_reclaim, one SIP list —
-// but the per-stream components are exposed for the tenant_interval metrics
-// (predicted_demand_bytes, sip_pages), making the demand signal per stream
-// as the paper's multi-tenant extension sketches.
+// is therefore identical in shape — one C_req, one D_reclaim, and the host
+// still sends one global SIP list — but the per-stream components are
+// exposed for the tenant_interval metrics (predicted_demand_bytes,
+// sip_pages), making the demand signal per stream as the paper's
+// multi-tenant extension sketches.
 //
 // With one tenant this degenerates to exactly JitPolicy (same buffered
 // predictor, same estimator, same manager arithmetic) — a property the tests

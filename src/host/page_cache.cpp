@@ -54,6 +54,8 @@ PageCache::PageCache(const PageCacheConfig& config, Lba universe)
                    "tau_flush fraction must be in (0, 1]");
   JITGC_ENSURE_MSG(universe > 0 && universe < kNil, "page-cache LBA universe out of range");
   if (!slot_) throw std::bad_alloc();
+  pending_.assign((universe + 63) / 64, 0);
+  touched_.assign((pending_.size() + 63) / 64, 0);
   partitions_ = LbaPartitions::equal_share(universe, 1);
   hist_.resize(1);
   // Reserve the pool for a full cache: untouched capacity costs no resident
@@ -86,16 +88,7 @@ void PageCache::set_partitions(const LbaPartitions& partitions) {
   });
 }
 
-void PageCache::enable_sip_tracking() {
-  if (sip_tracking_) return;
-  sip_tracking_ = true;
-  const std::size_t words = (universe_ + 63) / 64;
-  pending_.assign(words, 0);
-  touched_.assign((words + 63) / 64, 0);
-}
-
 void PageCache::note_membership_change(Lba lba) {
-  if (!sip_tracking_) return;
   const Lba word = lba >> 6;
   pending_[word] ^= std::uint64_t{1} << (lba & 63);
   touched_[word >> 6] |= std::uint64_t{1} << (word & 63);

@@ -107,7 +107,7 @@ class IntervalHistogram {
 /// LBA to its node in a pooled, intrusive age list. Memory is 4 B per LBA in
 /// the universe (resident only for the slot-array pages that written LBAs
 /// touched) plus 24 B per dirty page (the pool keeps its high-water mark),
-/// plus one parity bit per LBA once SIP tracking is on.
+/// plus one SIP parity bit per LBA.
 class PageCache {
  public:
   /// `universe` is the device's logical page count: buffered writes and
@@ -154,13 +154,9 @@ class PageCache {
   /// Buffered writes absorbed by overwriting an already-dirty page.
   std::uint64_t absorbed_overwrites() const { return absorbed_; }
 
-  /// Starts recording dirty-set membership changes for the SIP delta
-  /// protocol. Off by default: workloads that never send SIP updates should
-  /// not pay for the bookkeeping.
-  void enable_sip_tracking();
-  bool sip_tracking_enabled() const { return sip_tracking_; }
-
-  /// The net dirty-set change since the last checkpoint (ascending LBAs).
+  /// The net dirty-set change since the last checkpoint (ascending LBAs):
+  /// the L_SIP update the host sends the device. Membership changes are
+  /// recorded from construction, which is the first checkpoint.
   SipDelta pending_sip_delta() const;
 
   /// Marks the current dirty set as delivered: the next delta is relative
@@ -222,7 +218,6 @@ class PageCache {
   std::uint64_t dirty_ = 0;
   std::uint64_t pages_flushed_ = 0;
   std::uint64_t absorbed_ = 0;
-  bool sip_tracking_ = false;
   /// One bit per LBA, set iff its membership changed an odd number of times
   /// since the last checkpoint, i.e. it is in the net delta.
   std::vector<std::uint64_t> pending_;

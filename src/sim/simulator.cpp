@@ -199,20 +199,17 @@ void Simulator::tick(TimeUs now) {
   ctx.op_capacity = ssd_.ftl().op_capacity();
   ctx.user_capacity = ssd_.ftl().user_capacity();
 
-  core::PolicyDecision decision = policy.on_interval(ctx);
+  const core::PolicyDecision decision = policy.on_interval(ctx);
 
   overhead += static_cast<TimeUs>(policy.custom_commands_per_interval()) *
               config_.ssd.host_command_overhead_us;
   if (policy.wants_sip_filter()) {
-    // The SIP transfer is its own command whose payload scales with the
-    // dirty-page count (the full list is shipped even when the device-side
-    // update is applied as a delta).
-    if (decision.sip_is_delta) {
-      ssd_.send_sip_update(decision.sip_update, decision.sip_size, overhead);
-      cache_.commit_sip_checkpoint();
-    } else {
-      ssd_.send_sip_list(decision.sip_update.added, overhead);
-    }
+    // L_SIP is host state (paper Fig. 3): read it off the page cache and
+    // ship it as its own command, whose payload scales with the dirty-page
+    // count (the full list is charged even though the device applies the
+    // net change since the last delivery).
+    ssd_.send_sip_update(cache_.pending_sip_delta(), cache_.dirty_pages(), overhead);
+    cache_.commit_sip_checkpoint();
   }
   if (overhead > 0) {
     // Command exchanges serialize against the whole device.
@@ -370,7 +367,6 @@ void Simulator::spo(TimeUs now) {
   const host::LbaPartitions partitions = cache_.partitions();
   cache_ = host::PageCache(config_.cache, ssd_.ftl().user_pages());
   cache_.set_partitions(partitions);
-  if (policy_->wants_sip_filter()) cache_.enable_sip_tracking();
 
   const ftl::RecoveryReport rep = ssd_.sudden_power_off();
 
@@ -403,9 +399,6 @@ void Simulator::spo(TimeUs now) {
 SimReport Simulator::run(wl::WorkloadGenerator& workload, core::BgcPolicy& policy) {
   policy_ = &policy;
   ssd_.set_sip_filter_enabled(policy.wants_sip_filter());
-  // SIP-aware policies get the cache's delta bookkeeping so each tick sends
-  // the net change instead of rebuilding the whole list device-side.
-  if (policy.wants_sip_filter()) cache_.enable_sip_tracking();
   if (config_.frontend.enabled()) {
     harness_.bind_frontend(workload);
     // Per-tenant dirty-interval histograms for the multi-stream predictor.

@@ -27,18 +27,10 @@ Bytes Ssd::query_free_capacity(TimeUs& overhead) const {
   return ftl_.free_bytes_for_writes();
 }
 
-void Ssd::send_sip_list(const std::vector<Lba>& lbas, TimeUs& overhead) {
-  overhead += config_.host_command_overhead_us;
-  // Payload transfer: 4 bytes per LBA over the host interface.
-  const double payload_bytes = 4.0 * static_cast<double>(lbas.size());
-  overhead += static_cast<TimeUs>(payload_bytes / config_.command_payload_bps * 1e6);
-  ftl_.set_sip_list(lbas);
-}
-
 void Ssd::send_sip_update(const host::SipDelta& delta, std::uint64_t sip_size, TimeUs& overhead) {
   overhead += config_.host_command_overhead_us;
-  // Same wire cost as a full resync: the command ships the whole list, the
-  // delta encoding only changes what the device does with it.
+  // Payload transfer: 4 bytes per LBA of the whole list over the host
+  // interface; the delta encoding only changes what the device does with it.
   const double payload_bytes = 4.0 * static_cast<double>(sip_size);
   overhead += static_cast<TimeUs>(payload_bytes / config_.command_payload_bps * 1e6);
   ftl_.apply_sip_delta(delta.added, delta.removed);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "ftl/ftl.h"
 #include "host/page_cache.h"
@@ -51,12 +50,10 @@ class Ssd {
   /// C_free(t) in bytes; charges one command overhead.
   Bytes query_free_capacity(TimeUs& overhead) const;
 
-  /// Installs a SIP list (full resync); charges one command overhead.
-  void send_sip_list(const std::vector<Lba>& lbas, TimeUs& overhead);
-
-  /// Applies an incremental SIP update. `sip_size` is the full list's length
-  /// |L_SIP|: the wire protocol still ships the whole list (4 bytes per
-  /// entry), the delta only spares the device the O(|L_SIP|) rebuild.
+  /// Delivers L_SIP as a delta against the last delivered list; charges one
+  /// command overhead. `sip_size` is the full list's length |L_SIP|: the wire
+  /// protocol still ships the whole list (4 bytes per entry), the delta only
+  /// spares the device the O(|L_SIP|) rebuild.
   void send_sip_update(const host::SipDelta& delta, std::uint64_t sip_size, TimeUs& overhead);
 
   /// Runs one background-GC cycle; GcResult::time_us is service-scaled.

@@ -70,19 +70,24 @@ TEST_F(Fig4Test, PredictionAtT20) {
   EXPECT_EQ(demand_pages(seconds(20)), (std::vector<Bytes>{0, 0, 20, 40, 0, 200}));
 }
 
+/// The SIP list sent at the first tick (a delta from the fresh cache's
+/// checkpoint) names every dirty page; the predictor counts the same pages.
 TEST_F(Fig4Test, SipListContainsAllDirtyLbas) {
   write_group(cache_, 0, 20, seconds(2));
   write_group(cache_, 100, 20, seconds(4));
-  const BufferedPrediction p = predictor_.predict(cache_, seconds(5));
-  EXPECT_EQ(p.sip.added.size(), 40u);
-  EXPECT_NE(std::find(p.sip.added.begin(), p.sip.added.end(), Lba{0}), p.sip.added.end());
-  EXPECT_NE(std::find(p.sip.added.begin(), p.sip.added.end(), Lba{119}), p.sip.added.end());
+  const host::SipDelta sip = cache_.pending_sip_delta();
+  EXPECT_EQ(sip.added.size(), 40u);
+  EXPECT_TRUE(sip.removed.empty());
+  EXPECT_NE(std::find(sip.added.begin(), sip.added.end(), Lba{0}), sip.added.end());
+  EXPECT_NE(std::find(sip.added.begin(), sip.added.end(), Lba{119}), sip.added.end());
+  EXPECT_EQ(predictor_.predict(cache_, seconds(5)).stream_pages[0], 40u);
 }
 
 TEST_F(Fig4Test, EmptyCachePredictsZero) {
   const BufferedPrediction p = predictor_.predict(cache_, seconds(5));
   EXPECT_EQ(p.demand.total(), 0u);
-  EXPECT_TRUE(p.sip.added.empty());
+  EXPECT_EQ(p.stream_pages[0], 0u);
+  EXPECT_TRUE(cache_.pending_sip_delta().added.empty());
 }
 
 TEST_F(Fig4Test, DemandTotalMatchesDirtyBytes) {
@@ -100,11 +105,13 @@ TEST(BufferedPredictorStrict, BelowThresholdPredictsNothing) {
   for (Lba lba = 0; lba < 30; ++lba) cache.write(lba, seconds(12));
   // 30 dirty pages < threshold: the literal two-condition rule says no
   // flush will happen, so strict predicts zero demand — exactly the blind
-  // spot the paper's relaxation removes. The SIP list still flows.
+  // spot the paper's relaxation removes. The pages are still counted, and
+  // the SIP list still flows.
   const BufferedWritePredictor strict(false);
   const auto p = strict.predict(cache, seconds(15));
   EXPECT_EQ(p.demand.total(), 0u);
-  EXPECT_EQ(p.sip.added.size(), 30u);
+  EXPECT_EQ(p.stream_pages[0], 30u);
+  EXPECT_EQ(cache.pending_sip_delta().added.size(), 30u);
 
   const BufferedWritePredictor relaxed(true);
   EXPECT_EQ(relaxed.predict(cache, seconds(15)).demand.total(), cache.dirty_bytes());
@@ -132,56 +139,36 @@ TEST(BufferedPredictorStrict, OverThresholdMovesOldestForward) {
   EXPECT_EQ(pr.demand.total(), p.demand.total());  // same total, shifted
 }
 
-/// With SIP tracking on, demand comes from the incremental interval
-/// histogram instead of a per-page scan; at flusher-tick instants the two
-/// paths must produce identical demand vectors (the histogram identity the
-/// fast path relies on), in both flush models.
+/// A single stream is served from the cache's interval histogram instead of
+/// a per-page scan; at flusher-tick instants the two paths must produce
+/// identical demand vectors (the histogram identity the fast path relies
+/// on), in both flush models. Asking for two streams the cache is not
+/// partitioned by forces the scan.
 TEST(BufferedPredictorHistogram, MatchesScanPathAtTickInstants) {
   for (const bool relax : {true, false}) {
     host::PageCacheConfig cfg = fig4_config();
     cfg.tau_flush_fraction = 0.02;  // ~82 pages: strict's threshold engages
-    host::PageCache scanned(cfg, kUniverse);
-    host::PageCache tracked(cfg, kUniverse);
-    tracked.enable_sip_tracking();
+    host::PageCache cache(cfg, kUniverse);
+    const host::LbaPartitions two_streams = host::LbaPartitions::equal_share(kUniverse, 2);
+    ASSERT_NE(cache.partitions(), two_streams);
 
-    auto write_both = [&](Lba lba, TimeUs t) {
-      scanned.write(lba, t);
-      tracked.write(lba, t);
-    };
-    // Writes straddling several intervals, with overwrites and a backlog of
-    // already-expired pages (no tick ever drains them here).
-    for (Lba lba = 0; lba < 60; ++lba) write_both(lba, seconds(1) + lba * 250000);
-    for (Lba lba = 20; lba < 30; ++lba) write_both(lba, seconds(22));
-    for (Lba lba = 200; lba < 260; ++lba) write_both(lba, seconds(33));
+    // Writes straddling several intervals and both streams, with overwrites
+    // and a backlog of already-expired pages (no tick ever drains them here).
+    for (Lba lba = 0; lba < 60; ++lba) cache.write(lba, seconds(1) + lba * 250000);
+    for (Lba lba = 20; lba < 30; ++lba) cache.write(lba, seconds(22));
+    for (Lba lba = 200; lba < 260; ++lba) cache.write(lba, seconds(33));
+    for (Lba lba = 3000; lba < 3040; ++lba) cache.write(lba, seconds(14) + lba);
 
     const BufferedWritePredictor predictor(relax);
     for (const TimeUs now : {seconds(35), seconds(40), seconds(60), seconds(90)}) {
-      const BufferedPrediction via_scan = predictor.predict(scanned, now);
-      const BufferedPrediction via_histogram = predictor.predict(tracked, now);
-      ASSERT_FALSE(via_scan.sip_is_delta);
-      ASSERT_TRUE(via_histogram.sip_is_delta);
+      const BufferedPrediction via_histogram = predictor.predict(cache, now);
+      const BufferedPrediction via_scan = predictor.predict(cache, now, two_streams);
       ASSERT_EQ(via_scan.demand.values(), via_histogram.demand.values())
           << "relax=" << relax << " now=" << now;
-      EXPECT_EQ(via_scan.sip_size, via_histogram.sip_size);
+      EXPECT_EQ(via_scan.stream_pages[0] + via_scan.stream_pages[1],
+                via_histogram.stream_pages[0]);
     }
   }
-}
-
-TEST(BufferedPredictorDelta, EmitsCacheDeltaAndFullSize) {
-  host::PageCache cache(fig4_config(), kUniverse);
-  cache.enable_sip_tracking();
-  cache.write(7, seconds(1));
-  cache.write(9, seconds(2));
-  cache.commit_sip_checkpoint();  // 7 and 9 already delivered
-  cache.write(11, seconds(3));
-  cache.evict_oldest(1);  // writes back 7
-
-  const BufferedWritePredictor predictor;
-  const BufferedPrediction p = predictor.predict(cache, seconds(5));
-  EXPECT_TRUE(p.sip_is_delta);
-  EXPECT_EQ(p.sip.added, (std::vector<Lba>{11}));
-  EXPECT_EQ(p.sip.removed, (std::vector<Lba>{7}));
-  EXPECT_EQ(p.sip_size, cache.dirty_pages());  // wire cost: the full list
 }
 
 }  // namespace

@@ -72,7 +72,6 @@ TEST(FixedReservePolicy, DoesNotPredictOrFilter) {
   PolicyContext ctx = base_ctx();
   const PolicyDecision d = lazy.on_interval(ctx);
   EXPECT_LT(d.predicted_horizon_bytes, 0.0);
-  EXPECT_TRUE(d.sip_update.added.empty() && d.sip_update.removed.empty());
   EXPECT_FALSE(lazy.wants_sip_filter());
   EXPECT_EQ(lazy.custom_commands_per_interval(), 0u);
 }
@@ -120,6 +119,8 @@ TEST(JitPolicy, RequiresPageCache) {
   EXPECT_THROW(jit.on_interval(ctx), std::logic_error);
 }
 
+/// JIT-GC asks for the SIP filter, so the host sends L_SIP after every tick:
+/// the page cache's dirty set, which the policy reads but leaves pending.
 TEST(JitPolicy, EmitsSipListFromDirtyPages) {
   JitPolicyConfig cfg;
   cfg.predictor.cdh = small_cdh();
@@ -135,8 +136,7 @@ TEST(JitPolicy, EmitsSipListFromDirtyPages) {
   ctx.c_free = 1 * GiB;  // plenty free: no BGC, but SIP still flows
 
   const PolicyDecision d = jit.on_interval(ctx);
-  EXPECT_EQ(d.sip_update.added.size(), 2u);
-  EXPECT_EQ(d.sip_size, 2u);
+  EXPECT_EQ(cache.pending_sip_delta().added, (std::vector<Lba>{11, 22}));
   EXPECT_EQ(d.reclaim_bytes, 0u);
   EXPECT_TRUE(jit.wants_sip_filter());
   EXPECT_GT(jit.custom_commands_per_interval(), 0u);
@@ -154,8 +154,7 @@ TEST(JitPolicy, SipListCanBeDisabled) {
 
   PolicyContext ctx = base_ctx();
   ctx.page_cache = &cache;
-  const PolicyDecision d = jit.on_interval(ctx);
-  EXPECT_TRUE(d.sip_update.added.empty() && d.sip_update.removed.empty());
+  (void)jit.on_interval(ctx);
   EXPECT_FALSE(jit.wants_sip_filter());
 }
 

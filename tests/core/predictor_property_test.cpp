@@ -46,24 +46,30 @@ TEST_P(PredictorPropertyTest, DemandTotalEqualsDirtyBytes) {
 
     const BufferedPrediction p = predictor.predict(cache, now);
     ASSERT_EQ(p.demand.total(), cache.dirty_bytes());
-    ASSERT_EQ(p.sip.added.size(), cache.dirty_pages());
+    ASSERT_EQ(p.stream_pages[0], cache.dirty_pages());
+    // Construction is the first SIP checkpoint: the pending delta is the
+    // whole dirty set, net of every page that came and went since.
+    const host::SipDelta sip = cache.pending_sip_delta();
+    ASSERT_EQ(sip.added.size(), cache.dirty_pages());
+    ASSERT_TRUE(sip.removed.empty());
   }
 }
 
-/// The SIP list is exactly the dirty set (no duplicates, nothing else).
+/// The SIP list the host sends from a fresh checkpoint is exactly the dirty
+/// set (no duplicates, nothing else).
 TEST_P(PredictorPropertyTest, SipListIsTheDirtySet) {
   host::PageCache cache(cache_config(), kUniverse);
   Rng rng(GetParam() ^ 0x51u);
   for (int i = 0; i < 500; ++i) {
     cache.write(rng.uniform(1000), static_cast<TimeUs>(rng.uniform(seconds(4))));
   }
-  const BufferedWritePredictor predictor;
-  const BufferedPrediction p = predictor.predict(cache, seconds(5));
+  const host::SipDelta sip = cache.pending_sip_delta();
 
-  std::unordered_set<Lba> unique(p.sip.added.begin(), p.sip.added.end());
-  EXPECT_EQ(unique.size(), p.sip.added.size());  // no duplicates
+  std::unordered_set<Lba> unique(sip.added.begin(), sip.added.end());
+  EXPECT_EQ(unique.size(), sip.added.size());  // no duplicates
   for (const Lba lba : unique) EXPECT_TRUE(cache.is_dirty(lba));
   EXPECT_EQ(unique.size(), cache.dirty_pages());
+  EXPECT_TRUE(sip.removed.empty());
 }
 
 /// Without new writes, demand moves strictly toward the near horizon as

@@ -191,13 +191,13 @@ TEST_P(PageCacheFuzz, BackdatedWritesEvictionsAndSipDelta) {
   Rng rng(GetParam());
   TimeUs now = seconds(60);
 
-  // Some dirty pages predate tracking: they belong to the base set, not to
-  // any delta.
+  // Some dirty pages predate the checkpoint: they belong to the base set,
+  // not to any delta.
   for (Lba lba = 0; lba < 40; ++lba) {
     cache.write(lba * 7, now);
     ref.write(lba * 7, now);
   }
-  cache.enable_sip_tracking();
+  cache.commit_sip_checkpoint();
   std::set<Lba> checkpoint = ref.members();
 
   for (int step = 0; step < 4000; ++step) {
@@ -259,7 +259,6 @@ TEST_P(PageCacheFuzz, BackdatedWritesEvictionsAndSipDelta) {
 TEST_P(PageCacheFuzz, SipDeltaOverConsecutiveCheckpoints) {
   const PageCacheConfig cfg = fuzz_config();
   PageCache cache(cfg, kUniverse);
-  cache.enable_sip_tracking();
   Reference ref;
   Rng rng(GetParam());
   TimeUs now = 0;
@@ -302,7 +301,6 @@ TEST_P(PageCacheFuzz, NodeReuseAfterEviction) {
   const PageCacheConfig cfg = fuzz_config();
   PageCache cache(cfg, kUniverse);
   cache.set_partitions(LbaPartitions::equal_share(kUniverse, 2));
-  cache.enable_sip_tracking();
   Reference ref;
   Rng rng(GetParam());
   TimeUs now = seconds(100);

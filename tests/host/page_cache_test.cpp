@@ -191,8 +191,8 @@ TEST(PageCache, IntervalHistogramMatchesScan) {
 
 TEST(PageCache, SipDeltaTracksNetMembershipChange) {
   PageCache cache(small_config(), kUniverse);
-  cache.write(1, seconds(1));  // dirty before tracking: not part of any delta
-  cache.enable_sip_tracking();
+  cache.write(1, seconds(1));  // dirty at the checkpoint: already delivered
+  EXPECT_EQ(cache.pending_sip_delta().added, (std::vector<Lba>{1}));
   cache.commit_sip_checkpoint();
 
   cache.write(2, seconds(2));           // insert

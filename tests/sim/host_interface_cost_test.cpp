@@ -42,28 +42,30 @@ TEST(HostInterfaceCost, OverheadAccumulatesAcrossCommands) {
   EXPECT_EQ(overhead, 3u * 160u);
 }
 
+/// A delta that adds the device's first 64 LBAs to an L_SIP of `sip_size`.
+host::SipDelta first_64_added() {
+  host::SipDelta delta;
+  for (Lba i = 0; i < 64; ++i) delta.added.push_back(i);
+  return delta;
+}
+
 TEST(HostInterfaceCost, SipListPaysOverheadPlusPayload) {
   // 100k entries x 4 B at 100 MB/s = 4000 us of transfer on top of the flat
   // command cost.
   Ssd ssd(cost_config(/*overhead_us=*/160, /*payload_bps=*/100e6));
-  std::vector<Lba> list(100'000);
-  for (Lba i = 0; i < list.size(); ++i) list[i] = i % 64;
   TimeUs overhead = 0;
-  ssd.send_sip_list(list, overhead);
+  ssd.send_sip_update(first_64_added(), /*sip_size=*/100'000, overhead);
   EXPECT_EQ(overhead, 160u + 4000u);
 }
 
 TEST(HostInterfaceCost, PayloadScalesInverselyWithBandwidth) {
-  std::vector<Lba> list(50'000);
-  for (Lba i = 0; i < list.size(); ++i) list[i] = i % 64;
-
   TimeUs slow = 0;
   Ssd slow_ssd(cost_config(/*overhead_us=*/0, /*payload_bps=*/100e6));
-  slow_ssd.send_sip_list(list, slow);
+  slow_ssd.send_sip_update(first_64_added(), /*sip_size=*/50'000, slow);
 
   TimeUs fast = 0;
   Ssd fast_ssd(cost_config(/*overhead_us=*/0, /*payload_bps=*/500e6));
-  fast_ssd.send_sip_list(list, fast);
+  fast_ssd.send_sip_update(first_64_added(), /*sip_size=*/50'000, fast);
 
   EXPECT_EQ(slow, 2000u);  // 200 KB at 100 MB/s
   EXPECT_EQ(fast, 400u);   // 200 KB at 500 MB/s
@@ -72,7 +74,7 @@ TEST(HostInterfaceCost, PayloadScalesInverselyWithBandwidth) {
 TEST(HostInterfaceCost, EmptySipListStillPaysTheFlatCost) {
   Ssd ssd(cost_config(/*overhead_us=*/160, /*payload_bps=*/500e6));
   TimeUs overhead = 0;
-  ssd.send_sip_list({}, overhead);
+  ssd.send_sip_update(host::SipDelta{}, /*sip_size=*/0, overhead);
   EXPECT_EQ(overhead, 160u);
 }
 

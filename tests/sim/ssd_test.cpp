@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "host/page_cache.h"
+
 namespace jitgc::sim {
 namespace {
 
@@ -64,19 +68,44 @@ TEST(Ssd, ExtendedInterfaceChargesOverhead) {
   EXPECT_EQ(overhead, 160);
   EXPECT_GT(free1, 0u);
 
-  ssd.send_sip_list({1, 2, 3}, overhead);
+  host::SipDelta delta;
+  delta.added = {1, 2, 3};
+  ssd.send_sip_update(delta, /*sip_size=*/3, overhead);
   EXPECT_EQ(overhead, 320);  // tiny payload: rounds to the flat cost
   EXPECT_TRUE(ssd.ftl().sip_index().contains(2));
 }
 
 TEST(Ssd, SipPayloadTransferScalesWithListSize) {
   Ssd ssd(test_config());
-  // 50k entries x 4 B at 500 MB/s = 400 us of payload transfer.
-  std::vector<Lba> big(50'000);
-  for (Lba i = 0; i < big.size(); ++i) big[i] = i;
+  // 50k entries x 4 B at 500 MB/s = 400 us of payload transfer, however few
+  // of them changed since the last delivery.
+  host::SipDelta delta;
+  delta.added = {1, 2, 3};
   TimeUs overhead = 0;
-  ssd.send_sip_list(big, overhead);
+  ssd.send_sip_update(delta, /*sip_size=*/50'000, overhead);
   EXPECT_EQ(overhead, 160 + 400);
+}
+
+/// The host's delivery of L_SIP: the page cache's pending delta, applied to
+/// the device's last delivered list, leaves the device holding exactly the
+/// cache's dirty set.
+TEST(Ssd, SipUpdateDeliversCacheDelta) {
+  Ssd ssd(test_config());
+  host::PageCache cache(host::PageCacheConfig{}, ssd.ftl().user_pages());
+  cache.write(7, seconds(1));
+  cache.write(9, seconds(2));
+  TimeUs overhead = 0;
+  ssd.send_sip_update(cache.pending_sip_delta(), cache.dirty_pages(), overhead);
+  cache.commit_sip_checkpoint();  // 7 and 9 delivered
+  cache.write(11, seconds(3));
+  cache.evict_oldest(1);  // writes back 7
+
+  const host::SipDelta delta = cache.pending_sip_delta();
+  EXPECT_EQ(delta.added, (std::vector<Lba>{11}));
+  EXPECT_EQ(delta.removed, (std::vector<Lba>{7}));
+  ssd.send_sip_update(delta, cache.dirty_pages(), overhead);
+  EXPECT_EQ(ssd.ftl().sip_index().sorted(), (std::vector<Lba>{9, 11}));
+  EXPECT_EQ(overhead, 2 * 160);  // one command per delivery
 }
 
 TEST(Ssd, MigrateStepTimeIsPositive) {

@@ -487,8 +487,7 @@ EOF
   expect_rejection --array-redundancy=raid6 "none|mirror|parity"
   expect_rejection --array-gc-mode=psychic "naive|staggered|maxk"
   expect_rejection --rebuild-rate-floor=1.5 "rebuild-rate-floor"
-  expect_rejection --engine=tick "retired"
-  expect_rejection --engine=warp "unknown engine"
+  expect_rejection --engine=event "unknown option"
   echo "bench_smoke: malformed array flags rejected with enumerated messages"
 
   # -- Sudden power-off: single-SSD recovery, deterministic across re-runs -----

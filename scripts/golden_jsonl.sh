@@ -38,6 +38,8 @@ CASES=(
   "tenants_open|cli|--tenants=2 --tenant-mix=ycsb,tpcc --tenant-arrival=open --policy=jit --seconds=20"
   "tenants_closed_rate|cli|--tenants=2 --tenant-mix=ycsb --tenant-arrival=closed --tenant-rate=0,2000000 --policy=jit --seconds=20"
   "tenants_closed_nosip|cli|--tenants=2 --tenant-mix=ycsb --tenant-arrival=closed --policy=jit --no-sip --seconds=20"
+  # Long enough for the SIP counts to steer JIT victim selection.
+  "tenants_closed_40s|cli|--tenants=2 --tenant-mix=ycsb --tenant-arrival=closed --policy=jit --seconds=40"
   # RAID-0 arrays.
   "array_staggered|cli|--array-devices=4 --array-gc-mode=staggered --workload=ycsb --seconds=20 --jobs=2"
   "array_naive|cli|--array-devices=4 --array-gc-mode=naive --workload=tpcc --seconds=20 --jobs=2"
@@ -85,7 +87,8 @@ for entry in "${CASES[@]}"; do
   failures=$((failures + 1))
   # cmp reports "... differ: byte B, line L"; when one file is a prefix of
   # the other it reports EOF instead, so fall back to the shorter length + 1.
-  line=$(cmp "$expected" "$actual" 2>&1 | sed -n 's/.*line \([0-9]*\).*/\1/p')
+  # cmp exits 1 on a difference; under pipefail that must not end the script.
+  line=$(cmp "$expected" "$actual" 2>&1 | sed -n 's/.*line \([0-9]*\).*/\1/p' || true)
   if [[ -z $line ]]; then
     exp_lines=$(wc -l <"$expected")
     act_lines=$(wc -l <"$actual")

@@ -38,8 +38,6 @@ Ftl::Ftl(const FtlConfig& config)
   block_last_update_seq_.assign(nand_.num_blocks(), 0);
   block_fill_seq_.assign(nand_.num_blocks(), 0);
   block_sip_count_.assign(nand_.num_blocks(), 0);
-  block_sip_exact_.assign(nand_.num_blocks(), 0);
-  sip_diverged_.assign(nand_.num_blocks(), 0);
   index_dirty_.assign(nand_.num_blocks(), 0);
   wl_dirty_.assign(nand_.num_blocks(), 0);
   block_health_.assign(nand_.num_blocks(), BlockHealth::kGood);
@@ -140,23 +138,11 @@ void Ftl::declare_block_index(std::uint32_t block_id) const {
   index_.update_wl(block_id, s.wl_candidate, s.erase_count);
 }
 
-void Ftl::note_sip_counts(std::uint32_t b) {
-  if (block_sip_count_[b] == block_sip_exact_[b]) return;
-  if (!sip_diverged_[b]) {
-    sip_diverged_[b] = 1;
-    sip_diverged_list_.push_back(b);
-  }
-}
-
-void Ftl::heal_sip_counts() {
-  for (const std::uint32_t b : sip_diverged_list_) {
-    sip_diverged_[b] = 0;
-    if (block_sip_count_[b] != block_sip_exact_[b]) {
-      block_sip_count_[b] = block_sip_exact_[b];
-      refresh_block_index(b);
-    }
-  }
-  sip_diverged_list_.clear();
+void Ftl::move_sip_count(Lba lba, std::uint32_t from, std::uint32_t to) {
+  if (!sip_.contains(lba)) return;
+  JITGC_ENSURE(block_sip_count_[from] > 0);
+  --block_sip_count_[from];
+  ++block_sip_count_[to];
 }
 
 void Ftl::note_program(std::uint32_t block_id) {
@@ -171,11 +157,10 @@ TimeUs Ftl::cached_map_access_cost(Lba lba, bool dirty) {
 }
 
 bool Ftl::finish_erase(std::uint32_t block_id) {
-  const nand::NandStatus st = nand_.erase_block(block_id);
-  block_sip_count_[block_id] = 0;
   // Every valid page was migrated away first, so no SIP LBA can still map
-  // here; the exact shadow must already be zero.
-  JITGC_ENSURE(block_sip_exact_[block_id] == 0);
+  // here.
+  JITGC_ENSURE(block_sip_count_[block_id] == 0);
+  const nand::NandStatus st = nand_.erase_block(block_id);
   bool usable = true;
   const std::uint32_t ppb = config_.geometry.pages_per_block;
   if (st == nand::NandStatus::kEraseFail) {
@@ -300,21 +285,11 @@ TimeUs Ftl::retire_grown_bad(std::uint32_t block) {
     map_[lba] = dst;
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
-    if (sip_.contains(lba)) {
-      ++block_sip_count_[dst.block];
-      ++block_sip_exact_[dst.block];
-      note_sip_counts(dst.block);
-      JITGC_ENSURE(block_sip_exact_[block] > 0);
-      --block_sip_exact_[block];
-      note_sip_counts(block);
-    }
+    move_sip_count(lba, block, dst.block);
     cost += config_.timing.migrate_cost();
   }
   if (gc_active_ != kNoBlock) refresh_block_index(gc_active_);
-  // This block will never be erased; clear its stale observable SIP count
-  // the way finish_erase would have.
-  block_sip_count_[block] = 0;
-  JITGC_ENSURE(block_sip_exact_[block] == 0);
+  JITGC_ENSURE(block_sip_count_[block] == 0);
   retire_block(block);
   refresh_block_index(block);
   return cost;
@@ -397,28 +372,16 @@ TimeUs Ftl::write(Lba lba) {
     const std::uint32_t prev = entry.block;
     invalidate_page_at(entry);
     touch_block(prev);
-    if (block_sip_count_[prev] > 0 && lba_on_sip) {
-      --block_sip_count_[prev];
-    }
     if (lba_on_sip) {
-      // The exact shadow always follows the mapping; the observable count
-      // above may have skipped its decrement (legacy zero guard).
-      JITGC_ENSURE(block_sip_exact_[prev] > 0);
-      --block_sip_exact_[prev];
-      note_sip_counts(prev);
+      JITGC_ENSURE(block_sip_count_[prev] > 0);
+      --block_sip_count_[prev];
     }
     --valid_pages_;
     refresh_block_index(prev);
   }
 
   entry = new_ppa;
-  if (lba_on_sip) {
-    // Legacy behavior: the observable count is NOT bumped at the new
-    // location until the next SIP update re-sends the list; only the exact
-    // shadow tracks the move.
-    ++block_sip_exact_[new_ppa.block];
-    note_sip_counts(new_ppa.block);
-  }
+  if (lba_on_sip) ++block_sip_count_[new_ppa.block];
   ++valid_pages_;
   refresh_block_index(new_ppa.block);
 
@@ -452,11 +415,9 @@ TimeUs Ftl::trim(Lba lba) {
   ++write_seq_;
   invalidate_page_at(entry);
   touch_block(prev);
-  if (block_sip_count_[prev] > 0 && sip_.contains(lba)) --block_sip_count_[prev];
   if (sip_.contains(lba)) {
-    JITGC_ENSURE(block_sip_exact_[prev] > 0);
-    --block_sip_exact_[prev];
-    note_sip_counts(prev);
+    JITGC_ENSURE(block_sip_count_[prev] > 0);
+    --block_sip_count_[prev];
   }
   --valid_pages_;
   entry = nand::Ppa{kNoBlock, 0};
@@ -468,20 +429,12 @@ TimeUs Ftl::trim(Lba lba) {
 void Ftl::set_sip_list(const std::vector<Lba>& lbas) {
   sip_.assign(lbas);
   std::fill(block_sip_count_.begin(), block_sip_count_.end(), 0);
-  std::fill(block_sip_exact_.begin(), block_sip_exact_.end(), 0);
-  std::fill(sip_diverged_.begin(), sip_diverged_.end(), 0);
-  sip_diverged_list_.clear();
-  for (const Lba lba : lbas) {
-    if (lba >= user_pages_) continue;
-    const nand::Ppa entry = map_[lba];
-    if (entry.block != kNoBlock) ++block_sip_count_[entry.block];
-  }
-  // The exact shadow counts set membership (a duplicated input LBA counts
-  // once), so it is rebuilt from the deduplicated index.
+  // Counts follow set membership (a duplicated input LBA counts once), so
+  // they are rebuilt from the deduplicated index.
   for (const Lba lba : sip_.sorted()) {
     if (lba >= user_pages_) continue;
     const nand::Ppa entry = map_[lba];
-    if (entry.block != kNoBlock) ++block_sip_exact_[entry.block];
+    if (entry.block != kNoBlock) ++block_sip_count_[entry.block];
   }
   // Full resync can change any block's SIP count (and thus its adjusted
   // bucket) — re-declare everything. O(num_blocks); the hot path uses
@@ -490,17 +443,13 @@ void Ftl::set_sip_list(const std::vector<Lba>& lbas) {
 }
 
 void Ftl::apply_sip_delta(const std::vector<Lba>& added, const std::vector<Lba>& removed) {
-  // Healing first reproduces the legacy full rebuild: after it, observable
-  // and exact counts agree everywhere, and the delta below keeps them equal.
-  heal_sip_counts();
   for (const Lba lba : removed) {
     if (!sip_.erase(lba)) continue;
     if (lba >= user_pages_) continue;
     const nand::Ppa entry = map_[lba];
     if (entry.block == kNoBlock) continue;
-    JITGC_ENSURE(block_sip_count_[entry.block] > 0 && block_sip_exact_[entry.block] > 0);
+    JITGC_ENSURE(block_sip_count_[entry.block] > 0);
     --block_sip_count_[entry.block];
-    --block_sip_exact_[entry.block];
     refresh_block_index(entry.block);
   }
   for (const Lba lba : added) {
@@ -509,7 +458,6 @@ void Ftl::apply_sip_delta(const std::vector<Lba>& added, const std::vector<Lba>&
     const nand::Ppa entry = map_[lba];
     if (entry.block == kNoBlock) continue;
     ++block_sip_count_[entry.block];
-    ++block_sip_exact_[entry.block];
     refresh_block_index(entry.block);
   }
 }
@@ -630,16 +578,7 @@ GcResult Ftl::collect_block(std::uint32_t victim, bool foreground) {
     // Migration consumes a free page; the erase below returns ppb of them.
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
-    if (sip_.contains(lba)) {
-      // Legacy quirk: the observable count follows the page to the GC block
-      // but is never taken off the victim (it goes stale until the erase).
-      ++block_sip_count_[dst.block];
-      ++block_sip_exact_[dst.block];
-      note_sip_counts(dst.block);
-      JITGC_ENSURE(block_sip_exact_[victim] > 0);
-      --block_sip_exact_[victim];
-      note_sip_counts(victim);
-    }
+    move_sip_count(lba, victim, dst.block);
     ++result.migrated_pages;
     result.time_us += config_.timing.migrate_cost();
   }
@@ -735,15 +674,7 @@ Ftl::GcStep Ftl::background_collect_step(std::uint32_t max_pages) {
     map_[lba] = dst;
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
-    if (sip_.contains(lba)) {
-      // Same stale-until-erase quirk as collect_block.
-      ++block_sip_count_[dst.block];
-      ++block_sip_exact_[dst.block];
-      note_sip_counts(dst.block);
-      JITGC_ENSURE(block_sip_exact_[bgc_victim_] > 0);
-      --block_sip_exact_[bgc_victim_];
-      note_sip_counts(bgc_victim_);
-    }
+    move_sip_count(lba, bgc_victim_, dst.block);
     ++step.migrated;
     step.time_us += config_.timing.migrate_cost();
   }
@@ -830,19 +761,10 @@ TimeUs Ftl::maybe_static_wear_level() {
     map_[lba] = dst;
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
-    if (sip_.contains(lba)) {
-      JITGC_ENSURE(block_sip_exact_[coldest] > 0);
-      --block_sip_exact_[coldest];
-      ++block_sip_exact_[dst.block];
-    }
+    move_sip_count(lba, coldest, dst.block);
     cost += config_.timing.migrate_cost();
   }
   note_program(dest);
-  // Legacy quirk: the whole observable count is transferred wholesale, even
-  // the part belonging to SIP LBAs that were overwritten since the last
-  // rebuild (the exact shadow above moves only live mappings).
-  block_sip_count_[dest] += block_sip_count_[coldest];
-  note_sip_counts(dest);
   finish_erase(coldest);
   refresh_block_index(dest);
   cost += config_.timing.block_erase_us;
@@ -919,8 +841,6 @@ void Ftl::save_state(BinaryWriter& w) const {
   save_u64_vec(w, block_last_update_seq_);
   save_u64_vec(w, block_fill_seq_);
   save_u32_vec(w, block_sip_count_);
-  save_u32_vec(w, block_sip_exact_);
-  save_u32_vec(w, sip_diverged_list_);
   save_u64_vec(w, lba_last_write_seq_);
   w.u64(hot_window_);
 
@@ -1020,16 +940,6 @@ void Ftl::restore_state(BinaryReader& r) {
   restore_u64_vec(r, block_last_update_seq_, nblocks);
   restore_u64_vec(r, block_fill_seq_, nblocks);
   restore_u32_vec(r, block_sip_count_, nblocks);
-  restore_u32_vec(r, block_sip_exact_, nblocks);
-  const std::uint64_t diverged_size = r.u64();
-  if (diverged_size > nblocks) throw BinaryFormatError("snapshot SIP-diverged list too large");
-  sip_diverged_.assign(nblocks, 0);
-  sip_diverged_list_.resize(diverged_size);
-  for (std::uint32_t& b : sip_diverged_list_) {
-    b = r.u32();
-    if (b >= nblocks) throw BinaryFormatError("snapshot SIP-diverged block out of range");
-    sip_diverged_[b] = 1;
-  }
   restore_u64_vec(r, lba_last_write_seq_,
                   config_.enable_hot_cold_separation ? user_pages_ : 0);
   hot_window_ = r.u64();

@@ -191,17 +191,17 @@ class Ftl {
 
   // -- Extended host interface (the paper's custom SG_IO commands) -----------
 
-  /// Replaces the SIP list used by the extended garbage collector (the
-  /// legacy full-resync command; rebuilds all per-block counters).
+  /// Replaces the SIP list used by the extended garbage collector and
+  /// recounts every block's SIP pages. The simulator sends deltas; this
+  /// full replacement is the reference tests check apply_sip_delta against.
   void set_sip_list(const std::vector<Lba>& lbas);
 
   /// Incremental SIP update: `added` joins the list, `removed` leaves it.
-  /// Equivalent to set_sip_list(previous - removed + added) — including the
-  /// per-block counters, which are healed to the exact shadow counts first
-  /// — at O(|delta|) instead of O(num_blocks + |list|). `added` and
-  /// `removed` must be disjoint (the cache's delta tracker nets out an LBA
-  /// that toggles within one interval); redundant entries — re-adding a
-  /// member, removing a non-member — are ignored.
+  /// Equivalent to set_sip_list(previous - removed + added), per-block
+  /// counters included, at O(|delta|) instead of O(num_blocks + |list|).
+  /// `added` and `removed` must be disjoint (the cache's delta tracker nets
+  /// out an LBA that toggles within one interval); redundant entries —
+  /// re-adding a member, removing a non-member — are ignored.
   void apply_sip_delta(const std::vector<Lba>& added, const std::vector<Lba>& removed);
 
   /// Enables/disables SIP-aware victim selection (the simulator flips this
@@ -278,7 +278,7 @@ class Ftl {
 
   /// Sudden power-off: tears the open write frontiers, discards every piece
   /// of volatile state (L2P map, free pool, active streams, GC cursor, SIP
-  /// shadows, recency, mapping cache) and rebuilds the FTL from the OOB
+  /// counts, recency, mapping cache) and rebuilds the FTL from the OOB
   /// stamps on media — checkpoint-bounded when a valid mapping checkpoint
   /// exists. Cumulative stats and the durable bad-block/spare tables
   /// survive, as they would in a real device's flash-resident system area.
@@ -333,8 +333,8 @@ class Ftl {
   const SipIndex& sip_index() const { return sip_; }
   const MappingCache& mapping_cache() const { return map_cache_; }
 
-  /// Valid pages of `block` currently on the SIP list, as the collector
-  /// sees them (tests compare this against a from-scratch rebuild).
+  /// Valid pages of `block` currently on the SIP list (tests compare this
+  /// against a recount of sip_index() through the mapping).
   std::uint32_t block_sip_count(std::uint32_t block) const { return block_sip_count_[block]; }
 
   /// Write amplification factor: NAND page programs / host page writes.
@@ -359,7 +359,7 @@ class Ftl {
   // -- Warm-state snapshots (sim/snapshot.h) ----------------------------------
   // Serializes the NAND device plus every piece of FTL truth: the L2P map,
   // free pool, active streams, bad-block/spare/degradation state, SIP
-  // shadows, hot/cold recency, mapping cache, and the stats counters. The
+  // counts, hot/cold recency, mapping cache, and the stats counters. The
   // victim index and its deferred-maintenance dirty sets are NOT serialized:
   // restore_state() re-declares every block from the restored truth, which
   // settles the index into exactly the state any lazily-flushed cold run
@@ -470,12 +470,10 @@ class Ftl {
   /// its query path must not pay the full bucket update — bucket changes
   /// keep coalescing until a victim selection actually needs them.
   void flush_victim_index_wl() const;
-  /// Flags `b` for healing when its observable SIP count drifted from the
-  /// exact shadow count (legacy between-tick quirks; see apply_sip_delta).
-  void note_sip_counts(std::uint32_t b);
-  /// Re-synchronizes flagged observable SIP counts with the exact shadow —
-  /// what the legacy full rebuild did implicitly at every tick.
-  void heal_sip_counts();
+  /// Moves `lba`'s SIP count from block `from` to block `to` when it is on
+  /// the list (a migration relocates the page; the caller refreshes both
+  /// blocks' indexed state).
+  void move_sip_count(Lba lba, std::uint32_t from, std::uint32_t to);
 
   FtlConfig config_;
   nand::NandDevice nand_;
@@ -518,18 +516,9 @@ class Ftl {
   std::vector<std::uint64_t> block_last_update_seq_;
   /// Host-write sequence number at which each block became full (FIFO).
   std::vector<std::uint64_t> block_fill_seq_;
-  /// Per-block count of valid pages on the SIP list as the collector
-  /// observes it. Between ticks it evolves by the legacy rules (which skip
-  /// some updates — see the call sites); at each SIP update it is healed to
-  /// the exact shadow below, reproducing the legacy full rebuild.
+  /// |{lba in SIP list : mapped to this block}|, kept exact at every
+  /// mapping and SIP mutation.
   std::vector<std::uint32_t> block_sip_count_;
-  /// Exact |{lba in SIP list : mapped to this block}|, maintained at every
-  /// mapping/SIP mutation. The healing source for block_sip_count_.
-  std::vector<std::uint32_t> block_sip_exact_;
-  /// Blocks whose observable count drifted from the exact shadow since the
-  /// last SIP update (flag byte + dedup list for O(drifted) healing).
-  std::vector<std::uint8_t> sip_diverged_;
-  std::vector<std::uint32_t> sip_diverged_list_;
   /// Last write sequence per LBA (hot/cold classification); empty unless
   /// separation is enabled.
   std::vector<std::uint64_t> lba_last_write_seq_;

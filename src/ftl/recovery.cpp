@@ -100,7 +100,7 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
 
   // -- Discard all volatile state -------------------------------------------
   // Everything RAM-resident is gone: the L2P map, free pool, active streams,
-  // incremental-GC cursor, SIP shadows (the host re-sends its list), hot/cold
+  // incremental-GC cursor, SIP counts (the host re-sends its list), hot/cold
   // recency, and the mapping cache. Cumulative stats, the bad-block/spare
   // tables, degradation history and the read-only latch live in the durable
   // system area and survive. The retirement queue is RAM too, but is fully
@@ -117,9 +117,6 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   f.offline_pages_ = 0;
   f.sip_.clear();
   std::fill(f.block_sip_count_.begin(), f.block_sip_count_.end(), 0u);
-  std::fill(f.block_sip_exact_.begin(), f.block_sip_exact_.end(), 0u);
-  std::fill(f.sip_diverged_.begin(), f.sip_diverged_.end(), std::uint8_t{0});
-  f.sip_diverged_list_.clear();
   std::fill(f.lba_last_write_seq_.begin(), f.lba_last_write_seq_.end(), std::uint64_t{0});
   f.map_cache_ = MappingCache(f.config_.mapping_cache_pages,
                               static_cast<std::uint32_t>(f.config_.geometry.page_size / 4));

@@ -16,9 +16,9 @@
 
 namespace jitgc::ftl {
 
-/// A set of LBAs expected to be invalidated shortly. Updated either by a
-/// full replacement (`assign`, the legacy re-send-everything command) or
-/// incrementally (`insert`/`erase`, the delta protocol).
+/// A set of LBAs expected to be invalidated shortly. Updated incrementally
+/// (`insert`/`erase`, the delta protocol) or by a full replacement
+/// (`assign`, the reference the delta path is tested against).
 ///
 /// Membership of LBAs in [0, universe) is one bit each, so every lookup is
 /// O(1); the bitmap is allocated on the first in-range insert, so an index
@@ -80,7 +80,7 @@ class SipIndex {
     size_ = 0;
   }
 
-  /// Replaces the whole list (the legacy full-resync command).
+  /// Replaces the whole list.
   void assign(const std::vector<Lba>& lbas) {
     clear();
     for (const Lba lba : lbas) insert(lba);

@@ -237,19 +237,6 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
         error = "--seed needs an unsigned integer";
         return std::nullopt;
       }
-    } else if (key == "--engine") {
-      // The legacy tick engine is retired; the flag survives one release as
-      // a no-op for scripts that pinned --engine=event.
-      if (!need_value()) return std::nullopt;
-      if (value == "tick") {
-        error = "the legacy tick engine has been retired; the event engine "
-                "is the only run loop (drop --engine, or use --engine=event)";
-        return std::nullopt;
-      }
-      if (value != "event") {
-        error = "unknown engine '" + value + "' (event)";
-        return std::nullopt;
-      }
     } else if (key == "--snapshot-cache") {
       if (!need_value()) return std::nullopt;
       opt.snapshot_cache_dir = value;

@@ -45,7 +45,9 @@ struct SimConfig;
 /// changes; cache files from other versions are rejected (cold fallback).
 /// v2: per-page OOB grew program-sequence + content stamps and the torn
 /// page state, and the FTL payload gained the mapping checkpoint.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+/// v3: the FTL payload keeps one exact per-block SIP count (the shadow
+/// count and the heal list are gone).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Where a run's post-precondition state came from.
 enum class SnapshotSource : std::uint8_t {

@@ -7,9 +7,11 @@
 #include <set>
 #include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "ftl/ftl.h"
+#include "ftl/sip_recount.h"
 
 namespace jitgc::ftl {
 namespace {
@@ -62,16 +64,27 @@ void check_integrity(const Ftl& ftl, const std::set<Lba>& shadow) {
     }
   }
   ASSERT_EQ(valid, ftl.valid_pages());
+
+  // 4. Every block's SIP count matches a recount through the mapping, so
+  // retirement migrations carried the counts along (and left none behind).
+  ASSERT_TRUE(testing_util::sip_counts_exact(ftl));
 }
 
 TEST(FtlFault, MappingIntegrityAcrossFailuresAndRetirements) {
   Ftl ftl(faulty_config(/*program_fail=*/0.004, /*erase_fail=*/0.002, /*spares=*/8));
   std::set<Lba> shadow;
   Rng rng(0xBADBu);
+  // A separate stream picks the SIP lists, leaving the op stream unchanged.
+  Rng sip_rng(0x51Bu);
   const Lba user = ftl.user_pages();
   bool worn_out = false;
 
   for (int burst = 0; burst < 80 && !worn_out; ++burst) {
+    if (burst % 5 == 0) {
+      std::vector<Lba> sip;
+      for (int i = 0; i < 96; ++i) sip.push_back(sip_rng.uniform(user));
+      ftl.set_sip_list(sip);
+    }
     for (int i = 0; i < 150; ++i) {
       const Lba lba = rng.uniform(user * 8 / 10);
       const double roll = rng.uniform01();

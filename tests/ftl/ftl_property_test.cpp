@@ -3,7 +3,8 @@
 //
 // The shadow model is the set of LBAs that should currently be mapped; after
 // every burst of operations the FTL must agree with it exactly, and the
-// page-accounting invariants must hold no matter what GC did in between.
+// page-accounting and per-block SIP-count invariants must hold no matter
+// what GC or wear leveling did in between.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -11,6 +12,7 @@
 
 #include "common/rng.h"
 #include "ftl/ftl.h"
+#include "ftl/sip_recount.h"
 
 namespace jitgc::ftl {
 namespace {
@@ -22,6 +24,10 @@ struct FuzzParam {
   VictimPolicyKind victim;
   bool sip_filter;
   bool hot_cold;
+  /// Static wear-leveling spread threshold; 0 leaves wear leveling off.
+  /// Narrow so it sits in the tail padding and the parameter keeps its
+  /// 24-byte size (gtest prints the size in every case name).
+  std::uint16_t wl_spread = 0;
 
   std::string label() const {
     std::ostringstream out;
@@ -35,6 +41,7 @@ struct FuzzParam {
     }
     if (sip_filter) out << "_sip";
     if (hot_cold) out << "_hotcold";
+    if (wl_spread != 0) out << "_wl" << wl_spread;
     return out.str();
   }
 };
@@ -54,6 +61,8 @@ class FtlFuzzTest : public ::testing::TestWithParam<FuzzParam> {
     cfg.victim_policy = p.victim;
     cfg.enable_sip_filter = p.sip_filter;
     cfg.enable_hot_cold_separation = p.hot_cold;
+    cfg.enable_static_wear_leveling = p.wl_spread != 0;
+    if (p.wl_spread != 0) cfg.wl_spread_threshold = p.wl_spread;
     return cfg;
   }
 
@@ -86,6 +95,10 @@ class FtlFuzzTest : public ::testing::TestWithParam<FuzzParam> {
 
     // 4. WAF can never be below 1.
     ASSERT_GE(ftl.waf(), 1.0);
+
+    // 5. Every block's SIP count equals a recount of the SIP list through
+    // the mapping, between SIP updates as well as at them.
+    ASSERT_TRUE(testing_util::sip_counts_exact(ftl));
   }
 };
 
@@ -129,8 +142,12 @@ TEST_P(FtlFuzzTest, RandomOpsPreserveInvariants) {
 
     check_invariants(ftl, shadow);
   }
-  // The fuzz must have actually exercised garbage collection.
+  // The fuzz must have actually exercised garbage collection (and wear
+  // leveling, where it is on).
   EXPECT_GT(ftl.stats().gc_cycles, 0u);
+  if (GetParam().wl_spread != 0) {
+    EXPECT_GT(ftl.stats().wear_level_moves, 0u);
+  }
 }
 
 TEST_P(FtlFuzzTest, DeterministicReplay) {
@@ -157,7 +174,8 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzParam{64, 8, 0.10, VictimPolicyKind::kRandom, false, true},
         FuzzParam{16, 32, 0.30, VictimPolicyKind::kCostBenefit, true, true},
         FuzzParam{48, 8, 0.20, VictimPolicyKind::kSampledGreedy, false, false},
-        FuzzParam{128, 4, 0.12, VictimPolicyKind::kGreedy, true, true}),
+        FuzzParam{128, 4, 0.12, VictimPolicyKind::kGreedy, true, true},
+        FuzzParam{32, 16, 0.15, VictimPolicyKind::kGreedy, true, false, /*wl_spread=*/2}),
     [](const ::testing::TestParamInfo<FuzzParam>& info) { return info.param.label(); });
 
 }  // namespace

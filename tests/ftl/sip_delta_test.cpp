@@ -1,9 +1,10 @@
-// The incremental SIP update must be indistinguishable from the legacy full
-// resync: twin FTLs fed the identical op stream — one receiving
+// The incremental SIP update must be indistinguishable from a full list
+// replacement: twin FTLs fed the identical op stream — one receiving
 // apply_sip_delta, the other set_sip_list with the same resulting list —
 // must agree on every per-block SIP count and every victim choice, at the
-// update instants and between them (where the legacy counters go stale in
-// their own quirky ways, which the delta path must reproduce).
+// update instants and between them. Both must also match an independent
+// recount of the SIP list through the mapping at every step, so the counts
+// stay exact as host writes, trims and GC move SIP pages around.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "common/rng.h"
 #include "ftl/ftl.h"
+#include "ftl/sip_recount.h"
 
 namespace jitgc::ftl {
 namespace {
@@ -35,6 +37,8 @@ FtlConfig twin_config() {
 }
 
 void expect_same_sip_state(const Ftl& delta_ftl, const Ftl& resync_ftl, int step) {
+  ASSERT_TRUE(testing_util::sip_counts_exact(delta_ftl)) << "step " << step;
+  ASSERT_TRUE(testing_util::sip_counts_exact(resync_ftl)) << "step " << step;
   for (std::uint32_t b = 0; b < delta_ftl.nand().num_blocks(); ++b) {
     ASSERT_EQ(delta_ftl.block_sip_count(b), resync_ftl.block_sip_count(b))
         << "block " << b << " at step " << step;

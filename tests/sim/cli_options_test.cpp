@@ -62,6 +62,9 @@ TEST(CliOptions, RejectsUnknownOption) {
   std::string err;
   EXPECT_FALSE(parse({"--bogus=1"}, &err));
   EXPECT_NE(err.find("--bogus"), std::string::npos);
+  // The retired engine selector is gone, not a no-op.
+  EXPECT_FALSE(parse({"--engine=event"}, &err));
+  EXPECT_NE(err.find("unknown option '--engine'"), std::string::npos);
 }
 
 TEST(CliOptions, RejectsUnknownPolicy) {

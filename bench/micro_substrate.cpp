@@ -1,12 +1,16 @@
 // Microbenchmarks of the substrate primitives (google-benchmark): mapping
-// writes, GC cycles, page-cache operations, predictor scans and CDH updates.
+// writes, GC cycles, page-cache operations, predictor scans, CDH updates and
+// latency-tail recording.
 // These bound the simulator's own cost, which is what makes the full
 // paper-reproduction sweeps run in seconds.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/zipf.h"
 #include "core/buffered_predictor.h"
 #include "core/cdh.h"
@@ -274,6 +278,33 @@ void BM_CdhObserveAndQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CdhObserveAndQuery);
+
+// Run-level latency-tail recording: whole-microsecond latencies with heavy
+// repetition (about 2,200 distinct values, as in a closed-loop tenant run),
+// filling the exact window up to, never past, the 2^18-sample fold; the
+// refill clear() is untimed.
+void BM_TailTrackerAdd(benchmark::State& state) {
+  constexpr std::size_t kWindow = (1 << 18) - 1;
+  Rng rng(11);
+  std::vector<double> stream(kWindow);
+  for (double& v : stream) v = std::floor(rng.exponential(300.0)) + 20.0;
+  TailTracker tracker = TailTracker::run_level();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    tracker.add(stream[i]);
+    benchmark::DoNotOptimize(&tracker);
+    benchmark::ClobberMemory();
+    if (++i == kWindow) {
+      state.PauseTiming();
+      tracker.clear();
+      i = 0;
+      state.ResumeTiming();
+    }
+  }
+  benchmark::DoNotOptimize(tracker.percentile(99.0));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TailTrackerAdd);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng seed(6);

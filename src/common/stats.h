@@ -56,15 +56,18 @@ class Histogram;
 /// per-interval PercentileTrackers in the simulators (open-loop array runs
 /// at high rates would otherwise store every latency sample).
 ///
-/// Below `exact_cap` samples it stores every sample and answers nearest-rank
-/// percentiles exactly like PercentileTracker (bit-identical, so existing
-/// smoke/golden output is unchanged at smoke scale). At the cap the samples
-/// fold into a fixed-bin common::Histogram and later queries interpolate
+/// Below `exact_cap` samples it keeps an exact (value -> count) table and
+/// answers nearest-rank percentiles exactly like PercentileTracker
+/// (bit-identical, so existing smoke/golden output is unchanged at smoke
+/// scale). Simulated latencies are whole microseconds with heavy repetition,
+/// so the table holds far fewer entries than samples. At the cap the table
+/// folds into a fixed-bin common::Histogram and later queries interpolate
 /// inside the crossing bin, so reported quantiles are within one bin width
 /// (`bin_width`, default 100 us) of the exact value; values beyond the last
 /// bin edge clamp into it, and percentile(100), mean() and count() stay
-/// exact in both regimes. Memory is O(exact_cap + num_bins) regardless of
-/// how many samples arrive.
+/// exact in both regimes. Memory is O(distinct values below the cap +
+/// num_bins) regardless of how many samples arrive. NaN samples are
+/// rejected; -0.0 and +0.0 are distinct values and -0.0 ranks first.
 class TailTracker {
  public:
   explicit TailTracker(std::size_t exact_cap = 1 << 16, double bin_width = 100.0,
@@ -74,8 +77,9 @@ class TailTracker {
   /// one interval): a 2^18-sample exact window so every smoke/test-scale run
   /// reports bit-identical quantiles to the unbounded PercentileTracker it
   /// replaced, folding to the bounded histogram (quantiles within one
-  /// 100 us bin) only on multi-hundred-thousand-op runs — exactly where the
-  /// unbounded sample buffer used to grow without limit.
+  /// 100 us bin) only on multi-hundred-thousand-op runs. Below the fold the
+  /// window costs 16 B per table slot (at most four slots per distinct
+  /// value), not 8 B per sample.
   static TailTracker run_level() {
     return TailTracker(/*exact_cap=*/1 << 18, /*bin_width=*/100.0, /*num_bins=*/1 << 13);
   }
@@ -83,6 +87,7 @@ class TailTracker {
   TailTracker(TailTracker&&) noexcept;
   TailTracker& operator=(TailTracker&&) noexcept;
 
+  /// Records one sample; throws std::logic_error on NaN.
   void add(double x);
 
   std::uint64_t count() const { return n_; }
@@ -95,15 +100,30 @@ class TailTracker {
   /// True once the tracker folded into histogram (bounded-error) mode.
   bool histogram_mode() const { return hist_ != nullptr; }
 
-  /// Drops all samples and returns to exact mode.
+  /// Drops all samples and returns to exact mode; keeps the table's
+  /// capacity, since interval trackers are cleared every tick.
   void clear();
 
  private:
+  /// One exact-table entry; count == 0 marks an empty slot.
+  struct Slot {
+    double value = 0.0;
+    std::uint64_t count = 0;
+  };
+
+  /// Index of the slot holding `x`, or of the empty slot where it belongs.
+  std::size_t probe(double x) const;
+  void grow_table();
+
   std::size_t exact_cap_;
   double bin_width_;
   std::size_t num_bins_;
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
+  /// Open-addressed, linearly probed, power-of-two size, at most half full.
+  std::vector<Slot> table_;
+  std::size_t distinct_ = 0;
+  /// Occupied slots in ascending value order with `count` replaced by the
+  /// cumulative count; emptied by add() and rebuilt by the next percentile().
+  mutable std::vector<Slot> ranked_;
   std::unique_ptr<Histogram> hist_;  ///< allocated lazily at the fold
   std::uint64_t n_ = 0;
   double sum_ = 0.0;

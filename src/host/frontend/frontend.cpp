@@ -54,6 +54,7 @@ HostFrontend::HostFrontend(const FrontendConfig& config, Lba user_pages, Bytes p
   }
   working_set_pages_ = std::min(working_set_pages_, footprint_pages_);
 
+  completions_.reserve(config_.queue_depth);
   head_cost_.resize(tenants_.size());
   ready_.resize(tenants_.size());
   backlogged_.resize(tenants_.size());
@@ -213,19 +214,22 @@ void HostFrontend::note_issued(const DispatchedOp& dispatched, TimeUs completion
       break;
   }
 
-  completions_.push(Completion{completion, completion_seq_++, dispatched.tenant});
+  const Completion entry{completion, completion_seq_++, dispatched.tenant};
+  completions_.insert(std::upper_bound(completions_.begin(), completions_.end(), entry,
+                                       std::greater<>()),
+                      entry);
   ++outstanding_;
 }
 
 std::optional<TimeUs> HostFrontend::next_completion() const {
   if (completions_.empty()) return std::nullopt;
-  return completions_.top().at;
+  return completions_.back().at;
 }
 
 void HostFrontend::retire_completions(TimeUs now) {
-  while (!completions_.empty() && completions_.top().at <= now) {
-    const Completion done = completions_.top();
-    completions_.pop();
+  while (!completions_.empty() && completions_.back().at <= now) {
+    const Completion done = completions_.back();
+    completions_.pop_back();
     JITGC_ENSURE_MSG(outstanding_ > 0, "completion retired with no op outstanding");
     --outstanding_;
     Tenant& tenant = tenants_[done.tenant];

@@ -26,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -182,7 +181,8 @@ class HostFrontend final : public wl::WorkloadGenerator {
     Bytes read_bytes = 0;
   };
 
-  /// Completion-heap entry; `seq` makes pops deterministic under ties.
+  /// In-flight completion; `seq` makes (at, seq) a total order, so pops are
+  /// deterministic under ties.
   struct Completion {
     TimeUs at = 0;
     std::uint64_t seq = 0;
@@ -206,7 +206,9 @@ class HostFrontend final : public wl::WorkloadGenerator {
   Lba working_set_pages_ = 0;
   std::vector<Tenant> tenants_;
   DeficitScheduler scheduler_;
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>> completions_;
+  /// In-flight completions sorted latest-first, so the earliest pops from
+  /// the back; the admission window caps it at queue_depth entries.
+  std::vector<Completion> completions_;
   std::uint64_t completion_seq_ = 0;
   std::uint32_t outstanding_ = 0;
   // Scratch vectors for pop_dispatch (avoid per-pick allocation).

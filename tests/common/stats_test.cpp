@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+
+#include "common/histogram.h"
+#include "common/rng.h"
 
 namespace jitgc {
 namespace {
@@ -131,6 +137,106 @@ TEST(TailTracker, ClearReturnsToExactMode) {
   EXPECT_EQ(t.percentile(99.0), 0.0);
   t.add(7.0);
   EXPECT_EQ(t.percentile(50.0), 7.0);
+}
+
+TEST(TailTracker, RejectsNaN) {
+  TailTracker t;
+  t.add(5.0);
+  EXPECT_THROW(t.add(std::numeric_limits<double>::quiet_NaN()), std::logic_error);
+  EXPECT_EQ(t.count(), 1u);
+  EXPECT_EQ(t.percentile(50.0), 5.0);
+}
+
+TEST(TailTracker, SignedZerosAreDistinctKeys) {
+  // -0.0 == +0.0, but each keeps its own count and bit pattern; -0.0 ranks
+  // first, so both signs read back at the ranks their counts give them.
+  TailTracker t;
+  for (int i = 0; i < 3; ++i) t.add(0.0);
+  t.add(-0.0);
+  EXPECT_EQ(t.percentile(25.0), 0.0);
+  EXPECT_TRUE(std::signbit(t.percentile(25.0)));
+  EXPECT_FALSE(std::signbit(t.percentile(50.0)));
+  EXPECT_FALSE(std::signbit(t.percentile(99.0)));
+
+  TailTracker negative;
+  for (int i = 0; i < 3; ++i) negative.add(-0.0);
+  EXPECT_TRUE(std::signbit(negative.percentile(0.0)));
+  EXPECT_TRUE(std::signbit(negative.percentile(50.0)));
+}
+
+constexpr double kQueryPercentiles[] = {0.0, 0.1, 1.0, 50.0, 99.0, 99.9, 100.0};
+
+/// Whole-microsecond latencies with a long tail: most samples repeat a few
+/// hundred distinct values, like the simulators' completion latencies.
+double integer_latency(Rng& rng) { return std::floor(rng.exponential(150.0)) + 20.0; }
+
+/// Same shape at quarter-microsecond resolution.
+double fractional_latency(Rng& rng) {
+  return std::floor(rng.exponential(150.0)) + 20.0 + 0.25 * static_cast<double>(rng.uniform(4));
+}
+
+void expect_matches_reference(double (*draw)(Rng&)) {
+  TailTracker t(/*exact_cap=*/1 << 16);
+  PercentileTracker reference;
+  Rng rng(2024);
+  for (int round = 0; round < 3; ++round) {
+    // Each round exercises a tracker reused after clear(), as interval
+    // trackers are every tick; queries interleave with the adds.
+    for (int i = 1; i <= 6000; ++i) {
+      const double v = draw(rng);
+      t.add(v);
+      reference.add(v);
+      if (i % 997 == 0 || i <= 3) {
+        for (const double p : kQueryPercentiles) {
+          ASSERT_EQ(t.percentile(p), reference.percentile(p))
+              << "round " << round << " n " << i << " p" << p;
+        }
+      }
+    }
+    EXPECT_FALSE(t.histogram_mode());
+    for (const double p : kQueryPercentiles) {
+      ASSERT_EQ(t.percentile(p), reference.percentile(p)) << "round " << round << " p" << p;
+    }
+    EXPECT_EQ(t.count(), reference.count());
+    t.clear();
+    reference.clear();
+    EXPECT_EQ(t.percentile(50.0), 0.0);
+  }
+}
+
+TEST(TailTracker, IntegerStreamMatchesPercentileTracker) {
+  expect_matches_reference(integer_latency);
+}
+
+TEST(TailTracker, FractionalStreamMatchesPercentileTracker) {
+  expect_matches_reference(fractional_latency);
+}
+
+TEST(TailTracker, FoldedAnswersEqualClampedHistogram) {
+  // From the fold on, answers are exactly the clamped interpolation of a
+  // histogram fed every sample: folding the (value -> count) table loses
+  // nothing the histogram would have kept.
+  constexpr std::size_t kCap = 1024;
+  TailTracker t(kCap, /*bin_width=*/100.0, /*num_bins=*/64);
+  Histogram h(/*bin_width=*/100.0, /*num_bins=*/64);
+  Rng rng(7);
+  double lo = 0.0;
+  double hi = 0.0;
+  for (std::size_t i = 1; i <= 3 * kCap; ++i) {
+    const double v = integer_latency(rng);
+    lo = i == 1 ? v : std::min(lo, v);
+    hi = i == 1 ? v : std::max(hi, v);
+    t.add(v);
+    h.add(v);
+    EXPECT_EQ(t.histogram_mode(), i >= kCap);
+    if (i < kCap || (i != kCap && i % 200 != 0)) continue;
+    EXPECT_EQ(t.percentile(0.0), lo);
+    EXPECT_EQ(t.percentile(100.0), hi);
+    for (const double p : {0.1, 1.0, 50.0, 99.0, 99.9}) {
+      EXPECT_EQ(t.percentile(p), std::min(std::max(h.value_at_quantile(p / 100.0), lo), hi))
+          << "n " << i << " p" << p;
+    }
+  }
 }
 
 }  // namespace

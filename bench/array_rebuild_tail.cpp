@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
 
     array::ArraySimulator simulator(config);
     wl::SyntheticWorkload gen(spec, simulator.ssd_array().user_pages(), config.seed);
-    sim::JsonlMetricsSink sink(streams[i], /*run_index=*/i, config.seed,
-                               /*emit_intervals=*/true);
+    sim::JsonlMetricsSink sink(streams[i], /*run_index=*/i, config.seed);
     simulator.set_metrics_sink(&sink);
     reports[i] = simulator.run(gen);
   });

@@ -51,6 +51,9 @@ CASES=(
   "array_tenants|cli|--array-devices=4 --tenants=2 --tenant-mix=ycsb,tpcc --seconds=20 --jobs=2"
   # Multi-policy sweep (the four fig7 policies on one benchmark).
   "sweep_fig7_ycsb|sweep|--matrix=fig7 --workload=ycsb --seconds=30 --threads=2"
+  # Sweep serializer write order: each interval, its tenant records, the
+  # run's faults, then the run record.
+  "sweep_fig2_intervals|sweep|--matrix=fig2 --workload=ycsb --seconds=20 --intervals --tenants=2 --tenant-weight=2,1 --fault-program=0.00002 --spare-blocks=16 --threads=2"
 )
 
 run_case() {

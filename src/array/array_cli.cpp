@@ -88,7 +88,7 @@ sim::SimReport run_array_from_cli(const sim::CliOptions& options) {
       throw std::runtime_error("cannot open metrics file: " + options.metrics_path);
     }
     metrics_sink = std::make_unique<sim::JsonlMetricsSink>(metrics_out, /*run_index=*/0,
-                                                           options.seed, /*emit_intervals=*/true);
+                                                           options.seed);
     simulator.set_metrics_sink(metrics_sink.get());
   }
 

@@ -13,16 +13,10 @@
 #include "workload/trace.h"
 
 namespace jitgc::sim {
-namespace {
 
 bool parse_double(const std::string& value, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(value, &pos);
-    return pos == value.size();
-  } catch (...) {
-    return false;
-  }
+  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
+  return ec == std::errc{} && ptr == value.data() + value.size();
 }
 
 bool parse_u64(const std::string& value, std::uint64_t& out) {
@@ -52,6 +46,43 @@ bool parse_double_list(const std::string& value, std::vector<double>& out) {
   }
   return !out.empty();
 }
+
+bool parse_tenant_values(const std::string& flag, const std::string& value,
+                         std::vector<double>& out, std::string& error) {
+  // NaN-safe like --spo-at: !(finite && in range) rejects NaN, infinities
+  // and out-of-range values alike, always naming the offending flag.
+  struct Rule {
+    const char* flag;
+    const char* list;
+    const char* each;
+    bool zero_ok;
+  };
+  static constexpr Rule kRules[] = {
+      {"--tenant-weight", "comma-separated scheduling weights", "finite weights > 0", false},
+      {"--tenant-rate", "comma-separated byte rates", "finite rates in bytes/s (0 = uncapped)",
+       true},
+      {"--tenant-qos-p99", "comma-separated millisecond targets",
+       "finite targets in ms (0 = ungraded)", true},
+  };
+  for (const Rule& rule : kRules) {
+    if (flag != rule.flag) continue;
+    if (!parse_double_list(value, out)) {
+      error = flag + " needs " + rule.list;
+      return false;
+    }
+    for (const double v : out) {
+      if (!(std::isfinite(v) && (v > 0.0 || (rule.zero_ok && v == 0.0)))) {
+        error = flag + " needs " + rule.each;
+        return false;
+      }
+    }
+    return true;
+  }
+  error = "unknown per-tenant list flag '" + flag + "'";
+  return false;
+}
+
+namespace {
 
 bool parse_u32_list(const std::string& value, std::vector<std::uint32_t>& out) {
   out.clear();
@@ -154,43 +185,11 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
         }
       }
       tenant_flag_seen = key;
-    } else if (key == "--tenant-weight") {
-      // NaN-safe like --spo-at: !(finite && > 0) rejects NaN, infinities,
-      // zero, and negatives alike, always naming the offending flag.
-      if (!need_value() || !parse_double_list(value, opt.tenant_weight)) {
-        error = "--tenant-weight needs comma-separated scheduling weights";
-        return std::nullopt;
-      }
-      for (const double w : opt.tenant_weight) {
-        if (!(std::isfinite(w) && w > 0.0)) {
-          error = "--tenant-weight needs finite weights > 0";
-          return std::nullopt;
-        }
-      }
-      tenant_flag_seen = key;
-    } else if (key == "--tenant-rate") {
-      if (!need_value() || !parse_double_list(value, opt.tenant_rate)) {
-        error = "--tenant-rate needs comma-separated byte rates";
-        return std::nullopt;
-      }
-      for (const double r : opt.tenant_rate) {
-        if (!(std::isfinite(r) && r >= 0.0)) {
-          error = "--tenant-rate needs finite rates in bytes/s (0 = uncapped)";
-          return std::nullopt;
-        }
-      }
-      tenant_flag_seen = key;
-    } else if (key == "--tenant-qos-p99") {
-      if (!need_value() || !parse_double_list(value, opt.tenant_qos_p99_ms)) {
-        error = "--tenant-qos-p99 needs comma-separated millisecond targets";
-        return std::nullopt;
-      }
-      for (const double q : opt.tenant_qos_p99_ms) {
-        if (!(std::isfinite(q) && q >= 0.0)) {
-          error = "--tenant-qos-p99 needs finite targets in ms (0 = ungraded)";
-          return std::nullopt;
-        }
-      }
+    } else if (key == "--tenant-weight" || key == "--tenant-rate" || key == "--tenant-qos-p99") {
+      std::vector<double>& list = key == "--tenant-weight" ? opt.tenant_weight
+                                  : key == "--tenant-rate" ? opt.tenant_rate
+                                                           : opt.tenant_qos_p99_ms;
+      if (!need_value() || !parse_tenant_values(key, value, list, error)) return std::nullopt;
       tenant_flag_seen = key;
     } else if (key == "--tenant-arrival") {
       if (!need_value()) return std::nullopt;
@@ -223,13 +222,14 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       opt.policy = *policy;
     } else if (key == "--reserve") {
       if (!need_value() || !parse_double(value, opt.fixed_reserve_multiple) ||
-          opt.fixed_reserve_multiple <= 0.0) {
-        error = "--reserve needs a positive C_resv/C_OP multiple";
+          !(std::isfinite(opt.fixed_reserve_multiple) && opt.fixed_reserve_multiple > 0.0)) {
+        error = "--reserve needs a finite positive C_resv/C_OP multiple";
         return std::nullopt;
       }
     } else if (key == "--seconds") {
-      if (!need_value() || !parse_double(value, opt.seconds) || opt.seconds <= 0.0) {
-        error = "--seconds needs a positive duration";
+      if (!need_value() || !parse_double(value, opt.seconds) ||
+          !(std::isfinite(opt.seconds) && opt.seconds > 0.0)) {
+        error = "--seconds needs a finite positive duration";
         return std::nullopt;
       }
     } else if (key == "--seed") {
@@ -349,8 +349,8 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       opt.service_queues = static_cast<std::uint32_t>(v);
     } else if (key == "--bgc-rate-limit") {
       if (!need_value() || !parse_double(value, opt.bgc_rate_limit_bps) ||
-          opt.bgc_rate_limit_bps < 0.0) {
-        error = "--bgc-rate-limit needs bytes/s (0 = unlimited)";
+          !(std::isfinite(opt.bgc_rate_limit_bps) && opt.bgc_rate_limit_bps >= 0.0)) {
+        error = "--bgc-rate-limit needs finite bytes/s (0 = unlimited)";
         return std::nullopt;
       }
     } else if (key == "--array-devices") {
@@ -400,7 +400,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       opt.array_spares = static_cast<std::uint32_t>(v);
     } else if (key == "--rebuild-rate-floor") {
       if (!need_value() || !parse_double(value, opt.rebuild_rate_floor) ||
-          opt.rebuild_rate_floor < 0.0 || opt.rebuild_rate_floor > 1.0) {
+          !(opt.rebuild_rate_floor >= 0.0 && opt.rebuild_rate_floor <= 1.0)) {
         error = "--rebuild-rate-floor needs a duty fraction in [0, 1]";
         return std::nullopt;
       }
@@ -413,8 +413,8 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       opt.array_kill_slot = static_cast<std::int32_t>(v);
     } else if (key == "--array-kill-at") {
       if (!need_value() || !parse_double(value, opt.array_kill_at_s) ||
-          opt.array_kill_at_s < 0.0) {
-        error = "--array-kill-at needs a time in seconds";
+          !(std::isfinite(opt.array_kill_at_s) && opt.array_kill_at_s >= 0.0)) {
+        error = "--array-kill-at needs a finite time in seconds (>= 0)";
         return std::nullopt;
       }
     } else if (key == "--array-outage-device") {
@@ -426,14 +426,15 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       opt.array_outage_slot = static_cast<std::int32_t>(v);
     } else if (key == "--array-outage-at") {
       if (!need_value() || !parse_double(value, opt.array_outage_at_s) ||
-          opt.array_outage_at_s < 0.0) {
-        error = "--array-outage-at needs a time in seconds";
+          !(std::isfinite(opt.array_outage_at_s) && opt.array_outage_at_s >= 0.0)) {
+        error = "--array-outage-at needs a finite time in seconds (>= 0)";
         return std::nullopt;
       }
     } else if (key == "--array-outage-restore-at") {
       if (!need_value() || !parse_double(value, opt.array_outage_restore_at_s) ||
-          opt.array_outage_restore_at_s < 0.0) {
-        error = "--array-outage-restore-at needs a time in seconds";
+          !(std::isfinite(opt.array_outage_restore_at_s) &&
+            opt.array_outage_restore_at_s >= 0.0)) {
+        error = "--array-outage-restore-at needs a finite time in seconds (>= 0)";
         return std::nullopt;
       }
     } else if (key == "--array-spo-device") {
@@ -458,7 +459,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       opt.use_sip_list = false;
     } else if (key == "--percentile") {
       if (!need_value() || !parse_double(value, opt.direct_quantile) ||
-          opt.direct_quantile <= 0.0 || opt.direct_quantile > 1.0) {
+          !(opt.direct_quantile > 0.0 && opt.direct_quantile <= 1.0)) {
         error = "--percentile needs a value in (0,1]";
         return std::nullopt;
       }
@@ -740,7 +741,7 @@ SimReport run_from_cli(const CliOptions& options) {
       throw std::runtime_error("cannot open metrics file: " + options.metrics_path);
     }
     metrics_sink = std::make_unique<JsonlMetricsSink>(metrics_out, /*run_index=*/0,
-                                                      options.seed, /*emit_intervals=*/true);
+                                                      options.seed);
     simulator.set_metrics_sink(metrics_sink.get());
   }
 

@@ -4,6 +4,7 @@
 // and reusable by scripts embedding the simulator.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -156,6 +157,24 @@ struct CliOptions {
   std::string metrics_path;
   bool show_help = false;
 };
+
+// -- Strict value parsing, shared by jitgc_cli and jitgc_sweep ---------------
+// Each accepts only a value that parses whole: no sign on an unsigned value,
+// no leading space, no trailing text. "nan" and "inf" parse as doubles, so
+// range checks use the negated form !(std::isfinite(x) && cond).
+
+bool parse_double(const std::string& value, double& out);
+bool parse_u64(const std::string& value, std::uint64_t& out);
+/// Splits on commas, keeping empty items ("a,,b" gives three).
+std::vector<std::string> split_list(const std::string& value);
+/// A non-empty comma-separated list of parse_double values.
+bool parse_double_list(const std::string& value, std::vector<double>& out);
+
+/// Parses a per-tenant list flag (--tenant-weight, --tenant-rate or
+/// --tenant-qos-p99): finite values, weights > 0, rates and targets >= 0.
+/// On failure writes a one-line message naming the flag to `error`.
+bool parse_tenant_values(const std::string& flag, const std::string& value,
+                         std::vector<double>& out, std::string& error);
 
 /// Parses argv-style arguments (excluding argv[0]). On failure returns
 /// nullopt and writes a message to `error`.

@@ -4,12 +4,13 @@
 // The simulator feeds one IntervalRecord per flusher tick to an attached
 // MetricsSink, then the final SimReport at the end of the run. Sinks
 // serialize to JSONL ({"type":"interval",...} / {"type":"run",...} — one
-// JSON object per line) or CSV, or just record in memory for tests and the
+// JSON object per line), or just record in memory for tests and the
 // parallel sweep engine (which buffers per run and writes buffers in run
 // order so output is bit-identical at any thread count).
 //
-// The field-by-field schema (names, units, an example record) is documented
-// in docs/metrics_schema.md.
+// One field table per record type in metrics_sink.cpp is the schema: the
+// formatter walks it, and metrics_schema() exposes it to the test that
+// checks docs/metrics_schema.md, where units and meanings are documented.
 #pragma once
 
 #include <cstdint>
@@ -268,10 +269,8 @@ class RecordingMetricsSink final : public MetricsSink {
 class JsonlMetricsSink final : public MetricsSink {
  public:
   /// `run_index` and `seed` tag every record so concatenated outputs of many
-  /// runs stay self-describing. `emit_intervals = false` writes only the
-  /// final run record.
-  JsonlMetricsSink(std::ostream& out, std::uint64_t run_index, std::uint64_t seed,
-                   bool emit_intervals = true);
+  /// runs stay self-describing.
+  JsonlMetricsSink(std::ostream& out, std::uint64_t run_index, std::uint64_t seed);
 
   void on_interval(const IntervalRecord& record) override;
   void on_tenant_interval(const TenantIntervalRecord& record) override;
@@ -284,61 +283,49 @@ class JsonlMetricsSink final : public MetricsSink {
   void on_run_end(const SimReport& report) override;
 
  private:
+  template <class Record>
+  void emit(const Record& record);
+
   std::ostream& out_;
   std::uint64_t run_index_;
   std::uint64_t seed_;
-  bool emit_intervals_;
 };
 
-// -- JSONL / CSV formatting (shared by sinks, sweep engine and tools) ----------
+// -- JSONL formatting (shared by sinks, sweep engine and tests) ---------------
 
-/// One {"type":"interval",...} line (no trailing newline).
-std::string format_interval_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                                  const IntervalRecord& record);
+/// One {"type":...,"run":...,"seed":...} line (no trailing newline). Fields
+/// follow in their table's order; a conditional field is left out unless it
+/// carries information, so output without the subsystem that fills it keeps
+/// the older, shorter schema byte for byte.
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed, const IntervalRecord& record);
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed,
+                         const TenantIntervalRecord& record);
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed, const FaultRecord& record);
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed,
+                         const ArrayIntervalRecord& record);
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed,
+                         const DeviceIntervalRecord& record);
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed,
+                         const RebuildProgressRecord& record);
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed,
+                         const ArrayStateRecord& record);
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed, const RecoveryRecord& record);
+std::string format_jsonl(std::uint64_t run_index, std::uint64_t seed, const SimReport& report);
 
-/// One {"type":"tenant_interval",...} line (no trailing newline). The
-/// prediction fields appear only when the policy attributes demand
-/// (predicted_demand_bytes >= 0).
-std::string format_tenant_interval_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                                         const TenantIntervalRecord& record);
+/// One field of a record type, as the formatter's table lists it.
+struct SchemaField {
+  std::string name;
+  bool conditional = false;  ///< emitted only when its presence predicate holds
+};
 
-/// One {"type":"fault",...} line (no trailing newline).
-std::string format_fault_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                               const FaultRecord& record);
+/// One record type's fields in emission order, after the type/run/seed tags
+/// every line carries.
+struct RecordSchema {
+  std::string type;  ///< the "type" tag; "tenants[]" for the run record's tenant objects
+  std::vector<SchemaField> fields;
+};
 
-/// One {"type":"array_interval",...} line (no trailing newline).
-std::string format_array_interval_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                                        const ArrayIntervalRecord& record);
-
-/// One {"type":"device_interval",...} line (no trailing newline). The
-/// rebuild counters appear only when nonzero.
-std::string format_device_interval_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                                         const DeviceIntervalRecord& record);
-
-/// One {"type":"rebuild_progress",...} line (no trailing newline).
-std::string format_rebuild_progress_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                                          const RebuildProgressRecord& record);
-
-/// One {"type":"array_state",...} line (no trailing newline).
-std::string format_array_state_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                                     const ArrayStateRecord& record);
-
-/// One {"type":"recovery",...} line (no trailing newline). The device index
-/// appears only for array runs (record.device >= 0), mirroring fault lines.
-std::string format_recovery_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                                  const RecoveryRecord& record);
-
-/// One {"type":"run",...} line (no trailing newline). Degradation fields
-/// (run_end_reason, failure counters) are emitted only when they carry
-/// information, so fault-free output is byte-identical to the legacy schema.
-std::string format_run_jsonl(std::uint64_t run_index, std::uint64_t seed,
-                             const SimReport& report);
-
-/// CSV header matching format_interval_csv().
-std::string interval_csv_header();
-
-/// One interval as a CSV row (no trailing newline).
-std::string format_interval_csv(std::uint64_t run_index, std::uint64_t seed,
-                                const IntervalRecord& record);
+/// The JSONL schema, read off the same tables the formatter walks.
+std::vector<RecordSchema> metrics_schema();
 
 }  // namespace jitgc::sim

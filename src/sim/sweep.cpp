@@ -88,34 +88,30 @@ SweepRunResult execute_attempt(const SweepOptions& options, const SweepCell& cel
   result.report = simulator.run(*workload, *policy);
 
   switch (options.format) {
-    case SweepFormat::kJsonl:
+    case SweepFormat::kJsonl: {
+      const auto emit = [&](const auto& record) {
+        result.serialized += format_jsonl(run_index, result.seed, record);
+        result.serialized += '\n';
+      };
       if (options.emit_intervals) {
         // Tenant interval records ride directly behind their interval, the
         // same order a JsonlMetricsSink streams them in.
         std::size_t tenant_cursor = 0;
         const auto& tenant_records = sink.tenant_intervals();
         for (const auto& record : sink.intervals()) {
-          result.serialized += format_interval_jsonl(run_index, result.seed, record);
-          result.serialized += '\n';
+          emit(record);
           while (tenant_cursor < tenant_records.size() &&
                  tenant_records[tenant_cursor].interval == record.interval) {
-            result.serialized +=
-                format_tenant_interval_jsonl(run_index, result.seed,
-                                             tenant_records[tenant_cursor]);
-            result.serialized += '\n';
-            ++tenant_cursor;
+            emit(tenant_records[tenant_cursor++]);
           }
         }
       }
       // Fault/degradation events (rare, only under fault injection) are
       // emitted even without --intervals: a retired block is run-defining.
-      for (const auto& record : sink.faults()) {
-        result.serialized += format_fault_jsonl(run_index, result.seed, record);
-        result.serialized += '\n';
-      }
-      result.serialized += format_run_jsonl(run_index, result.seed, result.report);
-      result.serialized += '\n';
+      for (const auto& record : sink.faults()) emit(record);
+      emit(result.report);
       break;
+    }
     case SweepFormat::kCsv:
       // Legacy run-level rows; per-interval output needs JSONL.
       result.serialized = format_csv_row(result.report);

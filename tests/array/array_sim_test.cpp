@@ -63,7 +63,7 @@ std::string run_jsonl(const ArraySimConfig& config) {
   ArraySimulator simulator(config);
   wl::SyntheticWorkload gen(steady_spec(), simulator.ssd_array().user_pages(), config.seed);
   std::ostringstream out;
-  sim::JsonlMetricsSink sink(out, /*run_index=*/0, config.seed, /*emit_intervals=*/true);
+  sim::JsonlMetricsSink sink(out, /*run_index=*/0, config.seed);
   simulator.set_metrics_sink(&sink);
   simulator.run(gen);
   return out.str();

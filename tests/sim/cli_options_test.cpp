@@ -113,6 +113,19 @@ TEST(CliOptions, RejectsOutOfRangeProbabilities) {
   rejects({"--pages-per-block=0"}, "--pages-per-block");
   rejects({"--bgc-rate-limit=-1"}, "--bgc-rate-limit");
   rejects({"--service-queues=x"}, "--service-queues");
+  // NaN fails every ordered comparison, so each range check is written in
+  // the negated form; infinity is no duration either.
+  rejects({"--seconds=nan"}, "--seconds");
+  rejects({"--seconds=inf"}, "--seconds");
+  rejects({"--seconds=10abc"}, "--seconds");
+  rejects({"--reserve=nan"}, "--reserve");
+  rejects({"--bgc-rate-limit=nan"}, "--bgc-rate-limit");
+  rejects({"--rebuild-rate-floor=nan"}, "--rebuild-rate-floor");
+  rejects({"--array-kill-at=nan"}, "--array-kill-at");
+  rejects({"--array-outage-at=nan"}, "--array-outage-at");
+  rejects({"--array-outage-restore-at=nan"}, "--array-outage-restore-at");
+  rejects({"--percentile=nan"}, "--percentile");
+  rejects({"--tenants=-1"}, "--tenants");
 }
 
 TEST(CliOptions, RequiresValues) {

@@ -117,14 +117,14 @@ TEST(FaultDeterminism, WornOutDeviceEndsRunWithStructuredReason) {
   EXPECT_LT(r.elapsed_s, 100'000.0);
 
   // And the serialized run record carries the reason.
-  const std::string line = format_run_jsonl(0, 1, r);
+  const std::string line = format_jsonl(0, 1, r);
   EXPECT_NE(line.find("\"run_end_reason\":\"device_worn_out\""), std::string::npos);
 }
 
 TEST(FaultDeterminism, CompletedRunReportsCompleted) {
   const SimReport r = run_cell(small_config(), small_matrix()[0].workload, PolicyKind::kLazy);
   EXPECT_EQ(r.run_end_reason, "completed");
-  EXPECT_EQ(format_run_jsonl(0, 1, r).find("run_end_reason"), std::string::npos);
+  EXPECT_EQ(format_jsonl(0, 1, r).find("run_end_reason"), std::string::npos);
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ std::string single_run_jsonl(bool open_loop, SnapshotCache* snapshots = nullptr)
   wl::SyntheticWorkload gen(spec, simulator.ssd().ftl().user_pages(), config.seed);
   const auto policy = make_policy(PolicyKind::kJit, config);
   std::ostringstream out;
-  JsonlMetricsSink sink(out, /*run_index=*/0, config.seed, /*emit_intervals=*/true);
+  JsonlMetricsSink sink(out, /*run_index=*/0, config.seed);
   simulator.set_metrics_sink(&sink);
   simulator.run(gen, *policy);
   return out.str();
@@ -217,7 +217,7 @@ std::string array_run_jsonl(const ArraySimConfig& config,
   if (snapshots != nullptr) simulator.set_snapshot_cache(snapshots);
   wl::SyntheticWorkload gen(steady_spec(), simulator.ssd_array().user_pages(), config.seed);
   std::ostringstream out;
-  sim::JsonlMetricsSink sink(out, /*run_index=*/0, config.seed, /*emit_intervals=*/true);
+  sim::JsonlMetricsSink sink(out, /*run_index=*/0, config.seed);
   simulator.set_metrics_sink(&sink);
   simulator.run(gen);
   return out.str();

@@ -73,7 +73,7 @@ std::string run_jsonl(const SimConfig& config, SnapshotCache* snapshots) {
   wl::SyntheticWorkload gen(spec, simulator.ssd().ftl().user_pages(), config.seed);
   const auto policy = make_policy(PolicyKind::kJit, config);
   std::ostringstream out;
-  JsonlMetricsSink sink(out, /*run_index=*/0, config.seed, /*emit_intervals=*/true);
+  JsonlMetricsSink sink(out, /*run_index=*/0, config.seed);
   simulator.set_metrics_sink(&sink);
   simulator.run(gen, *policy);
   return out.str();
@@ -340,7 +340,7 @@ std::string array_jsonl(const ArraySimConfig& config, sim::SnapshotCache* snapsh
   spec.footprint_fraction = 0.6;
   wl::SyntheticWorkload gen(spec, simulator.ssd_array().user_pages(), config.seed);
   std::ostringstream out;
-  sim::JsonlMetricsSink sink(out, /*run_index=*/0, config.seed, /*emit_intervals=*/true);
+  sim::JsonlMetricsSink sink(out, /*run_index=*/0, config.seed);
   simulator.set_metrics_sink(&sink);
   simulator.run(gen);
   return out.str();

@@ -156,7 +156,7 @@ TEST(SpoRecovery, RunRecordOmitsSpoFieldsUnlessACrashFired) {
     wl::SyntheticWorkload gen(test_workload(), simulator.ssd().ftl().user_pages(), cfg.seed);
     const auto policy = make_policy(PolicyKind::kJit, cfg);
     std::ostringstream out;
-    JsonlMetricsSink sink(out, /*run_index=*/0, cfg.seed, /*emit_intervals=*/false);
+    JsonlMetricsSink sink(out, /*run_index=*/0, cfg.seed);
     simulator.set_metrics_sink(&sink);
     simulator.run(gen, *policy);
     return out.str();

@@ -77,14 +77,14 @@ TenantRunOutput run_tenant_cell(const CliOptions& opt, SnapshotCache* snapshots 
 std::string serialize(const TenantRunOutput& out) {
   std::string s;
   for (const auto& record : out.intervals) {
-    s += format_interval_jsonl(0, 1, record);
+    s += format_jsonl(0, 1, record);
     s += '\n';
   }
   for (const auto& record : out.tenant_intervals) {
-    s += format_tenant_interval_jsonl(0, 1, record);
+    s += format_jsonl(0, 1, record);
     s += '\n';
   }
-  s += format_run_jsonl(0, 1, out.report);
+  s += format_jsonl(0, 1, out.report);
   s += '\n';
   return s;
 }
@@ -188,7 +188,7 @@ TEST(TenantSim, LegacyRunCarriesNoTenantTrace) {
 
   EXPECT_TRUE(report.tenants.empty());
   EXPECT_TRUE(sink.tenant_intervals().empty());
-  EXPECT_EQ(format_run_jsonl(0, 3, report).find("tenant"), std::string::npos);
+  EXPECT_EQ(format_jsonl(0, 3, report).find("tenant"), std::string::npos);
 }
 
 // -- Run-end reporting ---------------------------------------------------------
@@ -225,7 +225,7 @@ TEST(TenantSim, PreconditionWearOutStillReportsTenants) {
   EXPECT_EQ(r.ops_completed, 0u);
   ASSERT_EQ(r.tenants.size(), 2u);
   EXPECT_EQ(r.tenants[1].tenant, 1u);
-  EXPECT_NE(format_run_jsonl(0, 1, r).find("\"tenants\":["), std::string::npos);
+  EXPECT_NE(format_jsonl(0, 1, r).find("\"tenants\":["), std::string::npos);
 }
 
 // -- Satellite: snapshot-fingerprint hygiene ---------------------------------

@@ -71,32 +71,18 @@ int usage(int code) {
   return code;
 }
 
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = value.find(',', start);
-    items.push_back(comma == std::string::npos ? value.substr(start)
-                                               : value.substr(start, comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return items;
+// Strict numeric flags: the whole value must parse, or the error names the
+// flag. A negative count never wraps to 2^64-1 and runs nothing.
+bool number_flag(const std::string& flag, const std::string& value, double& out) {
+  if (jitgc::sim::parse_double(value, out)) return true;
+  std::fprintf(stderr, "%s needs a number, got '%s'\n", flag.c_str(), value.c_str());
+  return false;
 }
 
-bool parse_double_list(const std::string& value, std::vector<double>& out) {
-  out.clear();
-  for (const std::string& item : split_list(value)) {
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(item, &pos);
-      if (pos != item.size()) return false;
-      out.push_back(v);
-    } catch (...) {
-      return false;
-    }
-  }
-  return !out.empty();
+bool number_flag(const std::string& flag, const std::string& value, std::uint64_t& out) {
+  if (jitgc::sim::parse_u64(value, out)) return true;
+  std::fprintf(stderr, "%s needs an unsigned integer, got '%s'\n", flag.c_str(), value.c_str());
+  return false;
 }
 
 // The CLI broadcast rule: one shared value applies to every tenant; anything
@@ -114,11 +100,10 @@ bool spread(const std::vector<double>& list, std::size_t tenants, const char* fl
   return true;
 }
 
-bool parse_probability(const std::string& arg, std::size_t prefix, const char* flag,
-                       double& out) {
-  out = std::stod(arg.substr(prefix));
+bool probability_flag(const std::string& flag, const std::string& value, double& out) {
+  if (!number_flag(flag, value, out)) return false;
   if (!(out >= 0.0 && out <= 1.0)) {  // negated form also rejects NaN
-    std::fprintf(stderr, "%s needs a probability in [0,1]\n", flag);
+    std::fprintf(stderr, "%s needs a probability in [0,1]\n", flag.c_str());
     return false;
   }
   return true;
@@ -147,133 +132,115 @@ int main(int argc, char** argv) {
   std::string tenant_flag_seen;
   sim::SweepOptions options;
 
+  std::uint64_t seeds = options.seeds;
+  std::uint64_t threads_arg = options.threads;
+  std::uint64_t retries = options.run_retries;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--seconds=", 0) == 0) {
-        seconds_arg = std::stod(arg.substr(10));
-      } else if (arg.rfind("--seeds=", 0) == 0) {
-        options.seeds = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--base-seed=", 0) == 0) {
-        options.base_seed = std::stoull(arg.substr(12));
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        options.threads = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--matrix=", 0) == 0) {
-        matrix = arg.substr(9);
-      } else if (arg.rfind("--workload=", 0) == 0) {
-        workload_filter = arg.substr(11);
-      } else if (arg.rfind("--retries=", 0) == 0) {
-        options.run_retries = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--checkpoint=", 0) == 0) {
-        options.checkpoint_dir = arg.substr(13);
-      } else if (arg == "--resume") {
-        options.resume = true;
-      } else if (arg.rfind("--snapshot-cache=", 0) == 0) {
-        options.snapshot_cache_dir = arg.substr(17);
-      } else if (arg.rfind("--fault-program=", 0) == 0) {
-        if (!parse_probability(arg, 16, "--fault-program", fault_program)) return usage(2);
-      } else if (arg.rfind("--fault-erase=", 0) == 0) {
-        if (!parse_probability(arg, 14, "--fault-erase", fault_erase)) return usage(2);
-      } else if (arg.rfind("--fault-wear=", 0) == 0) {
-        if (!parse_probability(arg, 13, "--fault-wear", fault_wear)) return usage(2);
-      } else if (arg.rfind("--spare-blocks=", 0) == 0) {
-        spare_blocks = std::stoull(arg.substr(15));
-      } else if (arg.rfind("--endurance=", 0) == 0) {
-        endurance = std::stoull(arg.substr(12));
-      } else if (arg.rfind("--tenants=", 0) == 0) {
-        tenants = std::stoull(arg.substr(10));
-        if (tenants == 0) {
-          std::fprintf(stderr, "--tenants needs a positive tenant count\n");
-          return usage(2);
-        }
-      } else if (arg.rfind("--tenant-mix=", 0) == 0) {
-        tenant_mix = split_list(arg.substr(13));
-        for (const std::string& mix : tenant_mix) {
-          if (mix.empty()) {
-            std::fprintf(stderr, "--tenant-mix needs comma-separated workload names\n");
-            return usage(2);
-          }
-        }
-        tenant_flag_seen = "--tenant-mix";
-      } else if (arg.rfind("--tenant-weight=", 0) == 0) {
-        if (!parse_double_list(arg.substr(16), tenant_weight)) {
-          std::fprintf(stderr, "--tenant-weight needs comma-separated scheduling weights\n");
-          return usage(2);
-        }
-        for (const double w : tenant_weight) {
-          // Negated form also rejects NaN, like every probability flag here.
-          if (!(std::isfinite(w) && w > 0.0)) {
-            std::fprintf(stderr, "--tenant-weight needs finite weights > 0\n");
-            return usage(2);
-          }
-        }
-        tenant_flag_seen = "--tenant-weight";
-      } else if (arg.rfind("--tenant-rate=", 0) == 0) {
-        if (!parse_double_list(arg.substr(14), tenant_rate)) {
-          std::fprintf(stderr, "--tenant-rate needs comma-separated byte rates\n");
-          return usage(2);
-        }
-        for (const double r : tenant_rate) {
-          if (!(std::isfinite(r) && r >= 0.0)) {
-            std::fprintf(stderr, "--tenant-rate needs finite rates in bytes/s (0 = uncapped)\n");
-            return usage(2);
-          }
-        }
-        tenant_flag_seen = "--tenant-rate";
-      } else if (arg.rfind("--tenant-qos-p99=", 0) == 0) {
-        if (!parse_double_list(arg.substr(17), tenant_qos)) {
-          std::fprintf(stderr, "--tenant-qos-p99 needs comma-separated millisecond targets\n");
-          return usage(2);
-        }
-        for (const double q : tenant_qos) {
-          if (!(std::isfinite(q) && q >= 0.0)) {
-            std::fprintf(stderr, "--tenant-qos-p99 needs finite targets in ms (0 = ungraded)\n");
-            return usage(2);
-          }
-        }
-        tenant_flag_seen = "--tenant-qos-p99";
-      } else if (arg.rfind("--tenant-arrival=", 0) == 0) {
-        tenant_arrival = arg.substr(17);
-        if (tenant_arrival != "open" && tenant_arrival != "closed") {
-          std::fprintf(stderr, "unknown tenant arrival model '%s' (open|closed)\n",
-                       tenant_arrival.c_str());
-          return usage(2);
-        }
-        tenant_flag_seen = "--tenant-arrival";
-      } else if (arg.rfind("--tenant-queue-depth=", 0) == 0) {
-        tenant_queue_depth = std::stoull(arg.substr(21));
-        if (tenant_queue_depth == 0) {
-          std::fprintf(stderr, "--tenant-queue-depth needs a positive window\n");
-          return usage(2);
-        }
-        tenant_flag_seen = "--tenant-queue-depth";
-      } else if (arg.rfind("--format=", 0) == 0) {
-        const std::string format = arg.substr(9);
-        if (format == "jsonl") {
-          options.format = sim::SweepFormat::kJsonl;
-        } else if (format == "csv") {
-          options.format = sim::SweepFormat::kCsv;
-        } else {
-          std::fprintf(stderr, "unknown format '%s'\n", format.c_str());
-          return usage(2);
-        }
-      } else if (arg == "--intervals") {
-        options.emit_intervals = true;
-      } else if (arg == "--help" || arg == "-h") {
-        return usage(0);
-      } else {
-        std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-        return usage(2);
+    // Value flags are spelled --key=value; a bare word matches only the
+    // switches below (--resume, --intervals, --help).
+    const std::size_t eq = arg.find('=');
+    const std::string key = eq == std::string::npos ? "" : arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    bool ok = true;
+    if (key == "--seconds") {
+      ok = number_flag(key, value, seconds_arg);
+    } else if (key == "--seeds") {
+      ok = number_flag(key, value, seeds);
+    } else if (key == "--base-seed") {
+      ok = number_flag(key, value, options.base_seed);
+    } else if (key == "--threads") {
+      ok = number_flag(key, value, threads_arg);
+    } else if (key == "--matrix") {
+      matrix = value;
+    } else if (key == "--workload") {
+      workload_filter = value;
+    } else if (key == "--retries") {
+      ok = number_flag(key, value, retries);
+    } else if (key == "--checkpoint") {
+      options.checkpoint_dir = value;
+    } else if (arg == "--resume") {
+      options.resume = true;
+    } else if (key == "--snapshot-cache") {
+      options.snapshot_cache_dir = value;
+    } else if (key == "--fault-program") {
+      ok = probability_flag(key, value, fault_program);
+    } else if (key == "--fault-erase") {
+      ok = probability_flag(key, value, fault_erase);
+    } else if (key == "--fault-wear") {
+      ok = probability_flag(key, value, fault_wear);
+    } else if (key == "--spare-blocks") {
+      ok = number_flag(key, value, spare_blocks);
+    } else if (key == "--endurance") {
+      ok = number_flag(key, value, endurance);
+    } else if (key == "--tenants") {
+      ok = number_flag(key, value, tenants);
+      if (ok && tenants == 0) {
+        std::fprintf(stderr, "--tenants needs a positive tenant count\n");
+        ok = false;
       }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad value in '%s'\n", arg.c_str());
-      return usage(2);
+    } else if (key == "--tenant-mix") {
+      tenant_mix = sim::split_list(value);
+      for (const std::string& mix : tenant_mix) {
+        if (mix.empty()) {
+          std::fprintf(stderr, "--tenant-mix needs comma-separated workload names\n");
+          ok = false;
+        }
+      }
+      tenant_flag_seen = key;
+    } else if (key == "--tenant-weight" || key == "--tenant-rate" || key == "--tenant-qos-p99") {
+      std::vector<double>& list = key == "--tenant-weight" ? tenant_weight
+                                  : key == "--tenant-rate" ? tenant_rate
+                                                           : tenant_qos;
+      std::string error;
+      ok = sim::parse_tenant_values(key, value, list, error);
+      if (!ok) std::fprintf(stderr, "%s\n", error.c_str());
+      tenant_flag_seen = key;
+    } else if (key == "--tenant-arrival") {
+      tenant_arrival = value;
+      if (tenant_arrival != "open" && tenant_arrival != "closed") {
+        std::fprintf(stderr, "unknown tenant arrival model '%s' (open|closed)\n",
+                     tenant_arrival.c_str());
+        ok = false;
+      }
+      tenant_flag_seen = key;
+    } else if (key == "--tenant-queue-depth") {
+      ok = number_flag(key, value, tenant_queue_depth);
+      if (ok && tenant_queue_depth == 0) {
+        std::fprintf(stderr, "--tenant-queue-depth needs a positive window\n");
+        ok = false;
+      }
+      tenant_flag_seen = key;
+    } else if (key == "--format") {
+      if (value == "jsonl") {
+        options.format = sim::SweepFormat::kJsonl;
+      } else if (value == "csv") {
+        options.format = sim::SweepFormat::kCsv;
+      } else {
+        std::fprintf(stderr, "unknown format '%s'\n", value.c_str());
+        ok = false;
+      }
+    } else if (arg == "--intervals") {
+      options.emit_intervals = true;
+    } else if (arg == "--help" || arg == "-h") {
+      return usage(0);
+    } else {
+      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      ok = false;
     }
+    if (!ok) return usage(2);
   }
-  if (seconds_arg <= 0.0 || options.seeds == 0) {
-    std::fprintf(stderr, "--seconds and --seeds must be positive\n");
+  if (!(std::isfinite(seconds_arg) && seconds_arg > 0.0)) {
+    std::fprintf(stderr, "--seconds needs a finite positive duration\n");
     return usage(2);
   }
+  if (seeds == 0) {
+    std::fprintf(stderr, "--seeds needs a positive repetition count\n");
+    return usage(2);
+  }
+  options.seeds = seeds;
+  options.threads = threads_arg;
+  options.run_retries = retries;
   if (options.resume && options.checkpoint_dir.empty()) {
     std::fprintf(stderr, "--resume needs --checkpoint=<dir>\n");
     return usage(2);

@@ -12,6 +12,7 @@ namespace jitgc::ftl {
 Ftl::Ftl(const FtlConfig& config)
     : config_(config),
       nand_(config.geometry, config.timing, config.fault),
+      codec_(config.geometry),
       policy_(make_victim_policy(config.victim_policy)),
       map_cache_(config.mapping_cache_pages,
                  static_cast<std::uint32_t>(config.geometry.page_size / 4)),
@@ -33,7 +34,7 @@ Ftl::Ftl(const FtlConfig& config)
                                                   config_.geometry.pages_per_block,
                    "OP space smaller than the GC headroom plus the spare pool");
 
-  map_.assign(user_pages_, nand::Ppa{kNoBlock, 0});
+  map_.assign(user_pages_, kNoPpa);
   sip_ = SipIndex(user_pages_);
   block_last_update_seq_.assign(nand_.num_blocks(), 0);
   block_fill_seq_.assign(nand_.num_blocks(), 0);
@@ -67,7 +68,7 @@ std::uint64_t Ftl::free_pages_for_writes() const {
 
 bool Ftl::is_mapped(Lba lba) const {
   JITGC_ENSURE_MSG(lba < user_pages_, "LBA beyond user capacity");
-  return map_[lba].block != kNoBlock;
+  return map_[lba] != kNoPpa;
 }
 
 double Ftl::waf() const {
@@ -273,7 +274,7 @@ TimeUs Ftl::retire_grown_bad(std::uint32_t block) {
   for (std::uint32_t p = 0; p < ppb; ++p) {
     if (blk.page_state(p) != nand::PageState::kValid) continue;
     const Lba lba = blk.page_lba(p);
-    JITGC_ENSURE_MSG(map_[lba] == (nand::Ppa{block, p}), "mapping/OOB disagreement");
+    JITGC_ENSURE_MSG(map_[lba] == codec_.pack(nand::Ppa{block, p}), "mapping/OOB disagreement");
 
     ensure_gc_active_block();
     ++write_seq_;
@@ -282,7 +283,7 @@ TimeUs Ftl::retire_grown_bad(std::uint32_t block) {
                                              blk.page_stamp(p));
     note_program(dst.block);
     invalidate_page_at(nand::Ppa{block, p});
-    map_[lba] = dst;
+    map_[lba] = codec_.pack(dst);
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
     move_sip_count(lba, block, dst.block);
@@ -367,10 +368,11 @@ TimeUs Ftl::write(Lba lba) {
   JITGC_ENSURE(free_pages_ > 0);
   --free_pages_;
 
-  nand::Ppa& entry = map_[lba];
-  if (entry.block != kNoBlock) {
-    const std::uint32_t prev = entry.block;
-    invalidate_page_at(entry);
+  std::uint32_t& entry = map_[lba];
+  if (entry != kNoPpa) {
+    const nand::Ppa old = codec_.unpack(entry);
+    const std::uint32_t prev = old.block;
+    invalidate_page_at(old);
     touch_block(prev);
     if (lba_on_sip) {
       JITGC_ENSURE(block_sip_count_[prev] > 0);
@@ -380,7 +382,7 @@ TimeUs Ftl::write(Lba lba) {
     refresh_block_index(prev);
   }
 
-  entry = new_ppa;
+  entry = codec_.pack(new_ppa);
   if (lba_on_sip) ++block_sip_count_[new_ppa.block];
   ++valid_pages_;
   refresh_block_index(new_ppa.block);
@@ -394,12 +396,13 @@ TimeUs Ftl::write(Lba lba) {
 
 TimeUs Ftl::read(Lba lba) const {
   JITGC_ENSURE_MSG(lba < user_pages_, "LBA beyond user capacity");
-  const nand::Ppa entry = map_[lba];
+  const std::uint32_t entry = map_[lba];
   auto& self = const_cast<Ftl&>(*this);
   ++self.stats_.host_pages_read;
   const TimeUs map_cost = self.map_access_cost(lba, /*dirty=*/false);
-  if (entry.block == kNoBlock) return map_cost + config_.timing.page_transfer_us;
-  self.nand_.read_page(entry);
+  if (entry == kNoPpa) return map_cost + config_.timing.page_transfer_us;
+  const Lba stored = self.nand_.read_page(codec_.unpack(entry));
+  JITGC_ENSURE_MSG(stored == lba, "mapping/OOB disagreement");
   return map_cost + config_.timing.read_cost();
 }
 
@@ -408,19 +411,20 @@ TimeUs Ftl::trim(Lba lba) {
   // A trim is a mapping-table update: it pays the same map access a write
   // pays (a lookup, plus a dirtied entry when a mapping is dropped), just
   // never any NAND page program.
-  nand::Ppa& entry = map_[lba];
-  if (entry.block == kNoBlock) return map_access_cost(lba, /*dirty=*/false);
+  std::uint32_t& entry = map_[lba];
+  if (entry == kNoPpa) return map_access_cost(lba, /*dirty=*/false);
   const TimeUs map_cost = map_access_cost(lba, /*dirty=*/true);
-  const std::uint32_t prev = entry.block;
+  const nand::Ppa old = codec_.unpack(entry);
+  const std::uint32_t prev = old.block;
   ++write_seq_;
-  invalidate_page_at(entry);
+  invalidate_page_at(old);
   touch_block(prev);
   if (sip_.contains(lba)) {
     JITGC_ENSURE(block_sip_count_[prev] > 0);
     --block_sip_count_[prev];
   }
   --valid_pages_;
-  entry = nand::Ppa{kNoBlock, 0};
+  entry = kNoPpa;
   ++stats_.trims;
   refresh_block_index(prev);
   return map_cost;
@@ -433,8 +437,8 @@ void Ftl::set_sip_list(const std::vector<Lba>& lbas) {
   // they are rebuilt from the deduplicated index.
   for (const Lba lba : sip_.sorted()) {
     if (lba >= user_pages_) continue;
-    const nand::Ppa entry = map_[lba];
-    if (entry.block != kNoBlock) ++block_sip_count_[entry.block];
+    const std::uint32_t entry = map_[lba];
+    if (entry != kNoPpa) ++block_sip_count_[codec_.block(entry)];
   }
   // Full resync can change any block's SIP count (and thus its adjusted
   // bucket) — re-declare everything. O(num_blocks); the hot path uses
@@ -446,19 +450,21 @@ void Ftl::apply_sip_delta(const std::vector<Lba>& added, const std::vector<Lba>&
   for (const Lba lba : removed) {
     if (!sip_.erase(lba)) continue;
     if (lba >= user_pages_) continue;
-    const nand::Ppa entry = map_[lba];
-    if (entry.block == kNoBlock) continue;
-    JITGC_ENSURE(block_sip_count_[entry.block] > 0);
-    --block_sip_count_[entry.block];
-    refresh_block_index(entry.block);
+    const std::uint32_t entry = map_[lba];
+    if (entry == kNoPpa) continue;
+    const std::uint32_t block = codec_.block(entry);
+    JITGC_ENSURE(block_sip_count_[block] > 0);
+    --block_sip_count_[block];
+    refresh_block_index(block);
   }
   for (const Lba lba : added) {
     if (!sip_.insert(lba)) continue;
     if (lba >= user_pages_) continue;
-    const nand::Ppa entry = map_[lba];
-    if (entry.block == kNoBlock) continue;
-    ++block_sip_count_[entry.block];
-    refresh_block_index(entry.block);
+    const std::uint32_t entry = map_[lba];
+    if (entry == kNoPpa) continue;
+    const std::uint32_t block = codec_.block(entry);
+    ++block_sip_count_[block];
+    refresh_block_index(block);
   }
 }
 
@@ -564,7 +570,7 @@ GcResult Ftl::collect_block(std::uint32_t victim, bool foreground) {
   for (std::uint32_t p = 0; p < ppb; ++p) {
     if (blk.page_state(p) != nand::PageState::kValid) continue;
     const Lba lba = blk.page_lba(p);
-    JITGC_ENSURE_MSG(map_[lba] == (nand::Ppa{victim, p}), "mapping/OOB disagreement");
+    JITGC_ENSURE_MSG(map_[lba] == codec_.pack(nand::Ppa{victim, p}), "mapping/OOB disagreement");
 
     ensure_gc_active_block();
     ++write_seq_;
@@ -574,7 +580,7 @@ GcResult Ftl::collect_block(std::uint32_t victim, bool foreground) {
                                              result.time_us, blk.page_stamp(p));
     note_program(dst.block);
     invalidate_page_at(nand::Ppa{victim, p});
-    map_[lba] = dst;
+    map_[lba] = codec_.pack(dst);
     // Migration consumes a free page; the erase below returns ppb of them.
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
@@ -661,7 +667,8 @@ Ftl::GcStep Ftl::background_collect_step(std::uint32_t max_pages) {
     const std::uint32_t p = bgc_victim_cursor_++;
     if (blk.page_state(p) != nand::PageState::kValid) continue;
     const Lba lba = blk.page_lba(p);
-    JITGC_ENSURE_MSG(map_[lba] == (nand::Ppa{bgc_victim_, p}), "mapping/OOB disagreement");
+    JITGC_ENSURE_MSG(map_[lba] == codec_.pack(nand::Ppa{bgc_victim_, p}),
+                     "mapping/OOB disagreement");
 
     ensure_gc_active_block();
     ++write_seq_;
@@ -671,7 +678,7 @@ Ftl::GcStep Ftl::background_collect_step(std::uint32_t max_pages) {
                                              blk.page_stamp(p));
     note_program(dst.block);
     invalidate_page_at(nand::Ppa{bgc_victim_, p});
-    map_[lba] = dst;
+    map_[lba] = codec_.pack(dst);
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
     move_sip_count(lba, bgc_victim_, dst.block);
@@ -758,7 +765,7 @@ TimeUs Ftl::maybe_static_wear_level() {
     const nand::Ppa dst =
         program_with_retry(dest, lba, /*is_migration=*/true, cost, src.page_stamp(p));
     invalidate_page_at(nand::Ppa{coldest, p});
-    map_[lba] = dst;
+    map_[lba] = codec_.pack(dst);
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
     move_sip_count(lba, coldest, dst.block);
@@ -804,10 +811,7 @@ void Ftl::save_state(BinaryWriter& w) const {
   nand_.save_state(w);
 
   w.u64(map_.size());
-  for (const nand::Ppa& ppa : map_) {
-    w.u32(ppa.block);
-    w.u32(ppa.page);
-  }
+  for (const std::uint32_t entry : map_) save_packed_ppa(w, codec_, entry);
 
   w.u64(free_pool_.size());
   for (const auto& [erases, block] : free_pool_) {
@@ -849,7 +853,7 @@ void Ftl::save_state(BinaryWriter& w) const {
 
   map_cache_.save_state(w);
 
-  checkpoint_.save_state(w);
+  checkpoint_.save_state(w, codec_);
   w.u64(erases_since_checkpoint_);
 
   w.u64(stats_.host_pages_written);
@@ -875,13 +879,7 @@ void Ftl::restore_state(BinaryReader& r) {
 
   const std::uint64_t map_size = r.u64();
   if (map_size != map_.size()) throw BinaryFormatError("snapshot L2P map size mismatch");
-  for (nand::Ppa& ppa : map_) {
-    ppa.block = r.u32();
-    ppa.page = r.u32();
-    if (ppa.block != kNoBlock && ppa.block >= nblocks) {
-      throw BinaryFormatError("snapshot mapping references a block out of range");
-    }
-  }
+  for (std::uint32_t& entry : map_) entry = restore_packed_ppa(r, codec_, "snapshot mapping");
 
   const std::uint64_t pool_size = r.u64();
   if (pool_size > nblocks) throw BinaryFormatError("snapshot free pool larger than the device");
@@ -951,7 +949,7 @@ void Ftl::restore_state(BinaryReader& r) {
 
   map_cache_.restore_state(r);
 
-  checkpoint_.restore_state(r);
+  checkpoint_.restore_state(r, codec_);
   if (checkpoint_.present &&
       (checkpoint_.map.size() != map_.size() || checkpoint_.write_ptrs.size() != nblocks)) {
     throw BinaryFormatError("snapshot checkpoint shape does not match the device");

@@ -182,6 +182,7 @@ class Ftl {
   TimeUs write(Lba lba);
 
   /// Reads one page. Unmapped LBAs cost a transfer only (device returns zeros).
+  /// The page's OOB LBA must be `lba` ("mapping/OOB disagreement" otherwise).
   TimeUs read(Lba lba) const;
 
   /// Drops the mapping for `lba`. Returns the command's service time: the
@@ -271,7 +272,7 @@ class Ftl {
   /// Exposed for mapping-integrity property tests.
   nand::Ppa mapping(Lba lba) const {
     JITGC_ENSURE_MSG(lba < user_pages_, "LBA beyond user capacity");
-    return map_[lba];
+    return codec_.unpack_or_none(map_[lba]);
   }
 
   // -- Crash consistency (ftl/recovery.h) -------------------------------------
@@ -289,9 +290,9 @@ class Ftl {
   /// stamp recorded when the write was acknowledged). `lba` must be mapped.
   std::uint64_t content_stamp_of(Lba lba) const {
     JITGC_ENSURE_MSG(lba < user_pages_, "LBA beyond user capacity");
-    const nand::Ppa entry = map_[lba];
-    JITGC_ENSURE_MSG(entry.block != kNoBlock, "content stamp of an unmapped LBA");
-    return nand_.block(entry.block).page_stamp(entry.page);
+    const std::uint32_t entry = map_[lba];
+    JITGC_ENSURE_MSG(entry != kNoPpa, "content stamp of an unmapped LBA");
+    return nand_.block(codec_.block(entry)).page_stamp(codec_.page(entry));
   }
 
   /// Write-sequence logical clock (monotone across programs and trims;
@@ -340,7 +341,7 @@ class Ftl {
   /// Write amplification factor: NAND page programs / host page writes.
   double waf() const;
 
-  static constexpr std::uint32_t kNoBlock = UINT32_MAX;
+  static constexpr std::uint32_t kNoBlock = nand::PpaCodec::kNoBlock;
 
   struct VictimChoice {
     std::uint32_t block = kNoBlock;
@@ -475,15 +476,20 @@ class Ftl {
   /// blocks' indexed state).
   void move_sip_count(Lba lba, std::uint32_t from, std::uint32_t to);
 
+  /// An L2P entry that maps nothing.
+  static constexpr std::uint32_t kNoPpa = nand::PpaCodec::kNone;
+
   FtlConfig config_;
   nand::NandDevice nand_;
+  /// Packs L2P entries; built after nand_ has validated the geometry.
+  nand::PpaCodec codec_;
   std::unique_ptr<VictimPolicy> policy_;
 
   std::uint64_t user_pages_ = 0;
   std::uint64_t op_pages_ = 0;
 
-  /// L2P mapping; block == kNoBlock means unmapped.
-  std::vector<nand::Ppa> map_;
+  /// L2P mapping, one packed PPA (codec_) per LBA; kNoPpa means unmapped.
+  std::vector<std::uint32_t> map_;
 
   /// Free (fully-erased) blocks ordered by (erase_count, id) for dynamic
   /// wear leveling.

@@ -1,36 +1,54 @@
 #include "ftl/recovery.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "ftl/ftl.h"
 
 namespace jitgc::ftl {
 
+void save_packed_ppa(BinaryWriter& w, const nand::PpaCodec& codec, std::uint32_t packed) {
+  const nand::Ppa p = codec.unpack_or_none(packed);
+  w.u32(p.block);
+  w.u32(p.page);
+}
+
+std::uint32_t restore_packed_ppa(BinaryReader& r, const nand::PpaCodec& codec, const char* what) {
+  nand::Ppa p;
+  p.block = r.u32();
+  p.page = r.u32();
+  if (p.block == nand::PpaCodec::kNoBlock) {
+    if (p.page != 0) throw BinaryFormatError(std::string(what) + " has an unmapped entry with a page");
+    return nand::PpaCodec::kNone;
+  }
+  if (p.block >= codec.num_blocks()) {
+    throw BinaryFormatError(std::string(what) + " references a block out of range");
+  }
+  if (p.page >= codec.pages_per_block()) {
+    throw BinaryFormatError(std::string(what) + " references a page out of range");
+  }
+  return codec.pack(p);
+}
+
 // ---------------------------------------------------------------------------
 // MappingCheckpoint
 
-std::uint64_t MappingCheckpoint::compute_checksum() const {
+std::uint64_t MappingCheckpoint::compute_checksum(const nand::PpaCodec& codec) const {
   BinaryWriter w;
   w.u64(seq);
-  for (const nand::Ppa& p : map) {
-    w.u32(p.block);
-    w.u32(p.page);
-  }
+  for (const std::uint32_t e : map) save_packed_ppa(w, codec, e);
   for (const std::uint32_t wp : write_ptrs) w.u32(wp);
   for (const std::uint64_t ec : erase_counts) w.u64(ec);
   return fnv1a64(w.data());
 }
 
-void MappingCheckpoint::save_state(BinaryWriter& w) const {
+void MappingCheckpoint::save_state(BinaryWriter& w, const nand::PpaCodec& codec) const {
   w.boolean(present);
   if (!present) return;
   w.u64(seq);
   w.u64(map.size());
-  for (const nand::Ppa& p : map) {
-    w.u32(p.block);
-    w.u32(p.page);
-  }
+  for (const std::uint32_t e : map) save_packed_ppa(w, codec, e);
   w.u64(write_ptrs.size());
   for (const std::uint32_t wp : write_ptrs) w.u32(wp);
   w.u64(erase_counts.size());
@@ -38,7 +56,7 @@ void MappingCheckpoint::save_state(BinaryWriter& w) const {
   w.u64(checksum);
 }
 
-void MappingCheckpoint::restore_state(BinaryReader& r) {
+void MappingCheckpoint::restore_state(BinaryReader& r, const nand::PpaCodec& codec) {
   present = r.boolean();
   if (!present) {
     *this = MappingCheckpoint{};
@@ -46,10 +64,7 @@ void MappingCheckpoint::restore_state(BinaryReader& r) {
   }
   seq = r.u64();
   map.resize(r.u64());
-  for (nand::Ppa& p : map) {
-    p.block = r.u32();
-    p.page = r.u32();
-  }
+  for (std::uint32_t& e : map) e = restore_packed_ppa(r, codec, "snapshot checkpoint");
   write_ptrs.resize(r.u64());
   for (std::uint32_t& wp : write_ptrs) wp = r.u32();
   erase_counts.resize(r.u64());
@@ -73,19 +88,21 @@ void RecoveryEngine::write_checkpoint(Ftl& f) {
     ck.write_ptrs[b] = blk.write_pointer();
     ck.erase_counts[b] = blk.erase_count();
   }
-  ck.checksum = ck.compute_checksum();
+  ck.checksum = ck.compute_checksum(f.codec_);
 }
 
 RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   RecoveryReport rep;
   const std::uint32_t nblocks = f.nand_.num_blocks();
   const std::uint32_t ppb = f.config_.geometry.pages_per_block;
+  const nand::PpaCodec& codec = f.codec_;
+  constexpr std::uint32_t kNone = nand::PpaCodec::kNone;
   rep.total_blocks = nblocks;
 
   // The map at the instant power is cut is exactly the set of acknowledged
   // writes: every acked host write mutated it synchronously. Keep a copy as
   // the built-in oracle the rebuilt map is verified against at the end.
-  const std::vector<nand::Ppa> pre_map = f.map_;
+  const std::vector<std::uint32_t> pre_map = f.map_;
 
   // -- Power cut: tear the open write frontiers -----------------------------
   // Each active stream may have a program pulse in flight; the pulse is
@@ -105,7 +122,7 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   // tables, degradation history and the read-only latch live in the durable
   // system area and survive. The retirement queue is RAM too, but is fully
   // derivable: every grown-bad block is by definition awaiting retirement.
-  f.map_.assign(f.user_pages_, nand::Ppa{Ftl::kNoBlock, 0});
+  f.map_.assign(f.user_pages_, kNone);
   f.free_pool_.clear();
   f.user_active_ = Ftl::kNoBlock;
   f.user_active_cold_ = Ftl::kNoBlock;
@@ -134,7 +151,7 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   if (ck.present) {
     const bool shape_ok = ck.map.size() == f.user_pages_ && ck.write_ptrs.size() == nblocks &&
                           ck.erase_counts.size() == nblocks;
-    if (shape_ok && ck.checksum == ck.compute_checksum()) {
+    if (shape_ok && ck.checksum == ck.compute_checksum(codec)) {
       use_ckpt = true;
     } else {
       rep.checkpoint_fallback = true;
@@ -166,15 +183,15 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   // higher program-sequence stamp. Entries into retired blocks are dropped:
   // a real controller never reads retired blocks, and any still-live data
   // was migrated out (to a dirty block) before retirement.
-  std::vector<nand::Ppa> winner(f.user_pages_, nand::Ppa{Ftl::kNoBlock, 0});
+  std::vector<std::uint32_t> winner(f.user_pages_, kNone);
   std::vector<std::uint64_t> win_seq(f.user_pages_, 0);
   if (use_ckpt) {
     for (Lba lba = 0; lba < f.user_pages_; ++lba) {
-      const nand::Ppa e = ck.map[lba];
-      if (e.block == Ftl::kNoBlock) continue;
+      if (ck.map[lba] == kNone) continue;
+      const nand::Ppa e = codec.unpack(ck.map[lba]);
       if (!clean[e.block]) continue;
       if (f.block_health_[e.block] == BlockHealth::kRetired) continue;
-      winner[lba] = e;
+      winner[lba] = ck.map[lba];
       // The stamp is notionally stored beside the mapping in the journal
       // page; the model reads it back off the (unchanged) media.
       win_seq[lba] = f.nand_.block(e.block).page_seq(e.page);
@@ -197,12 +214,12 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
       if (lba == kInvalidLba) continue;  // burned or torn: OOB unreadable
       const std::uint64_t seq = blk.page_seq(p);
       rep.max_seq = std::max(rep.max_seq, seq);
-      if (winner[lba].block == Ftl::kNoBlock) {
-        winner[lba] = nand::Ppa{b, p};
+      if (winner[lba] == kNone) {
+        winner[lba] = codec.pack(nand::Ppa{b, p});
         win_seq[lba] = seq;
       } else if (seq > win_seq[lba]) {
         ++rep.stale_pages_dropped;
-        winner[lba] = nand::Ppa{b, p};
+        winner[lba] = codec.pack(nand::Ppa{b, p});
         win_seq[lba] = seq;
       } else {
         ++rep.stale_pages_dropped;
@@ -220,9 +237,7 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   // stay as they are (their free pages are off the books anyway and the
   // block is already queued for retirement).
   std::vector<nand::PageState> states(ppb);
-  std::vector<Lba> lbas(ppb);
-  std::vector<std::uint64_t> seqs(ppb);
-  std::vector<std::uint64_t> stamps(ppb);
+  std::vector<nand::PageOob> oob(ppb);
   for (std::uint32_t b = 0; b < nblocks; ++b) {
     if (f.block_health_[b] == BlockHealth::kRetired) continue;
     if (clean[b]) continue;
@@ -235,26 +250,22 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
       } else if (lba == kInvalidLba) {
         states[p] = nand::PageState::kInvalid;  // burned
       } else {
-        states[p] = winner[lba] == nand::Ppa{b, p} ? nand::PageState::kValid
-                                                   : nand::PageState::kInvalid;
+        states[p] = winner[lba] == codec.pack(nand::Ppa{b, p}) ? nand::PageState::kValid
+                                                                : nand::PageState::kInvalid;
       }
-      lbas[p] = lba;
-      seqs[p] = blk.page_seq(p);
-      stamps[p] = blk.page_stamp(p);
+      oob[p] = blk.page_oob(p);
     }
     std::uint32_t new_wp = wp;
     const bool seal = f.block_health_[b] == BlockHealth::kGood && wp > 0 && wp < ppb;
     for (std::uint32_t p = wp; p < ppb; ++p) {
       states[p] = seal ? nand::PageState::kInvalid : nand::PageState::kFree;
-      lbas[p] = kInvalidLba;
-      seqs[p] = 0;
-      stamps[p] = 0;
+      oob[p] = nand::PageOob{};
     }
     if (seal) {
       new_wp = ppb;
       ++rep.sealed_blocks;
     }
-    f.nand_.recover_block(b, new_wp, states.data(), lbas.data(), seqs.data(), stamps.data());
+    f.nand_.recover_block(b, new_wp, states.data(), oob.data());
   }
 
   // -- Fix resurrections on clean blocks -------------------------------------
@@ -266,8 +277,9 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   // stays invalid — a superseding copy exists, so it was invalid pre-crash.
   if (use_ckpt) {
     for (Lba lba = 0; lba < f.user_pages_; ++lba) {
-      const nand::Ppa w = winner[lba];
-      if (w.block == Ftl::kNoBlock || !clean[w.block]) continue;
+      if (winner[lba] == kNone) continue;
+      const nand::Ppa w = codec.unpack(winner[lba]);
+      if (!clean[w.block]) continue;
       if (f.nand_.block(w.block).page_state(w.page) == nand::PageState::kInvalid) {
         f.nand_.revalidate_page(w);
       }
@@ -276,7 +288,7 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
 
   // -- Rebuild the map, free pool and page accounting ------------------------
   for (Lba lba = 0; lba < f.user_pages_; ++lba) {
-    if (winner[lba].block == Ftl::kNoBlock) continue;
+    if (winner[lba] == kNone) continue;
     f.map_[lba] = winner[lba];
     ++rep.recovered_mappings;
   }
@@ -335,13 +347,13 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   // must re-elect exactly it. Trimmed LBAs coming back is legal (no trim
   // journal); anything lost or moved is silent corruption and aborts.
   for (Lba lba = 0; lba < f.user_pages_; ++lba) {
-    if (pre_map[lba].block != Ftl::kNoBlock) {
+    if (pre_map[lba] != kNone) {
       if (f.map_[lba] == pre_map[lba]) {
         ++rep.verified_mappings;
       } else {
         ++rep.lost_mappings;
       }
-    } else if (f.map_[lba].block != Ftl::kNoBlock) {
+    } else if (f.map_[lba] != kNone) {
       ++rep.resurrected_mappings;
     }
   }

@@ -55,8 +55,9 @@ struct MappingCheckpoint {
   /// Write-sequence clock when the checkpoint was taken. Pages with a
   /// higher program-sequence stamp postdate it.
   std::uint64_t seq = 0;
-  /// L2P map at checkpoint time (block == Ftl::kNoBlock when unmapped).
-  std::vector<nand::Ppa> map;
+  /// L2P map at checkpoint time, packed (nand::PpaCodec; kNone when
+  /// unmapped).
+  std::vector<std::uint32_t> map;
   /// Per-block media position at checkpoint time. A block whose current
   /// erase count and write pointer both still match is clean: nothing on it
   /// changed since the checkpoint.
@@ -64,12 +65,22 @@ struct MappingCheckpoint {
   std::vector<std::uint64_t> erase_counts;
   std::uint64_t checksum = 0;
 
-  /// Checksum over the logical content (seq + map + media positions).
-  std::uint64_t compute_checksum() const;
+  /// Checksum over the logical content (seq + map + media positions). Map
+  /// entries are hashed unpacked, as (block, page) pairs.
+  std::uint64_t compute_checksum(const nand::PpaCodec& codec) const;
 
-  void save_state(BinaryWriter& w) const;
-  void restore_state(BinaryReader& r);
+  void save_state(BinaryWriter& w, const nand::PpaCodec& codec) const;
+  /// Throws BinaryFormatError on a map entry outside the device.
+  void restore_state(BinaryReader& r, const nand::PpaCodec& codec);
 };
+
+/// Snapshot wire form of one packed L2P entry: u32 block, u32 page, with
+/// (kNoBlock, 0) for unmapped — the layout snapshot format v3 fixed when
+/// the map held unpacked Ppa values.
+void save_packed_ppa(BinaryWriter& w, const nand::PpaCodec& codec, std::uint32_t packed);
+/// Reads one entry written by save_packed_ppa(). Throws BinaryFormatError,
+/// naming `what`, when the block or the page is outside the device.
+std::uint32_t restore_packed_ppa(BinaryReader& r, const nand::PpaCodec& codec, const char* what);
 
 /// What one SPO recovery did, for metrics and the acceptance tests.
 struct RecoveryReport {

@@ -18,28 +18,41 @@ enum class PageState : std::uint8_t {
   kTorn,
 };
 
+/// One page's out-of-band (OOB) area: a monotone program-sequence stamp
+/// (fresh on every program, including GC copies — crash recovery arbitrates
+/// duplicate LBAs by recency with it), a content stamp (the host-write
+/// identity, copied unchanged by migrations — what an integrity oracle
+/// compares), and the LBA the data belongs to, stored in 32 bits with
+/// kNoLba for "unreadable". Packed to 4-byte alignment: 20 bytes a page.
+#pragma pack(push, 4)
+struct PageOob {
+  static constexpr std::uint32_t kNoLba = UINT32_MAX;
+
+  std::uint64_t seq = 0;
+  std::uint64_t stamp = 0;
+  std::uint32_t lba = kNoLba;
+};
+#pragma pack(pop)
+static_assert(sizeof(PageOob) == 20 && alignof(PageOob) == 4);
+
 /// One erase block. Enforces NAND constraints: pages program strictly
 /// in order within a block; only erase returns pages to free.
 ///
-/// Each page carries an out-of-band (OOB) area modeled as three words: the
-/// LBA the data belongs to, a monotone program-sequence stamp (fresh on
-/// every program, including GC copies — crash recovery arbitrates duplicate
-/// LBAs by recency with it), and a content stamp (the host-write identity,
-/// copied unchanged by migrations — what an integrity oracle compares).
-/// Invalidation is FTL metadata, not a media operation, so the OOB of an
-/// invalid page stays readable until the erase; only burned and torn pages
-/// have unreadable OOB (lba == kInvalidLba).
+/// Each page carries a PageOob record. Invalidation is FTL metadata, not a
+/// media operation, so the OOB of an invalid page stays readable until the
+/// erase; only burned and torn pages have unreadable OOB (page_lba() ==
+/// kInvalidLba). The LBA must fit the record: lba < PageOob::kNoLba.
 ///
-/// The state/OOB arrays live inside flat arenas owned by the NandDevice and
-/// the block only holds pointers, so a device-wide scan walks contiguous
-/// allocations instead of per-block scattered ones.
+/// The state bytes and OOB records live inside two flat arenas owned by the
+/// NandDevice and the block only holds pointers, so a device-wide scan walks
+/// contiguous allocations instead of per-block scattered ones, and a victim
+/// scan streams one state byte per page without dragging the records along.
 class Block {
  public:
   /// The pointers reference `pages_per_block` entries owned by the caller,
-  /// already initialized to kFree / kInvalidLba / 0, and outliving the block.
-  Block(std::uint32_t pages_per_block, PageState* states, Lba* lbas, std::uint64_t* seqs,
-        std::uint64_t* stamps)
-      : states_(states), lbas_(lbas), seqs_(seqs), stamps_(stamps), pages_(pages_per_block) {}
+  /// already initialized to kFree / PageOob{}, and outliving the block.
+  Block(std::uint32_t pages_per_block, PageState* states, PageOob* oob)
+      : states_(states), oob_(oob), pages_(pages_per_block) {}
 
   // Blocks live in containers and may move; copying would alias arena
   // storage, so it is disabled.
@@ -70,20 +83,27 @@ class Block {
   /// the page is free, burned, or torn.
   Lba page_lba(std::uint32_t page) const {
     JITGC_ENSURE(page < pages_);
-    return lbas_[page];
+    const std::uint32_t lba = oob_[page].lba;
+    return lba == PageOob::kNoLba ? kInvalidLba : lba;
   }
 
   /// Program-sequence OOB stamp (0 on pages with unreadable OOB).
   std::uint64_t page_seq(std::uint32_t page) const {
     JITGC_ENSURE(page < pages_);
-    return seqs_[page];
+    return oob_[page].seq;
   }
 
   /// Content OOB stamp: the host-write identity the page's data carries
   /// (0 on pages with unreadable OOB).
   std::uint64_t page_stamp(std::uint32_t page) const {
     JITGC_ENSURE(page < pages_);
-    return stamps_[page];
+    return oob_[page].stamp;
+  }
+
+  /// The whole OOB record (for recovery's re-classification).
+  PageOob page_oob(std::uint32_t page) const {
+    JITGC_ENSURE(page < pages_);
+    return oob_[page];
   }
 
   /// Programs the next page in sequence with user data for `lba`, stamping
@@ -91,12 +111,11 @@ class Block {
   /// programmed page index.
   std::uint32_t program(Lba lba, std::uint64_t seq = 0, std::uint64_t stamp = 0) {
     JITGC_ENSURE_MSG(!is_full(), "programming a full block");
+    JITGC_ENSURE_MSG(lba < PageOob::kNoLba, "LBA does not fit the 32-bit OOB record");
     const std::uint32_t page = write_ptr_++;
     JITGC_ENSURE(states_[page] == PageState::kFree);
     states_[page] = PageState::kValid;
-    lbas_[page] = lba;
-    seqs_[page] = seq;
-    stamps_[page] = stamp;
+    oob_[page] = PageOob{seq, stamp, static_cast<std::uint32_t>(lba)};
     ++valid_count_;
     return page;
   }
@@ -142,7 +161,7 @@ class Block {
   void revalidate(std::uint32_t page) {
     JITGC_ENSURE(page < pages_);
     JITGC_ENSURE_MSG(states_[page] == PageState::kInvalid, "revalidating a non-invalid page");
-    JITGC_ENSURE_MSG(lbas_[page] != kInvalidLba, "revalidating a page with unreadable OOB");
+    JITGC_ENSURE_MSG(oob_[page].lba != PageOob::kNoLba, "revalidating a page with unreadable OOB");
     states_[page] = PageState::kValid;
     ++valid_count_;
   }
@@ -160,7 +179,7 @@ class Block {
   /// aggregate invariants instead: write_ptr within the block, valid pages
   /// only below the write pointer, valid_count consistent with the states.
   void restore(std::uint32_t write_ptr, std::uint64_t erase_count, const PageState* states,
-               const Lba* lbas, const std::uint64_t* seqs, const std::uint64_t* stamps) {
+               const PageOob* oob) {
     JITGC_ENSURE_MSG(write_ptr <= pages_, "restored write pointer beyond block");
     std::uint32_t valid = 0;
     for (std::uint32_t p = 0; p < pages_; ++p) {
@@ -170,9 +189,7 @@ class Block {
       if (states[p] == PageState::kValid) ++valid;
     }
     std::copy(states, states + pages_, states_);
-    std::copy(lbas, lbas + pages_, lbas_);
-    std::copy(seqs, seqs + pages_, seqs_);
-    std::copy(stamps, stamps + pages_, stamps_);
+    std::copy(oob, oob + pages_, oob_);
     write_ptr_ = write_ptr;
     valid_count_ = valid;
     erase_count_ = erase_count;
@@ -183,18 +200,14 @@ class Block {
   void erase() {
     JITGC_ENSURE_MSG(valid_count_ == 0, "erasing a block that still holds valid data");
     std::fill(states_, states_ + pages_, PageState::kFree);
-    std::fill(lbas_, lbas_ + pages_, kInvalidLba);
-    std::fill(seqs_, seqs_ + pages_, std::uint64_t{0});
-    std::fill(stamps_, stamps_ + pages_, std::uint64_t{0});
+    std::fill(oob_, oob_ + pages_, PageOob{});
     write_ptr_ = 0;
     ++erase_count_;
   }
 
  private:
   PageState* states_ = nullptr;
-  Lba* lbas_ = nullptr;
-  std::uint64_t* seqs_ = nullptr;
-  std::uint64_t* stamps_ = nullptr;
+  PageOob* oob_ = nullptr;
   std::uint32_t pages_ = 0;
   std::uint32_t write_ptr_ = 0;
   std::uint32_t valid_count_ = 0;

@@ -13,57 +13,23 @@ NandDevice::NandDevice(const Geometry& geometry, const TimingParams& timing,
   const std::uint32_t ppb = geom_.pages_per_block;
   const std::size_t total_pages = static_cast<std::size_t>(nblocks) * ppb;
   state_arena_.assign(total_pages, PageState::kFree);
-  lba_arena_.assign(total_pages, kInvalidLba);
-  seq_arena_.assign(total_pages, 0);
-  stamp_arena_.assign(total_pages, 0);
+  oob_arena_.assign(total_pages, PageOob{});
   blocks_.reserve(nblocks);
   for (std::uint32_t i = 0; i < nblocks; ++i) {
     const std::size_t off = static_cast<std::size_t>(i) * ppb;
-    blocks_.emplace_back(ppb, state_arena_.data() + off, lba_arena_.data() + off,
-                         seq_arena_.data() + off, stamp_arena_.data() + off);
+    blocks_.emplace_back(ppb, state_arena_.data() + off, oob_arena_.data() + off);
   }
   if (faults.enabled()) faults_.emplace(faults, timing.endurance_pe_cycles);
-}
-
-Lba NandDevice::read_page(const Ppa& ppa) {
-  const Block& blk = blocks_.at(ppa.block);
-  JITGC_ENSURE_MSG(blk.page_state(ppa.page) == PageState::kValid, "reading a non-valid page");
-  ++stats_.page_reads;
-  stats_.busy_time_us += timing_.read_cost();
-  return blk.page_lba(ppa.page);
-}
-
-ProgramResult NandDevice::program_page(std::uint32_t block_id, Lba lba, bool is_migration,
-                                       std::uint64_t seq, std::uint64_t stamp) {
-  Block& blk = blocks_.at(block_id);
-  // The pulse runs and charges latency/wear whether or not it sticks.
-  ++stats_.page_programs;
-  if (is_migration) {
-    ++stats_.page_migrations;
-    stats_.busy_time_us += timing_.migrate_cost();
-  } else {
-    stats_.busy_time_us += timing_.program_cost();
-  }
-  if (faults_ && faults_->program_fails(blk.erase_count())) {
-    const std::uint32_t page = blk.program_fail();
-    ++stats_.program_failures;
-    return ProgramResult{NandStatus::kProgramFail, Ppa{block_id, page}};
-  }
-  const std::uint32_t page = blk.program(lba, seq, stamp);
-  return ProgramResult{NandStatus::kOk, Ppa{block_id, page}};
 }
 
 Ppa NandDevice::mark_torn(std::uint32_t block_id) {
   return Ppa{block_id, blocks_.at(block_id).mark_torn()};
 }
 
-void NandDevice::invalidate_page(const Ppa& ppa) { blocks_.at(ppa.block).invalidate(ppa.page); }
-
 void NandDevice::recover_block(std::uint32_t block_id, std::uint32_t write_ptr,
-                               const PageState* states, const Lba* lbas,
-                               const std::uint64_t* seqs, const std::uint64_t* stamps) {
+                               const PageState* states, const PageOob* oob) {
   Block& blk = blocks_.at(block_id);
-  blk.restore(write_ptr, blk.erase_count(), states, lbas, seqs, stamps);
+  blk.restore(write_ptr, blk.erase_count(), states, oob);
 }
 
 void NandDevice::revalidate_page(const Ppa& ppa) { blocks_.at(ppa.block).revalidate(ppa.page); }
@@ -116,9 +82,7 @@ void NandDevice::restore_state(BinaryReader& r) {
     throw BinaryFormatError("snapshot geometry does not match the device");
   }
   std::vector<PageState> states(ppb);
-  std::vector<Lba> lbas(ppb);
-  std::vector<std::uint64_t> seqs(ppb);
-  std::vector<std::uint64_t> stamps(ppb);
+  std::vector<PageOob> oob(ppb);
   for (Block& b : blocks_) {
     const std::uint32_t write_ptr = r.u32();
     const std::uint64_t erase_count = r.u64();
@@ -129,11 +93,15 @@ void NandDevice::restore_state(BinaryReader& r) {
         throw BinaryFormatError("snapshot page state out of range");
       }
       states[p] = static_cast<PageState>(s);
-      lbas[p] = r.u64();
-      seqs[p] = r.u64();
-      stamps[p] = r.u64();
+      const Lba lba = r.u64();
+      if (lba != kInvalidLba && lba >= PageOob::kNoLba) {
+        throw BinaryFormatError("snapshot OOB LBA does not fit the 32-bit OOB record");
+      }
+      oob[p].lba = lba == kInvalidLba ? PageOob::kNoLba : static_cast<std::uint32_t>(lba);
+      oob[p].seq = r.u64();
+      oob[p].stamp = r.u64();
     }
-    b.restore(write_ptr, erase_count, states.data(), lbas.data(), seqs.data(), stamps.data());
+    b.restore(write_ptr, erase_count, states.data(), oob.data());
   }
   stats_.page_reads = r.u64();
   stats_.page_programs = r.u64();

@@ -46,7 +46,7 @@ struct ProgramResult {
 /// sequentially.
 class NandDevice {
  public:
-  /// Every block's page states and OOB words live in device-wide flat
+  /// Every block's page states and OOB records live in two device-wide flat
   /// arenas (cache-friendly device-wide scans, no per-block allocations).
   NandDevice(const Geometry& geometry, const TimingParams& timing,
              const FaultConfig& faults = {});
@@ -59,17 +59,44 @@ class NandDevice {
   std::uint32_t num_blocks() const { return static_cast<std::uint32_t>(blocks_.size()); }
 
   /// Reads one page; returns the stored LBA and charges read latency.
-  Lba read_page(const Ppa& ppa);
+  Lba read_page(const Ppa& ppa) {
+    const Block& blk = blocks_.at(ppa.block);
+    JITGC_ENSURE_MSG(blk.page_state(ppa.page) == PageState::kValid, "reading a non-valid page");
+    ++stats_.page_reads;
+    stats_.busy_time_us += timing_.read_cost();
+    return blk.page_lba(ppa.page);
+  }
 
   /// Programs the next free page of `block_id` with `lba` and charges program
   /// latency. `is_migration` tags GC copyback traffic. `seq` and `stamp` are
   /// written into the page's OOB (program-sequence and content stamps — see
   /// Block). The fault model may fail the operation: the page is then burned
   /// (invalid, no data) and the result carries kProgramFail — callers must
-  /// check.
+  /// check. `lba` must fit the 32-bit OOB record (see PageOob).
+  ///
+  /// Defined here so callers inline it: an out-of-line call returns the
+  /// result through a stack slot written in pieces and reloaded whole,
+  /// which stalls on store forwarding behind the OOB record's stores.
   [[nodiscard]] ProgramResult program_page(std::uint32_t block_id, Lba lba,
                                            bool is_migration = false, std::uint64_t seq = 0,
-                                           std::uint64_t stamp = 0);
+                                           std::uint64_t stamp = 0) {
+    Block& blk = blocks_.at(block_id);
+    // The pulse runs and charges latency/wear whether or not it sticks.
+    ++stats_.page_programs;
+    if (is_migration) {
+      ++stats_.page_migrations;
+      stats_.busy_time_us += timing_.migrate_cost();
+    } else {
+      stats_.busy_time_us += timing_.program_cost();
+    }
+    if (faults_ && faults_->program_fails(blk.erase_count())) {
+      const std::uint32_t page = blk.program_fail();
+      ++stats_.program_failures;
+      return ProgramResult{NandStatus::kProgramFail, Ppa{block_id, page}};
+    }
+    const std::uint32_t page = blk.program(lba, seq, stamp);
+    return ProgramResult{NandStatus::kOk, Ppa{block_id, page}};
+  }
 
   /// Records a program pulse torn by sudden power-off at `block_id`'s open
   /// write frontier (the block must not be full). No latency: power is
@@ -78,7 +105,7 @@ class NandDevice {
 
   /// Invalidates a valid page (no latency: it is a metadata update). The
   /// page's OOB stays readable until the erase.
-  void invalidate_page(const Ppa& ppa);
+  void invalidate_page(const Ppa& ppa) { blocks_.at(ppa.block).invalidate(ppa.page); }
 
   /// Erases a block (all pages must be invalid) and charges erase latency.
   /// On injected failure the block keeps its stale pages (wear still
@@ -95,36 +122,36 @@ class NandDevice {
   // charging latency (they model metadata decisions, not media operations).
 
   /// Installs a recovered page classification wholesale: new states and
-  /// write pointer (e.g. a sealed frontier), OOB words unchanged from what
-  /// the arrays carry. Wear is untouched.
+  /// write pointer (e.g. a sealed frontier), OOB records as `oob` carries
+  /// them. Wear is untouched.
   void recover_block(std::uint32_t block_id, std::uint32_t write_ptr, const PageState* states,
-                     const Lba* lbas, const std::uint64_t* seqs, const std::uint64_t* stamps);
+                     const PageOob* oob);
 
   /// Flips one invalid page back to valid (a trimmed LBA resurrected by
   /// recovery arbitration: its OOB is intact and it won).
   void revalidate_page(const Ppa& ppa);
 
   // -- Warm-state snapshots (sim/snapshot.h) ----------------------------------
-  // Per-block page states/OOB LBAs/write pointers/erase counts, the stats
-  // counters, and the fault RNG stream position.
+  // Per-block page states/OOB records/write pointers/erase counts, the stats
+  // counters, and the fault RNG stream position. Each OOB LBA is written as
+  // a u64 (kInvalidLba when unreadable), as snapshot format v3 lays out.
 
   /// Serializes the device state into `w`.
   void save_state(BinaryWriter& w) const;
 
   /// Restores a state saved by save_state(). The device must have been
   /// constructed with the same geometry/timing/fault config; throws
-  /// BinaryFormatError on structural mismatch.
+  /// BinaryFormatError on structural mismatch or an OOB LBA the 32-bit
+  /// record cannot hold.
   void restore_state(BinaryReader& r);
 
  private:
   Geometry geom_;
   TimingParams timing_;
-  // Page arenas. Declared before blocks_ so the arenas outlive the Blocks
-  // pointing into them.
+  // Page arenas: one state byte and one OOB record per page. Declared
+  // before blocks_ so the arenas outlive the Blocks pointing into them.
   std::vector<PageState> state_arena_;
-  std::vector<Lba> lba_arena_;
-  std::vector<std::uint64_t> seq_arena_;
-  std::vector<std::uint64_t> stamp_arena_;
+  std::vector<PageOob> oob_arena_;
   std::vector<Block> blocks_;
   NandStats stats_;
   // Engaged only when fault injection is configured; absent = the historical

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "nand/geometry.h"
 #include "sim/metrics_sink.h"
 #include "workload/file_workload.h"
 #include "workload/specs.h"
@@ -280,15 +281,15 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       opt.open_loop_arrivals = value == "open";
     } else if (key == "--blocks-per-plane") {
       std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0) {
-        error = "--blocks-per-plane needs a positive integer";
+      if (!need_value() || !parse_u64(value, v) || v == 0 || v > UINT32_MAX) {
+        error = "--blocks-per-plane needs a positive 32-bit integer";
         return std::nullopt;
       }
       opt.blocks_per_plane = static_cast<std::uint32_t>(v);
     } else if (key == "--pages-per-block") {
       std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0) {
-        error = "--pages-per-block needs a positive integer";
+      if (!need_value() || !parse_u64(value, v) || v == 0 || v > UINT32_MAX) {
+        error = "--pages-per-block needs a positive 32-bit integer";
         return std::nullopt;
       }
       opt.pages_per_block = static_cast<std::uint32_t>(v);
@@ -322,8 +323,8 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       }
     } else if (key == "--spare-blocks") {
       std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v)) {
-        error = "--spare-blocks needs a block count";
+      if (!need_value() || !parse_u64(value, v) || v > UINT32_MAX) {
+        error = "--spare-blocks needs a 32-bit block count";
         return std::nullopt;
       }
       opt.spare_blocks = static_cast<std::uint32_t>(v);
@@ -523,6 +524,15 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
   }
   if (!opt.trace_volume_map.empty() && opt.trace_path.empty()) {
     error = "--trace-volume-map requires --trace";
+    return std::nullopt;
+  }
+  // The FTL packs every physical page address into 32 bits (nand::PpaCodec);
+  // a device too large for that is refused here, naming the flags.
+  nand::Geometry geometry = nand::small_geometry();
+  geometry.blocks_per_plane = opt.blocks_per_plane;
+  geometry.pages_per_block = opt.pages_per_block;
+  if (!geometry.packed_ppa_fits()) {
+    error = "--blocks-per-plane x --pages-per-block: device too large for 32-bit page addresses";
     return std::nullopt;
   }
   return opt;

@@ -8,23 +8,18 @@
 namespace jitgc::nand {
 namespace {
 
-/// Page storage for one block, as a NandDevice's arenas would hold it.
+/// Page storage for one block, as a NandDevice's two arenas would hold it.
 struct BlockStorage {
-  explicit BlockStorage(std::uint32_t pages)
-      : states(pages, PageState::kFree), lbas(pages, kInvalidLba), seqs(pages, 0),
-        stamps(pages, 0) {}
+  explicit BlockStorage(std::uint32_t pages) : states(pages, PageState::kFree), oob(pages) {}
   std::vector<PageState> states;
-  std::vector<Lba> lbas;
-  std::vector<std::uint64_t> seqs;
-  std::vector<std::uint64_t> stamps;
+  std::vector<PageOob> oob;
 };
 
 /// A Block over a test-local arena.
 class ArenaBlock : private BlockStorage, public Block {
  public:
   explicit ArenaBlock(std::uint32_t pages)
-      : BlockStorage(pages),
-        Block(pages, states.data(), lbas.data(), seqs.data(), stamps.data()) {}
+      : BlockStorage(pages), Block(pages, states.data(), oob.data()) {}
 };
 
 TEST(Block, StartsErased) {

@@ -32,6 +32,21 @@ TEST(Geometry, ValidationRejectsDegenerate) {
   g = tiny_geometry();
   g.page_size = 256;
   EXPECT_THROW(g.validate(), std::logic_error);
+  // 2^24 blocks x 256 pages: the last page packs to UINT32_MAX, the "no
+  // page" sentinel, so the geometry is one page too large.
+  g = tiny_geometry();
+  g.blocks_per_plane = 1u << 24;
+  g.pages_per_block = 256;
+  EXPECT_FALSE(g.packed_ppa_fits());
+  EXPECT_THROW(g.validate(), std::logic_error);
+  // A block count that overflows 32 bits before the pages are counted.
+  g = tiny_geometry();
+  g.channels = 1u << 16;
+  g.blocks_per_plane = 1u << 16;
+  EXPECT_THROW(g.validate(), std::logic_error);
+  g = tiny_geometry();
+  g.blocks_per_plane = (1u << 24) - 1;
+  EXPECT_TRUE(g.packed_ppa_fits());
 }
 
 TEST(NandDevice, ProgramReadRoundTrip) {
@@ -41,6 +56,22 @@ TEST(NandDevice, ProgramReadRoundTrip) {
   EXPECT_EQ(r.ppa.block, 3u);
   EXPECT_EQ(r.ppa.page, 0u);
   EXPECT_EQ(dev.read_page(r.ppa), 77u);
+}
+
+TEST(NandDevice, ProgramReadRoundTripAtLargest32BitLba) {
+  // The OOB record stores LBAs in 32 bits with UINT32_MAX as "unreadable";
+  // 2^32 - 2 is the largest LBA it holds.
+  NandDevice dev(tiny_geometry(), timing_20nm_mlc());
+  const Lba lba = (Lba{1} << 32) - 2;
+  const ProgramResult r = dev.program_page(5, lba, /*is_migration=*/false, /*seq=*/9,
+                                           /*stamp=*/(std::uint64_t{1} << 40) + 3);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(dev.read_page(r.ppa), lba);
+  EXPECT_EQ(dev.block(5).page_lba(0), lba);
+  EXPECT_EQ(dev.block(5).page_seq(0), 9u);
+  EXPECT_EQ(dev.block(5).page_stamp(0), (std::uint64_t{1} << 40) + 3);
+  EXPECT_THROW((void)dev.program_page(5, lba + 1), std::logic_error);
+  EXPECT_THROW((void)dev.program_page(5, kInvalidLba), std::logic_error);
 }
 
 TEST(NandDevice, ReadOfNonValidPageThrows) {

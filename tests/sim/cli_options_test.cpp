@@ -126,6 +126,13 @@ TEST(CliOptions, RejectsOutOfRangeProbabilities) {
   rejects({"--array-outage-restore-at=nan"}, "--array-outage-restore-at");
   rejects({"--percentile=nan"}, "--percentile");
   rejects({"--tenants=-1"}, "--tenants");
+  // 2^32 + 256 must not wrap to 256, and a geometry whose packed 32-bit
+  // page address overflows (4 planes x 2^24 blocks x 256 pages) is refused.
+  rejects({"--blocks-per-plane=4294967552"}, "--blocks-per-plane");
+  rejects({"--pages-per-block=4294967552"}, "--pages-per-block");
+  rejects({"--spare-blocks=4294967552"}, "--spare-blocks");
+  rejects({"--blocks-per-plane=16777216"}, "--blocks-per-plane");
+  rejects({"--blocks-per-plane=4194304", "--pages-per-block=257"}, "--pages-per-block");
 }
 
 TEST(CliOptions, RequiresValues) {

@@ -1,6 +1,6 @@
 // Microbenchmarks of the substrate primitives (google-benchmark): mapping
-// writes, GC cycles, page-cache operations, predictor scans, CDH updates and
-// latency-tail recording.
+// writes, host reads, GC cycles, page-cache operations, predictor scans, CDH
+// updates and latency-tail recording.
 // These bound the simulator's own cost, which is what makes the full
 // paper-reproduction sweeps run in seconds.
 #include <benchmark/benchmark.h>
@@ -72,6 +72,23 @@ void BM_FtlRandomOverwriteWithGc(benchmark::State& state) {
   state.counters["waf"] = ftl.waf();
 }
 BENCHMARK(BM_FtlRandomOverwriteWithGc);
+
+// Host read path on an aged device at 1x/16x block counts: the L2P entry,
+// the page's state byte, then its OOB LBA checked against the request. At
+// 16x the map and page arenas outgrow the caches, so this tracks what the
+// page-state layout costs a read.
+void BM_FtlRandomRead(benchmark::State& state) {
+  ftl::Ftl ftl(bench_ftl_config(static_cast<std::uint32_t>(state.range(0))));
+  age_ftl(ftl, /*sip_list=*/false);
+  Rng rng(4);
+  const Lba n = ftl.user_pages();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ftl.read(rng.uniform(n)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["pages"] = static_cast<double>(ftl.nand().geometry().total_pages());
+}
+BENCHMARK(BM_FtlRandomRead)->Arg(1)->Arg(16);
 
 void BM_FtlBackgroundCollectStep(benchmark::State& state) {
   ftl::Ftl ftl(bench_ftl_config());

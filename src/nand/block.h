@@ -23,17 +23,31 @@ enum class PageState : std::uint8_t {
 /// duplicate LBAs by recency with it), a content stamp (the host-write
 /// identity, copied unchanged by migrations — what an integrity oracle
 /// compares), and the LBA the data belongs to, stored in 32 bits with
-/// kNoLba for "unreadable". Packed to 4-byte alignment: 20 bytes a page.
-#pragma pack(push, 4)
+/// kNoLba for "unreadable". The two stamps keep 48 bits each, split into a
+/// low word and a high half-word, so the record packs into 16 bytes with
+/// the LBA as a plain 32-bit load.
 struct PageOob {
   static constexpr std::uint32_t kNoLba = UINT32_MAX;
+  /// Exclusive bound on a stored sequence or content stamp.
+  static constexpr std::uint64_t kStampLimit = std::uint64_t{1} << 48;
 
-  std::uint64_t seq = 0;
-  std::uint64_t stamp = 0;
   std::uint32_t lba = kNoLba;
+  std::uint32_t seq_lo = 0;
+  std::uint32_t stamp_lo = 0;
+  std::uint16_t seq_hi = 0;
+  std::uint16_t stamp_hi = 0;
+
+  /// The record for a programmed page. The caller has checked the widths:
+  /// lba < kNoLba, seq and stamp < kStampLimit.
+  static PageOob programmed(std::uint32_t lba, std::uint64_t seq, std::uint64_t stamp) {
+    return PageOob{lba, static_cast<std::uint32_t>(seq), static_cast<std::uint32_t>(stamp),
+                   static_cast<std::uint16_t>(seq >> 32), static_cast<std::uint16_t>(stamp >> 32)};
+  }
+
+  std::uint64_t seq() const { return std::uint64_t{seq_hi} << 32 | seq_lo; }
+  std::uint64_t stamp() const { return std::uint64_t{stamp_hi} << 32 | stamp_lo; }
 };
-#pragma pack(pop)
-static_assert(sizeof(PageOob) == 20 && alignof(PageOob) == 4);
+static_assert(sizeof(PageOob) == 16 && alignof(PageOob) == 4);
 
 /// One erase block. Enforces NAND constraints: pages program strictly
 /// in order within a block; only erase returns pages to free.
@@ -41,7 +55,8 @@ static_assert(sizeof(PageOob) == 20 && alignof(PageOob) == 4);
 /// Each page carries a PageOob record. Invalidation is FTL metadata, not a
 /// media operation, so the OOB of an invalid page stays readable until the
 /// erase; only burned and torn pages have unreadable OOB (page_lba() ==
-/// kInvalidLba). The LBA must fit the record: lba < PageOob::kNoLba.
+/// kInvalidLba). The values must fit the record: lba < PageOob::kNoLba and
+/// seq, stamp < PageOob::kStampLimit.
 ///
 /// The state bytes and OOB records live inside two flat arenas owned by the
 /// NandDevice and the block only holds pointers, so a device-wide scan walks
@@ -90,14 +105,14 @@ class Block {
   /// Program-sequence OOB stamp (0 on pages with unreadable OOB).
   std::uint64_t page_seq(std::uint32_t page) const {
     JITGC_ENSURE(page < pages_);
-    return oob_[page].seq;
+    return oob_[page].seq();
   }
 
   /// Content OOB stamp: the host-write identity the page's data carries
   /// (0 on pages with unreadable OOB).
   std::uint64_t page_stamp(std::uint32_t page) const {
     JITGC_ENSURE(page < pages_);
-    return oob_[page].stamp;
+    return oob_[page].stamp();
   }
 
   /// The whole OOB record (for recovery's re-classification).
@@ -112,10 +127,14 @@ class Block {
   std::uint32_t program(Lba lba, std::uint64_t seq = 0, std::uint64_t stamp = 0) {
     JITGC_ENSURE_MSG(!is_full(), "programming a full block");
     JITGC_ENSURE_MSG(lba < PageOob::kNoLba, "LBA does not fit the 32-bit OOB record");
+    JITGC_ENSURE_MSG(seq < PageOob::kStampLimit,
+                     "program sequence does not fit the 48-bit OOB field");
+    JITGC_ENSURE_MSG(stamp < PageOob::kStampLimit,
+                     "content stamp does not fit the 48-bit OOB field");
     const std::uint32_t page = write_ptr_++;
     JITGC_ENSURE(states_[page] == PageState::kFree);
     states_[page] = PageState::kValid;
-    oob_[page] = PageOob{seq, stamp, static_cast<std::uint32_t>(lba)};
+    oob_[page] = PageOob::programmed(static_cast<std::uint32_t>(lba), seq, stamp);
     ++valid_count_;
     return page;
   }
@@ -176,16 +195,16 @@ class Block {
   /// Installs a saved state wholesale (warm-state snapshots). The normal
   /// mutators enforce NAND ordering invariants one operation at a time; a
   /// restore arrives as a finished aggregate, so this validates the
-  /// aggregate invariants instead: write_ptr within the block, valid pages
-  /// only below the write pointer, valid_count consistent with the states.
+  /// aggregate invariants instead: write_ptr within the block, every page
+  /// below the write pointer consumed and every page at or above it free,
+  /// valid_count consistent with the states.
   void restore(std::uint32_t write_ptr, std::uint64_t erase_count, const PageState* states,
                const PageOob* oob) {
     JITGC_ENSURE_MSG(write_ptr <= pages_, "restored write pointer beyond block");
     std::uint32_t valid = 0;
     for (std::uint32_t p = 0; p < pages_; ++p) {
-      if (states[p] == PageState::kValid || states[p] == PageState::kTorn) {
-        JITGC_ENSURE_MSG(p < write_ptr, "restored programmed page beyond write pointer");
-      }
+      JITGC_ENSURE_MSG((states[p] == PageState::kFree) == (p >= write_ptr),
+                       "restored page state contradicts the write pointer");
       if (states[p] == PageState::kValid) ++valid;
     }
     std::copy(states, states + pages_, states_);

@@ -93,13 +93,26 @@ void NandDevice::restore_state(BinaryReader& r) {
         throw BinaryFormatError("snapshot page state out of range");
       }
       states[p] = static_cast<PageState>(s);
+      if (states[p] == PageState::kFree && p < write_ptr) {
+        throw BinaryFormatError("snapshot free page below the write pointer");
+      }
+      if (states[p] != PageState::kFree && p >= write_ptr) {
+        throw BinaryFormatError("snapshot programmed page at or above the write pointer");
+      }
       const Lba lba = r.u64();
       if (lba != kInvalidLba && lba >= PageOob::kNoLba) {
         throw BinaryFormatError("snapshot OOB LBA does not fit the 32-bit OOB record");
       }
-      oob[p].lba = lba == kInvalidLba ? PageOob::kNoLba : static_cast<std::uint32_t>(lba);
-      oob[p].seq = r.u64();
-      oob[p].stamp = r.u64();
+      const std::uint64_t seq = r.u64();
+      if (seq >= PageOob::kStampLimit) {
+        throw BinaryFormatError("snapshot OOB sequence does not fit the 48-bit OOB field");
+      }
+      const std::uint64_t stamp = r.u64();
+      if (stamp >= PageOob::kStampLimit) {
+        throw BinaryFormatError("snapshot OOB content stamp does not fit the 48-bit OOB field");
+      }
+      oob[p] = PageOob::programmed(
+          lba == kInvalidLba ? PageOob::kNoLba : static_cast<std::uint32_t>(lba), seq, stamp);
     }
     b.restore(write_ptr, erase_count, states.data(), oob.data());
   }

@@ -72,7 +72,8 @@ class NandDevice {
   /// written into the page's OOB (program-sequence and content stamps — see
   /// Block). The fault model may fail the operation: the page is then burned
   /// (invalid, no data) and the result carries kProgramFail — callers must
-  /// check. `lba` must fit the 32-bit OOB record (see PageOob).
+  /// check. `lba`, `seq` and `stamp` must fit the OOB record's 32- and
+  /// 48-bit fields (see PageOob).
   ///
   /// Defined here so callers inline it: an out-of-line call returns the
   /// result through a stack slot written in pieces and reloaded whole,
@@ -141,8 +142,9 @@ class NandDevice {
 
   /// Restores a state saved by save_state(). The device must have been
   /// constructed with the same geometry/timing/fault config; throws
-  /// BinaryFormatError on structural mismatch or an OOB LBA the 32-bit
-  /// record cannot hold.
+  /// BinaryFormatError on structural mismatch, a page state that contradicts
+  /// its block's write pointer, an OOB LBA the 32-bit field cannot hold, or
+  /// a sequence or content stamp the 48-bit fields cannot hold.
   void restore_state(BinaryReader& r);
 
  private:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -105,6 +106,61 @@ TEST(Block, EraseCountAccumulates) {
     b.erase();
   }
   EXPECT_EQ(b.erase_count(), 5u);
+}
+
+/// Every page's OOB record, as the block hands them out.
+std::vector<PageOob> records(const Block& b) {
+  std::vector<PageOob> out;
+  for (std::uint32_t p = 0; p < b.pages_per_block(); ++p) out.push_back(b.page_oob(p));
+  return out;
+}
+
+bool bit_identical(const std::vector<PageOob>& a, const std::vector<PageOob>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof a[0]) == 0;
+}
+
+TEST(Block, StateTransitionsLeaveOobRecordsBitIdentical) {
+  ArenaBlock b(6);
+  // Program: exactly the programmed page's record changes, each field to
+  // exactly its value, with every high half-word distinct from its low word.
+  std::vector<PageOob> expect = records(b);
+  const std::uint64_t seq = (std::uint64_t{0xA5A5} << 32) | 0x5A5A5A5Au;
+  const std::uint64_t stamp = (std::uint64_t{0x5A5A} << 32) | 0xA5A5A5A5u;
+  ASSERT_EQ(b.program(0xFFFFFFFEu, seq, stamp), 0u);
+  EXPECT_EQ(b.page_lba(0), 0xFFFFFFFEu);
+  EXPECT_EQ(b.page_seq(0), seq);
+  EXPECT_EQ(b.page_stamp(0), stamp);
+  expect[0] = PageOob::programmed(0xFFFFFFFEu, seq, stamp);
+  EXPECT_TRUE(bit_identical(records(b), expect));
+  const std::uint64_t max = PageOob::kStampLimit - 1;
+  ASSERT_EQ(b.program(9, max, 0), 1u);
+  EXPECT_EQ(b.page_seq(1), max);
+  EXPECT_EQ(b.page_stamp(1), 0u);
+  expect[1] = b.page_oob(1);
+
+  // Burn, tear, invalidate, revalidate and a failed erase touch no record.
+  EXPECT_EQ(b.program_fail(), 2u);
+  EXPECT_TRUE(bit_identical(records(b), expect)) << "burn";
+  EXPECT_EQ(b.mark_torn(), 3u);
+  EXPECT_TRUE(bit_identical(records(b), expect)) << "torn";
+  b.invalidate(0);
+  EXPECT_TRUE(bit_identical(records(b), expect)) << "invalidate";
+  b.revalidate(0);
+  EXPECT_TRUE(bit_identical(records(b), expect)) << "revalidate";
+  b.invalidate(0);
+  b.invalidate(1);
+  b.erase_fail();
+  EXPECT_TRUE(bit_identical(records(b), expect)) << "erase failure";
+
+  // A restore (what recovery's recover_block installs) keeps the records it
+  // is given bit for bit; an erase resets every one to the unreadable default.
+  std::vector<PageState> states;
+  for (std::uint32_t p = 0; p < b.pages_per_block(); ++p) states.push_back(b.page_state(p));
+  b.restore(b.write_pointer(), b.erase_count(), states.data(), expect.data());
+  EXPECT_TRUE(bit_identical(records(b), expect)) << "restore";
+  b.erase();
+  EXPECT_TRUE(bit_identical(records(b), std::vector<PageOob>(6)));
+  EXPECT_EQ(b.page_lba(0), kInvalidLba);
 }
 
 }  // namespace

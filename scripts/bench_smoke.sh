@@ -101,8 +101,10 @@ expect_record_counts() {
 }
 
 # Malformed numbers are rejected at parse time, before any run or thread
-# exists, with a message naming the flag.
-for bad in --seconds=nan --seconds=10abc --seeds=-1; do
+# exists, with a message naming the flag; a count beyond its 32-bit field
+# is refused, never wrapped.
+for bad in --seconds=nan --seconds=10abc --seeds=-1 --spare-blocks=4294967552 \
+    --tenants=4294967296; do
   if "$SWEEP_BIN" --matrix=fig2 --workload=ycsb "$bad" > /dev/null 2> "$WORKDIR/err.txt"; then
     echo "FAIL: jitgc_sweep accepted $bad" >&2
     exit 1

@@ -22,20 +22,7 @@ sim::SimReport run_array_from_cli(const sim::CliOptions& options) {
   const sim::SimConfig base = sim::default_sim_config(options.seed);
   ArraySimConfig config;
   config.ssd = base.ssd;
-  config.ssd.ftl.geometry.blocks_per_plane = options.blocks_per_plane;
-  config.ssd.ftl.geometry.pages_per_block = options.pages_per_block;
-  config.ssd.ftl.op_ratio = options.op_ratio;
-  config.ssd.ftl.victim_policy = options.victim_policy;
-  config.ssd.ftl.enable_hot_cold_separation = options.hot_cold_separation;
-  config.ssd.service_queues = options.service_queues;
-  if (options.endurance_pe_cycles > 0) {
-    config.ssd.ftl.enforce_endurance = true;
-    config.ssd.ftl.timing.endurance_pe_cycles = options.endurance_pe_cycles;
-  }
-  config.ssd.ftl.fault.program_fail_prob = options.fault_program_fail_prob;
-  config.ssd.ftl.fault.erase_fail_prob = options.fault_erase_fail_prob;
-  config.ssd.ftl.fault.wear_fail_prob_at_limit = options.fault_wear_fail_prob;
-  config.ssd.ftl.spare_blocks = options.spare_blocks;
+  sim::apply_device_options(options, config.ssd);
 
   config.duration = seconds(options.seconds);
   config.flush_period = base.cache.flush_period;
@@ -66,7 +53,6 @@ sim::SimReport run_array_from_cli(const sim::CliOptions& options) {
   config.outage_restore_at = seconds(options.array_outage_restore_at_s);
   config.spo_slot = options.array_spo_slot;
   config.spo_at = seconds(options.array_spo_at_s);
-  config.ssd.ftl.checkpoint_interval_erases = options.checkpoint_every_erases;
   config.frontend = sim::frontend_config_from_cli(options);
 
   ArraySimulator simulator(config);

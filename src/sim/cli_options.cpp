@@ -1,8 +1,11 @@
 #include "sim/cli_options.h"
 
+#include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -15,6 +18,10 @@
 
 namespace jitgc::sim {
 
+namespace {
+
+// Strict value parsing: only a value that parses whole is accepted (no sign
+// on an unsigned value, no leading space, no trailing text).
 bool parse_double(const std::string& value, double& out) {
   const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
   return ec == std::errc{} && ptr == value.data() + value.size();
@@ -25,6 +32,7 @@ bool parse_u64(const std::string& value, std::uint64_t& out) {
   return ec == std::errc{} && ptr == value.data() + value.size();
 }
 
+/// Splits on commas, keeping empty items ("a,,b" gives three).
 std::vector<std::string> split_list(const std::string& value) {
   std::vector<std::string> items;
   std::size_t start = 0;
@@ -38,79 +46,258 @@ std::vector<std::string> split_list(const std::string& value) {
   return items;
 }
 
-bool parse_double_list(const std::string& value, std::vector<double>& out) {
-  out.clear();
-  for (const std::string& item : split_list(value)) {
-    double v = 0.0;
-    if (!parse_double(item, v)) return false;
-    out.push_back(v);
+// "Bonnie++" / "bonnie" / "TPC-C" / "tpcc" all compare equal.
+std::string normalized(const std::string& name) {
+  std::string out;
+  for (const char c : name) {
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
+    }
   }
-  return !out.empty();
+  return out;
 }
 
-bool parse_tenant_values(const std::string& flag, const std::string& value,
-                         std::vector<double>& out, std::string& error) {
-  // NaN-safe like --spo-at: !(finite && in range) rejects NaN, infinities
-  // and out-of-range values alike, always naming the offending flag.
-  struct Rule {
-    const char* flag;
-    const char* list;
-    const char* each;
-    bool zero_ok;
+// -- Row builders ---------------------------------------------------------------
+// A builder pairs a value kind with the field it fills. A std::vector field
+// takes a comma-separated list whose every item is checked alike.
+
+template <typename T>
+struct Items {
+  using Item = T;
+  static constexpr bool kList = false;
+};
+template <typename T>
+struct Items<std::vector<T>> {
+  using Item = T;
+  static constexpr bool kList = true;
+};
+
+template <typename Field, typename ParseItem>
+Flag row(const char* name, const char* metavar, FlagKind kind, Field& out, std::string needs,
+         const char* help, ParseItem parse_item) {
+  return Flag{name, metavar, kind, std::move(needs), help,
+              [&out, parse_item](const std::string& value) {
+                Field parsed{};
+                if constexpr (Items<Field>::kList) {
+                  for (const std::string& item : split_list(value)) {
+                    if (!parse_item(item, parsed.emplace_back())) return false;
+                  }
+                } else if (!parse_item(value, parsed)) {
+                  return false;
+                }
+                out = std::move(parsed);
+                return true;
+              }};
+}
+
+Flag on(const char* name, bool& out, const char* help, bool value = true) {
+  return Flag{name, "", FlagKind::kSwitch, "", help, [&out, value](const std::string&) {
+                out = value;
+                return true;
+              }};
+}
+
+// Text is never empty; only a list can hold a bad (empty) item.
+template <typename Field>  // std::string or a std::vector of them
+Flag text(const char* name, const char* metavar, Field& out, const char* help,
+          const char* needs = "a value") {
+  return row(name, metavar, FlagKind::kText, out, needs, help,
+             [](const std::string& item, std::string& v) {
+               v = item;
+               return !item.empty();
+             });
+}
+
+template <typename T>
+Flag choice(const char* name, const char* metavar, T& out,
+            std::vector<std::pair<std::string, T>> words, const char* help) {
+  std::string needs;
+  for (const auto& word : words) needs += (needs.empty() ? "one of " : "|") + word.first;
+  return row(name, metavar, FlagKind::kChoice, out, needs, help,
+             [words = std::move(words)](const std::string& item, T& v) {
+               for (const auto& [word, value] : words) {
+                 if (word == item) {
+                   v = value;
+                   return true;
+                 }
+               }
+               return false;
+             });
+}
+
+// A choice stored as the word itself.
+Flag keyword(const char* name, const char* metavar, std::string& out,
+             std::initializer_list<const char*> words, const char* help) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (const char* word : words) pairs.emplace_back(word, word);
+  return choice(name, metavar, out, std::move(pairs), help);
+}
+
+// [lo, hi], either end optionally open. Every accepted value is finite, and
+// the test is written to accept (NaN fails every comparison), not to reject.
+struct Range {
+  double lo = 0.0;
+  double hi = std::numeric_limits<double>::max();
+  bool lo_open = false;
+  bool hi_open = false;
+
+  bool holds(double v) const {
+    return std::isfinite(v) && (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
+  }
+};
+constexpr Range kNonNegative{};
+constexpr Range kPositive{.lo_open = true};
+constexpr Range kUnitInterval{.hi = 1.0};
+
+template <typename Field>  // double or a std::vector of them
+Flag real(const char* name, const char* metavar, Field& out, Range range, const char* needs,
+          const char* help) {
+  return row(name, metavar, FlagKind::kReal, out, needs, help,
+             [range](const std::string& item, double& v) {
+               return parse_double(item, v) && range.holds(v);
+             });
+}
+
+// An unsigned count at least `min` that fits the field's own type, so a
+// 32-bit field refuses 2^32 and a slot index (int32) refuses 2^31.
+template <typename Field>  // an integer or a std::vector of them
+Flag count(const char* name, const char* metavar, Field& out, std::uint64_t min, const char* needs,
+           const char* help) {
+  using Int = typename Items<Field>::Item;
+  constexpr auto kMax = static_cast<std::uint64_t>(std::numeric_limits<Int>::max());
+  return row(name, metavar, kMax <= UINT32_MAX ? FlagKind::kCount32 : FlagKind::kCount, out, needs,
+             help, [min](const std::string& item, Int& v) {
+               std::uint64_t x = 0;
+               if (!parse_u64(item, x) || x < min || x > kMax) return false;
+               v = static_cast<Int>(x);
+               return true;
+             });
+}
+
+// -- The tables ------------------------------------------------------------------
+
+// The rows jitgc_cli and jitgc_sweep both take.
+std::vector<Flag> shared_flags(CliOptions& o) {
+  return {
+      real("--seconds", "<s>", o.seconds, kPositive, "a finite positive duration",
+           "measured duration                    (default 300)"),
+      text("--snapshot-cache", "<dir>", o.snapshot_cache_dir,
+           "reuse post-precondition device state across runs\n"
+           "(byte-identical output; cold miss fills the cache)"),
+      count("--tenants", "<n>", o.tenants, 1, "a positive 32-bit tenant count",
+            "multi-tenant front-end with n queues  (default off)"),
+      text("--tenant-mix", "<a,b,..>", o.tenant_mix,
+           "per-tenant workload mixes (one shared, or one per tenant;\n"
+           "default: every tenant runs the run's workload)",
+           "comma-separated workload names"),
+      real("--tenant-weight", "<w,..>", o.tenant_weight, kPositive,
+           "finite weights > 0, comma-separated",
+           "per-tenant DWRR weights, > 0          (default 1)"),
+      real("--tenant-rate", "<b,..>", o.tenant_rate, kNonNegative,
+           "finite rates in bytes/s (0 = uncapped), comma-separated",
+           "per-tenant submission caps, bytes/s (0 = uncapped)"),
+      real("--tenant-qos-p99", "<ms,..>", o.tenant_qos_p99_ms, kNonNegative,
+           "finite targets in ms (0 = ungraded), comma-separated",
+           "per-tenant p99 targets, ms (0 = ungraded)"),
+      keyword("--tenant-arrival", "<m>", o.tenant_arrival, {"open", "closed"},
+              "open|closed arrivals for every tenant (default open)"),
+      count("--tenant-queue-depth", "<n>", o.tenant_queue_depth, 1,
+            "a positive 32-bit admission-window size",
+            "global admission window            (default 32)"),
+      count("--endurance", "<pe>", o.endurance_pe_cycles, 0, "a P/E cycle count",
+            "enforce endurance at this P/E rating (default off)"),
+      real("--fault-program", "<p>", o.fault_program_fail_prob, kUnitInterval,
+           "a probability in [0,1]", "NAND program-failure probability     (default 0)"),
+      real("--fault-erase", "<p>", o.fault_erase_fail_prob, kUnitInterval,
+           "a probability in [0,1]", "NAND erase-failure probability       (default 0)"),
+      real("--fault-wear", "<p>", o.fault_wear_fail_prob, kUnitInterval, "a probability in [0,1]",
+           "extra failure probability at the endurance limit\n"
+           "(ramps up from 90% of it; needs --endurance)"),
+      count("--spare-blocks", "<n>", o.spare_blocks, 0, "a 32-bit block count",
+            "factory spares for bad-block management (default 0)"),
+      on("--help", o.show_help, "print this list and exit (also -h)"),
   };
-  static constexpr Rule kRules[] = {
-      {"--tenant-weight", "comma-separated scheduling weights", "finite weights > 0", false},
-      {"--tenant-rate", "comma-separated byte rates", "finite rates in bytes/s (0 = uncapped)",
-       true},
-      {"--tenant-qos-p99", "comma-separated millisecond targets",
-       "finite targets in ms (0 = ungraded)", true},
-  };
-  for (const Rule& rule : kRules) {
-    if (flag != rule.flag) continue;
-    if (!parse_double_list(value, out)) {
-      error = flag + " needs " + rule.list;
-      return false;
-    }
-    for (const double v : out) {
-      if (!(std::isfinite(v) && (v > 0.0 || (rule.zero_ok && v == 0.0)))) {
-        error = flag + " needs " + rule.each;
+}
+
+// Rules over several shared flags, written once for both tools. `given`
+// lists the flags on the command line, in order.
+bool check_shared_rules(const CliOptions& o, const std::vector<std::string>& given,
+                        std::string& error) {
+  // FaultModel anchors the wear ramp at the endurance rating; without one
+  // the probability would silently inject nothing.
+  if (o.fault_wear_fail_prob > 0.0 && o.endurance_pe_cycles == 0) {
+    error = "--fault-wear needs --endurance=<pe> (the ramp anchor)";
+    return false;
+  }
+  if (o.tenants == 0) {
+    for (const std::string& flag : given) {
+      if (flag.starts_with("--tenant-")) {
+        error = flag + " requires --tenants";
         return false;
       }
     }
     return true;
   }
-  error = "unknown per-tenant list flag '" + flag + "'";
-  return false;
-}
-
-namespace {
-
-bool parse_u32_list(const std::string& value, std::vector<std::uint32_t>& out) {
-  out.clear();
-  for (const std::string& item : split_list(value)) {
-    std::uint64_t v = 0;
-    if (!parse_u64(item, v)) return false;
-    out.push_back(static_cast<std::uint32_t>(v));
+  // The broadcast rule: one shared value, or exactly one per tenant.
+  const std::pair<const char*, std::size_t> tenant_lists[] = {
+      {"--tenant-mix", o.tenant_mix.size()},
+      {"--tenant-weight", o.tenant_weight.size()},
+      {"--tenant-rate", o.tenant_rate.size()},
+      {"--tenant-qos-p99", o.tenant_qos_p99_ms.size()},
+  };
+  for (const auto& [flag, n] : tenant_lists) {
+    if (n > 1 && n != o.tenants) {
+      error = std::string(flag) + " got " + std::to_string(n) + " values for " +
+              std::to_string(o.tenants) + " tenants (give one shared value or one per tenant)";
+      return false;
+    }
   }
-  return !out.empty();
+  return true;
 }
 
-std::optional<PolicyKind> parse_policy(const std::string& name) {
-  if (name == "lazy" || name == "l-bgc") return PolicyKind::kLazy;
-  if (name == "aggressive" || name == "a-bgc") return PolicyKind::kAggressive;
-  if (name == "adaptive" || name == "adp-gc") return PolicyKind::kAdaptive;
-  if (name == "jit" || name == "jit-gc") return PolicyKind::kJit;
-  if (name == "fixed") return PolicyKind::kFixedReserve;
-  return std::nullopt;
+// Runs the table over the arguments; `given` collects the flags seen.
+bool parse_flags(const std::vector<std::string>& args, const std::vector<Flag>& flags,
+                 std::vector<std::string>& given, std::string& error) {
+  for (const std::string& arg : args) {
+    const std::size_t eq = arg.find('=');
+    const std::string key = arg == "-h" ? "--help" : arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(), [&](const Flag& f) { return f.name == key; });
+    if (flag == flags.end()) {
+      error = "unknown option '" + key + "'";
+      return false;
+    }
+    if (flag->kind == FlagKind::kSwitch && eq != std::string::npos) {
+      error = key + " takes no value, got '" + value + "'";
+      return false;
+    }
+    if (flag->kind != FlagKind::kSwitch && value.empty()) {
+      error = key + " requires a value (use " + key + "=" + flag->metavar + ")";
+      return false;
+    }
+    if (!flag->set(value)) {
+      error = key + " needs " + flag->needs + ", got '" + value + "'";
+      return false;
+    }
+    given.push_back(key);
+  }
+  return true;
 }
 
-std::optional<ftl::VictimPolicyKind> parse_victim(const std::string& name) {
-  if (name == "greedy") return ftl::VictimPolicyKind::kGreedy;
-  if (name == "cost-benefit") return ftl::VictimPolicyKind::kCostBenefit;
-  if (name == "fifo") return ftl::VictimPolicyKind::kFifo;
-  if (name == "random") return ftl::VictimPolicyKind::kRandom;
-  if (name == "sampled-greedy") return ftl::VictimPolicyKind::kSampledGreedy;
-  return std::nullopt;
+std::string usage(const char* tool, const std::vector<Flag>& flags) {
+  constexpr std::size_t kHelpColumn = 25;
+  std::string out = std::string("usage: ") + tool + " [options]\n";
+  for (const Flag& flag : flags) {
+    std::string line = "  " + flag.name + (flag.metavar.empty() ? "" : "=" + flag.metavar);
+    line += line.size() < kHelpColumn ? std::string(kHelpColumn - line.size(), ' ') : "  ";
+    for (const char c : flag.help) {
+      line += c;
+      if (c == '\n') line += std::string(kHelpColumn, ' ');
+    }
+    out += line + "\n";
+  }
+  return out;
 }
 
 }  // namespace
@@ -120,411 +307,161 @@ std::optional<wl::WorkloadSpec> find_benchmark_spec(const std::string& name) {
   const auto core = wl::ycsb_core_specs();  // tenant mixes: ycsb-a .. ycsb-f
   specs.insert(specs.end(), core.begin(), core.end());
   for (const auto& spec : specs) {
-    std::string lowered = spec.name;
-    for (char& c : lowered) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    // Accept "bonnie" for "bonnie++", "tpcc" for "tpc-c", etc.
-    if (lowered == name) return spec;
-    std::string stripped;
-    for (const char c : lowered) {
-      if (std::isalnum(static_cast<unsigned char>(c))) stripped.push_back(c);
-    }
-    std::string wanted;
-    for (const char c : name) {
-      if (std::isalnum(static_cast<unsigned char>(c))) wanted.push_back(c);
-    }
-    if (stripped == wanted) return spec;
+    if (normalized(spec.name) == normalized(name)) return spec;
   }
   return std::nullopt;
 }
 
+std::vector<Flag> cli_flags(CliOptions& o) {
+  using ftl::VictimPolicyKind;
+  std::vector<Flag> flags = {
+      text("--workload", "<name>", o.workload,
+           "ycsb|postmark|filebench|bonnie|tiobench|tpcc|\n"
+           "mail-server|file-server        (default ycsb)"),
+      text("--trace", "<file>", o.trace_path, "replay an MSR-format block trace instead"),
+      real("--trace-buffered", "<f>", o.trace_buffered_fraction, kUnitInterval,
+           "a fraction in [0,1]", "re-synthesize this fraction of trace writes as buffered"),
+      choice("--policy", "<name>", o.policy,
+             {{"lazy", PolicyKind::kLazy},
+              {"l-bgc", PolicyKind::kLazy},
+              {"aggressive", PolicyKind::kAggressive},
+              {"a-bgc", PolicyKind::kAggressive},
+              {"adaptive", PolicyKind::kAdaptive},
+              {"adp-gc", PolicyKind::kAdaptive},
+              {"jit", PolicyKind::kJit},
+              {"jit-gc", PolicyKind::kJit},
+              {"fixed", PolicyKind::kFixedReserve}},
+             "lazy|aggressive|adaptive|jit|fixed   (default jit)"),
+      real("--reserve", "<m>", o.fixed_reserve_multiple, kPositive,
+           "a finite positive C_resv/C_OP multiple",
+           "C_resv as a multiple of C_OP for --policy=fixed"),
+      count("--seed", "<n>", o.seed, 0, "an unsigned integer",
+            "RNG seed                             (default 1)"),
+  };
+  for (Flag& flag : shared_flags(o)) flags.push_back(std::move(flag));
+  const std::vector<Flag> own = {
+      count("--trace-volume-map", "<v,..>", o.trace_volume_map, 0,
+            "comma-separated 32-bit MSR volume numbers",
+            "MSR volume each tenant replays (trace mode)"),
+      count("--snapshot-cache-limit", "<n>", o.snapshot_cache_limit, 1,
+            "a positive snapshot-file count", "LRU cap on the disk cache, in snapshot files"),
+      real("--spo-at", "<s>", o.spo_at_s, kNonNegative, "a finite time in seconds (>= 0)",
+           "sudden power-off this far into the measured run;\n"
+           "the device recovers by OOB scan (default off)"),
+      real("--spo-every", "<s>", o.spo_every_s, kPositive, "a finite positive period in seconds",
+           "repeat the power cut every s seconds (needs --spo-at)"),
+      count("--spo-precondition-writes", "<n>", o.spo_precondition_writes, 1,
+            "a positive write count", "one SPO after n preconditioning writes"),
+      count("--checkpoint-every-erases", "<k>", o.checkpoint_every_erases, 0,
+            "an erase count (0 = off)",
+            "mapping checkpoint every k erases\n(bounds the recovery scan; 0 = full scan)"),
+      choice("--arrival", "<m>", o.open_loop_arrivals, {{"closed", false}, {"open", true}},
+             "closed|open arrival model, single-SSD (default closed)"),
+      count("--blocks-per-plane", "<n>", o.blocks_per_plane, 1, "a positive 32-bit integer",
+            "device scale                         (default 256)"),
+      count("--pages-per-block", "<n>", o.pages_per_block, 1, "a positive 32-bit integer",
+            "                                     (default 256)"),
+      real("--op-ratio", "<f>", o.op_ratio, Range{.hi = 1.0, .lo_open = true, .hi_open = true},
+           "a fraction in (0,1)", "over-provisioning fraction           (default 0.07)"),
+      choice("--victim", "<name>", o.victim_policy,
+             {{"greedy", VictimPolicyKind::kGreedy},
+              {"cost-benefit", VictimPolicyKind::kCostBenefit},
+              {"fifo", VictimPolicyKind::kFifo},
+              {"random", VictimPolicyKind::kRandom},
+              {"sampled-greedy", VictimPolicyKind::kSampledGreedy}},
+             "greedy|cost-benefit|fifo|random|sampled-greedy"),
+      on("--hot-cold", o.hot_cold_separation, "enable hot/cold stream separation"),
+      on("--measured-idle", o.use_measured_idle, "JIT-GC uses measured device idle for T_idle"),
+      count("--service-queues", "<n>", o.service_queues, 0,
+            "0 (per-plane) or a 32-bit queue count",
+            "1 = scaled single queue; 0 = one queue per plane"),
+      real("--bgc-rate-limit", "<bps>", o.bgc_rate_limit_bps, kNonNegative,
+           "finite bytes/s (0 = unlimited)", "QoS cap on background GC reclaim (0 = unlimited)"),
+      count("--array-devices", "<n>", o.array_devices, 1, "a positive 32-bit device count",
+            "stripe the volume over N SSDs (array mode; default off)"),
+      count("--stripe-chunk", "<pages>", o.stripe_chunk_pages, 1, "a positive 32-bit page count",
+            "stripe chunk size                    (default 8)"),
+      keyword("--array-gc-mode", "<m>", o.array_gc_mode, {"naive", "staggered", "maxk"},
+              "naive|staggered|maxk                 (default staggered)"),
+      count("--array-max-concurrent-gc", "<k>", o.array_max_concurrent_gc, 1,
+            "a positive 32-bit device count", "GC concurrency cap           (default 1)"),
+      // The sim layer cannot call array::redundancy_scheme_names() (the
+      // dependency is one-way); array_cli.cpp re-validates with that list.
+      keyword("--array-redundancy", "<s>", o.array_redundancy, {"none", "mirror", "parity"},
+              "none|mirror|parity                   (default none)"),
+      count("--array-spares", "<n>", o.array_spares, 0, "a 32-bit spare device count",
+            "hot spares for rebuilds              (default 0)"),
+      real("--rebuild-rate-floor", "<f>", o.rebuild_rate_floor, kUnitInterval,
+           "a duty fraction in [0, 1]", "min rebuild duty fraction [0,1]   (default 0.1)"),
+      count("--array-kill-device", "<slot>", o.array_kill_slot, 0, "a slot index below 2^31",
+            "scripted kill: retire this slot's device"),
+      real("--array-kill-at", "<s>", o.array_kill_at_s, kNonNegative,
+           "a finite time in seconds (>= 0)", "kill time in seconds                 (default 0)"),
+      count("--array-outage-device", "<slot>", o.array_outage_slot, 0, "a slot index below 2^31",
+            "scripted transient outage: suspend this slot"),
+      real("--array-outage-at", "<s>", o.array_outage_at_s, kNonNegative,
+           "a finite time in seconds (>= 0)", "outage start, seconds                (default 0)"),
+      real("--array-outage-restore-at", "<s>", o.array_outage_restore_at_s, kNonNegative,
+           "a finite time in seconds (>= 0)", "device returns at this time"),
+      count("--array-spo-device", "<slot>", o.array_spo_slot, 0, "a slot index below 2^31",
+            "sudden power-off for this slot's device; it\n"
+            "recovers by OOB scan and resyncs via rebuild"),
+      real("--array-spo-at", "<s>", o.array_spo_at_s, kNonNegative,
+           "a finite time in seconds (>= 0)", "array SPO time in seconds             (default 0)"),
+      count("--jobs", "<n>", o.jobs, 0, "a thread count (0 = hardware)",
+            "array GC fan-out threads, 0 = hardware (default 0)"),
+      on("--no-sip", o.use_sip_list, "disable SIP victim filtering (JIT-GC)", false),
+      real("--percentile", "<q>", o.direct_quantile, Range{.hi = 1.0, .lo_open = true},
+           "a value in (0,1]", "CDH reserve quantile                 (default 0.8)"),
+      text("--metrics", "<file>", o.metrics_path,
+           "write per-interval + run JSONL records (docs/model.md)"),
+      on("--csv", o.csv, "machine-readable one-line output"),
+      on("--csv-header", o.csv_header, "--csv with a header line first"),
+      on("--json", o.json, "machine-readable JSON object output"),
+  };
+  flags.insert(flags.end(), own.begin(), own.end());
+  return flags;
+}
+
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::string& error) {
   CliOptions opt;
-  // First --tenant-* flag seen, for the "requires --tenants" diagnostic.
-  std::string tenant_flag_seen;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-
-    const auto need_value = [&]() -> bool {
-      if (value.empty()) {
-        error = key + " requires a value (use " + key + "=<value>)";
-        return false;
-      }
-      return true;
-    };
-
-    if (key == "--help" || key == "-h") {
-      opt.show_help = true;
-    } else if (key == "--workload") {
-      if (!need_value()) return std::nullopt;
-      opt.workload = value;
-    } else if (key == "--trace") {
-      if (!need_value()) return std::nullopt;
-      opt.trace_path = value;
-    } else if (key == "--trace-buffered") {
-      if (!need_value() || !parse_double(value, opt.trace_buffered_fraction) ||
-          !(opt.trace_buffered_fraction >= 0.0 && opt.trace_buffered_fraction <= 1.0)) {
-        error = "--trace-buffered needs a fraction in [0,1]";
-        return std::nullopt;
-      }
-    } else if (key == "--tenants") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0) {
-        error = "--tenants needs a positive tenant count";
-        return std::nullopt;
-      }
-      opt.tenants = static_cast<std::uint32_t>(v);
-    } else if (key == "--tenant-mix") {
-      if (!need_value()) return std::nullopt;
-      opt.tenant_mix = split_list(value);
-      for (const std::string& mix : opt.tenant_mix) {
-        if (mix.empty()) {
-          error = "--tenant-mix needs comma-separated workload names";
-          return std::nullopt;
-        }
-      }
-      tenant_flag_seen = key;
-    } else if (key == "--tenant-weight" || key == "--tenant-rate" || key == "--tenant-qos-p99") {
-      std::vector<double>& list = key == "--tenant-weight" ? opt.tenant_weight
-                                  : key == "--tenant-rate" ? opt.tenant_rate
-                                                           : opt.tenant_qos_p99_ms;
-      if (!need_value() || !parse_tenant_values(key, value, list, error)) return std::nullopt;
-      tenant_flag_seen = key;
-    } else if (key == "--tenant-arrival") {
-      if (!need_value()) return std::nullopt;
-      if (value != "open" && value != "closed") {
-        error = "unknown tenant arrival model '" + value + "' (open|closed)";
-        return std::nullopt;
-      }
-      opt.tenant_arrival = value;
-      tenant_flag_seen = key;
-    } else if (key == "--tenant-queue-depth") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0) {
-        error = "--tenant-queue-depth needs a positive admission-window size";
-        return std::nullopt;
-      }
-      opt.tenant_queue_depth = static_cast<std::uint32_t>(v);
-      tenant_flag_seen = key;
-    } else if (key == "--trace-volume-map") {
-      if (!need_value() || !parse_u32_list(value, opt.trace_volume_map)) {
-        error = "--trace-volume-map needs comma-separated MSR volume numbers";
-        return std::nullopt;
-      }
-    } else if (key == "--policy") {
-      if (!need_value()) return std::nullopt;
-      const auto policy = parse_policy(value);
-      if (!policy) {
-        error = "unknown policy '" + value + "' (lazy|aggressive|adaptive|jit|fixed)";
-        return std::nullopt;
-      }
-      opt.policy = *policy;
-    } else if (key == "--reserve") {
-      if (!need_value() || !parse_double(value, opt.fixed_reserve_multiple) ||
-          !(std::isfinite(opt.fixed_reserve_multiple) && opt.fixed_reserve_multiple > 0.0)) {
-        error = "--reserve needs a finite positive C_resv/C_OP multiple";
-        return std::nullopt;
-      }
-    } else if (key == "--seconds") {
-      if (!need_value() || !parse_double(value, opt.seconds) ||
-          !(std::isfinite(opt.seconds) && opt.seconds > 0.0)) {
-        error = "--seconds needs a finite positive duration";
-        return std::nullopt;
-      }
-    } else if (key == "--seed") {
-      if (!need_value() || !parse_u64(value, opt.seed)) {
-        error = "--seed needs an unsigned integer";
-        return std::nullopt;
-      }
-    } else if (key == "--snapshot-cache") {
-      if (!need_value()) return std::nullopt;
-      opt.snapshot_cache_dir = value;
-    } else if (key == "--snapshot-cache-limit") {
-      if (!need_value() || !parse_u64(value, opt.snapshot_cache_limit) ||
-          opt.snapshot_cache_limit == 0) {
-        error = "--snapshot-cache-limit needs a positive snapshot-file count";
-        return std::nullopt;
-      }
-    } else if (key == "--spo-at") {
-      // NaN-safe like the fault flags: !(finite && in-range) rejects NaN,
-      // infinities, and negatives alike, always naming the offending flag.
-      if (!need_value() || !parse_double(value, opt.spo_at_s) ||
-          !(std::isfinite(opt.spo_at_s) && opt.spo_at_s >= 0.0)) {
-        error = "--spo-at needs a finite time in seconds (>= 0)";
-        return std::nullopt;
-      }
-    } else if (key == "--spo-every") {
-      if (!need_value() || !parse_double(value, opt.spo_every_s) ||
-          !(std::isfinite(opt.spo_every_s) && opt.spo_every_s > 0.0)) {
-        error = "--spo-every needs a finite positive period in seconds";
-        return std::nullopt;
-      }
-    } else if (key == "--spo-precondition-writes") {
-      if (!need_value() || !parse_u64(value, opt.spo_precondition_writes) ||
-          opt.spo_precondition_writes == 0) {
-        error = "--spo-precondition-writes needs a positive write count";
-        return std::nullopt;
-      }
-    } else if (key == "--checkpoint-every-erases") {
-      if (!need_value() || !parse_u64(value, opt.checkpoint_every_erases)) {
-        error = "--checkpoint-every-erases needs an erase count (0 = off)";
-        return std::nullopt;
-      }
-    } else if (key == "--arrival") {
-      if (!need_value()) return std::nullopt;
-      if (value != "open" && value != "closed") {
-        error = "unknown arrival model '" + value + "' (open|closed)";
-        return std::nullopt;
-      }
-      opt.open_loop_arrivals = value == "open";
-    } else if (key == "--blocks-per-plane") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0 || v > UINT32_MAX) {
-        error = "--blocks-per-plane needs a positive 32-bit integer";
-        return std::nullopt;
-      }
-      opt.blocks_per_plane = static_cast<std::uint32_t>(v);
-    } else if (key == "--pages-per-block") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0 || v > UINT32_MAX) {
-        error = "--pages-per-block needs a positive 32-bit integer";
-        return std::nullopt;
-      }
-      opt.pages_per_block = static_cast<std::uint32_t>(v);
-    } else if (key == "--op-ratio") {
-      if (!need_value() || !parse_double(value, opt.op_ratio) || !(opt.op_ratio > 0.0 && opt.op_ratio < 1.0)) {
-        error = "--op-ratio needs a fraction in (0,1)";
-        return std::nullopt;
-      }
-    } else if (key == "--endurance") {
-      if (!need_value() || !parse_u64(value, opt.endurance_pe_cycles)) {
-        error = "--endurance needs a P/E cycle count";
-        return std::nullopt;
-      }
-    } else if (key == "--fault-program") {
-      if (!need_value() || !parse_double(value, opt.fault_program_fail_prob) ||
-          !(opt.fault_program_fail_prob >= 0.0 && opt.fault_program_fail_prob <= 1.0)) {
-        error = "--fault-program needs a probability in [0,1]";
-        return std::nullopt;
-      }
-    } else if (key == "--fault-erase") {
-      if (!need_value() || !parse_double(value, opt.fault_erase_fail_prob) ||
-          !(opt.fault_erase_fail_prob >= 0.0 && opt.fault_erase_fail_prob <= 1.0)) {
-        error = "--fault-erase needs a probability in [0,1]";
-        return std::nullopt;
-      }
-    } else if (key == "--fault-wear") {
-      if (!need_value() || !parse_double(value, opt.fault_wear_fail_prob) ||
-          !(opt.fault_wear_fail_prob >= 0.0 && opt.fault_wear_fail_prob <= 1.0)) {
-        error = "--fault-wear needs a probability in [0,1]";
-        return std::nullopt;
-      }
-    } else if (key == "--spare-blocks") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v > UINT32_MAX) {
-        error = "--spare-blocks needs a 32-bit block count";
-        return std::nullopt;
-      }
-      opt.spare_blocks = static_cast<std::uint32_t>(v);
-    } else if (key == "--victim") {
-      if (!need_value()) return std::nullopt;
-      const auto victim = parse_victim(value);
-      if (!victim) {
-        error = "unknown victim policy '" + value +
-                "' (greedy|cost-benefit|fifo|random|sampled-greedy)";
-        return std::nullopt;
-      }
-      opt.victim_policy = *victim;
-    } else if (key == "--hot-cold") {
-      opt.hot_cold_separation = true;
-    } else if (key == "--measured-idle") {
-      opt.use_measured_idle = true;
-    } else if (key == "--service-queues") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v)) {
-        error = "--service-queues needs 0 (per-plane) or a queue count";
-        return std::nullopt;
-      }
-      opt.service_queues = static_cast<std::uint32_t>(v);
-    } else if (key == "--bgc-rate-limit") {
-      if (!need_value() || !parse_double(value, opt.bgc_rate_limit_bps) ||
-          !(std::isfinite(opt.bgc_rate_limit_bps) && opt.bgc_rate_limit_bps >= 0.0)) {
-        error = "--bgc-rate-limit needs finite bytes/s (0 = unlimited)";
-        return std::nullopt;
-      }
-    } else if (key == "--array-devices") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0) {
-        error = "--array-devices needs a positive device count";
-        return std::nullopt;
-      }
-      opt.array_devices = static_cast<std::uint32_t>(v);
-    } else if (key == "--stripe-chunk") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0) {
-        error = "--stripe-chunk needs a positive page count";
-        return std::nullopt;
-      }
-      opt.stripe_chunk_pages = static_cast<std::uint32_t>(v);
-    } else if (key == "--array-gc-mode") {
-      if (!need_value()) return std::nullopt;
-      if (value != "naive" && value != "staggered" && value != "maxk") {
-        error = "unknown array GC mode '" + value + "' (naive|staggered|maxk)";
-        return std::nullopt;
-      }
-      opt.array_gc_mode = value;
-    } else if (key == "--array-max-concurrent-gc") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v) || v == 0) {
-        error = "--array-max-concurrent-gc needs a positive device count";
-        return std::nullopt;
-      }
-      opt.array_max_concurrent_gc = static_cast<std::uint32_t>(v);
-    } else if (key == "--array-redundancy") {
-      if (!need_value()) return std::nullopt;
-      // Enumerates the valid schemes inline: the sim layer cannot call
-      // array::redundancy_scheme_names() (the dependency is one-way), and
-      // array_cli.cpp re-validates with the authoritative list.
-      if (value != "none" && value != "mirror" && value != "parity") {
-        error = "unknown array redundancy scheme '" + value + "' (none|mirror|parity)";
-        return std::nullopt;
-      }
-      opt.array_redundancy = value;
-    } else if (key == "--array-spares") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v)) {
-        error = "--array-spares needs a spare device count";
-        return std::nullopt;
-      }
-      opt.array_spares = static_cast<std::uint32_t>(v);
-    } else if (key == "--rebuild-rate-floor") {
-      if (!need_value() || !parse_double(value, opt.rebuild_rate_floor) ||
-          !(opt.rebuild_rate_floor >= 0.0 && opt.rebuild_rate_floor <= 1.0)) {
-        error = "--rebuild-rate-floor needs a duty fraction in [0, 1]";
-        return std::nullopt;
-      }
-    } else if (key == "--array-kill-device") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v)) {
-        error = "--array-kill-device needs a slot index";
-        return std::nullopt;
-      }
-      opt.array_kill_slot = static_cast<std::int32_t>(v);
-    } else if (key == "--array-kill-at") {
-      if (!need_value() || !parse_double(value, opt.array_kill_at_s) ||
-          !(std::isfinite(opt.array_kill_at_s) && opt.array_kill_at_s >= 0.0)) {
-        error = "--array-kill-at needs a finite time in seconds (>= 0)";
-        return std::nullopt;
-      }
-    } else if (key == "--array-outage-device") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v)) {
-        error = "--array-outage-device needs a slot index";
-        return std::nullopt;
-      }
-      opt.array_outage_slot = static_cast<std::int32_t>(v);
-    } else if (key == "--array-outage-at") {
-      if (!need_value() || !parse_double(value, opt.array_outage_at_s) ||
-          !(std::isfinite(opt.array_outage_at_s) && opt.array_outage_at_s >= 0.0)) {
-        error = "--array-outage-at needs a finite time in seconds (>= 0)";
-        return std::nullopt;
-      }
-    } else if (key == "--array-outage-restore-at") {
-      if (!need_value() || !parse_double(value, opt.array_outage_restore_at_s) ||
-          !(std::isfinite(opt.array_outage_restore_at_s) &&
-            opt.array_outage_restore_at_s >= 0.0)) {
-        error = "--array-outage-restore-at needs a finite time in seconds (>= 0)";
-        return std::nullopt;
-      }
-    } else if (key == "--array-spo-device") {
-      std::uint64_t v = 0;
-      if (!need_value() || !parse_u64(value, v)) {
-        error = "--array-spo-device needs a slot index";
-        return std::nullopt;
-      }
-      opt.array_spo_slot = static_cast<std::int32_t>(v);
-    } else if (key == "--array-spo-at") {
-      if (!need_value() || !parse_double(value, opt.array_spo_at_s) ||
-          !(std::isfinite(opt.array_spo_at_s) && opt.array_spo_at_s >= 0.0)) {
-        error = "--array-spo-at needs a finite time in seconds (>= 0)";
-        return std::nullopt;
-      }
-    } else if (key == "--jobs") {
-      if (!need_value() || !parse_u64(value, opt.jobs)) {
-        error = "--jobs needs a thread count (0 = hardware)";
-        return std::nullopt;
-      }
-    } else if (key == "--no-sip") {
-      opt.use_sip_list = false;
-    } else if (key == "--percentile") {
-      if (!need_value() || !parse_double(value, opt.direct_quantile) ||
-          !(opt.direct_quantile > 0.0 && opt.direct_quantile <= 1.0)) {
-        error = "--percentile needs a value in (0,1]";
-        return std::nullopt;
-      }
-    } else if (key == "--metrics") {
-      if (!need_value()) return std::nullopt;
-      opt.metrics_path = value;
-    } else if (key == "--csv") {
-      opt.csv = true;
-    } else if (key == "--csv-header") {
-      opt.csv = true;
-      opt.csv_header = true;
-    } else if (key == "--json") {
-      opt.json = true;
-    } else {
-      error = "unknown option '" + key + "'";
-      return std::nullopt;
-    }
-  }
-  if (opt.spo_every_s > 0.0 && opt.spo_at_s < 0.0) {
-    error = "--spo-every requires --spo-at (the first cut anchors the cadence)";
+  std::vector<std::string> given;
+  if (!parse_flags(args, cli_flags(opt), given, error)) return std::nullopt;
+  if (opt.show_help) return opt;
+  if (!check_shared_rules(opt, given, error)) return std::nullopt;
+  const auto fail = [&error](std::string message) {
+    error = std::move(message);
     return std::nullopt;
+  };
+  if (opt.spo_every_s > 0.0 && opt.spo_at_s < 0.0) {
+    return fail("--spo-every requires --spo-at (the first cut anchors the cadence)");
   }
   if (opt.snapshot_cache_limit > 0 && opt.snapshot_cache_dir.empty()) {
-    error = "--snapshot-cache-limit requires --snapshot-cache";
-    return std::nullopt;
+    return fail("--snapshot-cache-limit requires --snapshot-cache");
   }
-  if (opt.tenants == 0) {
-    if (!tenant_flag_seen.empty()) {
-      error = tenant_flag_seen + " requires --tenants";
-      return std::nullopt;
-    }
-    if (!opt.trace_volume_map.empty()) {
-      error = "--trace-volume-map requires --tenants (it maps volumes onto tenants)";
-      return std::nullopt;
-    }
-  } else {
-    const std::pair<const char*, std::size_t> tenant_lists[] = {
-        {"--tenant-mix", opt.tenant_mix.size()},
-        {"--tenant-weight", opt.tenant_weight.size()},
-        {"--tenant-rate", opt.tenant_rate.size()},
-        {"--tenant-qos-p99", opt.tenant_qos_p99_ms.size()},
-    };
-    for (const auto& [flag, n] : tenant_lists) {
-      if (n > 1 && n != opt.tenants) {
-        error = std::string(flag) + " got " + std::to_string(n) + " values for " +
-                std::to_string(opt.tenants) +
-                " tenants (give one shared value or one per tenant)";
-        return std::nullopt;
-      }
-    }
-    if (!opt.trace_path.empty() && opt.trace_volume_map.empty()) {
-      error = "--tenants with --trace requires --trace-volume-map (one MSR volume per tenant)";
-      return std::nullopt;
-    }
-    if (!opt.trace_volume_map.empty() && opt.trace_volume_map.size() != opt.tenants) {
-      error = "--trace-volume-map got " + std::to_string(opt.trace_volume_map.size()) +
-              " volumes for " + std::to_string(opt.tenants) +
-              " tenants (give exactly one per tenant)";
-      return std::nullopt;
-    }
+  const std::size_t volumes = opt.trace_volume_map.size();
+  if (volumes > 0 && opt.tenants == 0) {
+    return fail("--trace-volume-map requires --tenants (it maps volumes onto tenants)");
   }
-  if (!opt.trace_volume_map.empty() && opt.trace_path.empty()) {
-    error = "--trace-volume-map requires --trace";
-    return std::nullopt;
+  if (opt.tenants > 0 && !opt.trace_path.empty() && volumes == 0) {
+    return fail("--tenants with --trace requires --trace-volume-map (one MSR volume per tenant)");
+  }
+  if (volumes > 0 && volumes != opt.tenants) {
+    return fail("--trace-volume-map got " + std::to_string(volumes) + " volumes for " +
+                std::to_string(opt.tenants) + " tenants (give exactly one per tenant)");
+  }
+  if (volumes > 0 && opt.trace_path.empty()) return fail("--trace-volume-map requires --trace");
+  const std::pair<const char*, std::int32_t> slots[] = {
+      {"--array-kill-device", opt.array_kill_slot},
+      {"--array-outage-device", opt.array_outage_slot},
+      {"--array-spo-device", opt.array_spo_slot},
+  };
+  for (const auto& [flag, slot] : slots) {
+    if (opt.array_devices > 0 && slot >= 0 &&
+        static_cast<std::uint32_t>(slot) >= opt.array_devices) {
+      return fail(std::string(flag) + " needs a slot below --array-devices=" +
+                  std::to_string(opt.array_devices) + ", got '" + std::to_string(slot) + "'");
+    }
   }
   // The FTL packs every physical page address into 32 bits (nand::PpaCodec);
   // a device too large for that is refused here, naming the flags.
@@ -532,75 +469,111 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
   geometry.blocks_per_plane = opt.blocks_per_plane;
   geometry.pages_per_block = opt.pages_per_block;
   if (!geometry.packed_ppa_fits()) {
-    error = "--blocks-per-plane x --pages-per-block: device too large for 32-bit page addresses";
-    return std::nullopt;
+    return fail(
+        "--blocks-per-plane x --pages-per-block: device too large for 32-bit page addresses");
   }
+  opt.csv = opt.csv || opt.csv_header;
   return opt;
 }
 
 std::string cli_usage() {
-  return R"(usage: jitgc_cli [options]
-  --workload=<name>      ycsb|postmark|filebench|bonnie|tiobench|tpcc|
-                         mail-server|file-server        (default ycsb)
-  --trace=<file>         replay an MSR-format block trace instead
-  --trace-buffered=<f>   re-synthesize this fraction of trace writes as buffered
-  --tenants=<n>          multi-tenant front-end with n queues  (default off)
-  --tenant-mix=<a,b,..>  per-tenant workload mixes (one shared, or one per tenant)
-  --tenant-weight=<w,..> per-tenant DWRR weights, > 0          (default 1)
-  --tenant-rate=<b,..>   per-tenant submission caps, bytes/s (0 = uncapped)
-  --tenant-qos-p99=<ms,..>  per-tenant p99 targets, ms (0 = ungraded)
-  --tenant-arrival=<m>   open|closed arrivals for every tenant (default open)
-  --tenant-queue-depth=<n>  global admission window            (default 32)
-  --trace-volume-map=<v,..>  MSR volume each tenant replays (trace mode)
-  --policy=<name>        lazy|aggressive|adaptive|jit|fixed   (default jit)
-  --reserve=<m>          C_resv as a multiple of C_OP for --policy=fixed
-  --seconds=<s>          measured duration                    (default 300)
-  --seed=<n>             RNG seed                             (default 1)
-  --snapshot-cache=<dir> reuse post-precondition device state across runs
-                         (byte-identical output; cold miss fills the cache)
-  --snapshot-cache-limit=<n>  LRU cap on the disk cache, in snapshot files
-  --spo-at=<s>           sudden power-off this far into the measured run;
-                         the device recovers by OOB scan (default off)
-  --spo-every=<s>        repeat the power cut every s seconds (needs --spo-at)
-  --spo-precondition-writes=<n>  one SPO after n preconditioning writes
-  --checkpoint-every-erases=<k>  mapping checkpoint every k erases
-                         (bounds the recovery scan; 0 = full scan)
-  --arrival=<m>          closed|open arrival model, single-SSD (default closed)
-  --blocks-per-plane=<n> device scale                         (default 256)
-  --pages-per-block=<n>                                       (default 256)
-  --op-ratio=<f>         over-provisioning fraction           (default 0.07)
-  --endurance=<pe>       enforce endurance at this P/E rating (default off)
-  --fault-program=<p>    NAND program-failure probability     (default 0)
-  --fault-erase=<p>      NAND erase-failure probability       (default 0)
-  --fault-wear=<p>       extra failure probability at the endurance limit
-  --spare-blocks=<n>     factory spares for bad-block management (default 0)
-  --victim=<name>        greedy|cost-benefit|fifo|random|sampled-greedy
-  --hot-cold             enable hot/cold stream separation
-  --measured-idle        JIT-GC uses measured device idle for T_idle
-  --service-queues=<n>   1 = scaled single queue; 0 = one queue per plane
-  --bgc-rate-limit=<bps> QoS cap on background GC reclaim (0 = unlimited)
-  --array-devices=<n>    stripe the volume over N SSDs (array mode; default off)
-  --stripe-chunk=<pages> stripe chunk size                    (default 8)
-  --array-gc-mode=<m>    naive|staggered|maxk                 (default staggered)
-  --array-max-concurrent-gc=<k>  GC concurrency cap           (default 1)
-  --array-redundancy=<s> none|mirror|parity                   (default none)
-  --array-spares=<n>     hot spares for rebuilds              (default 0)
-  --rebuild-rate-floor=<f>  min rebuild duty fraction [0,1]   (default 0.1)
-  --array-kill-device=<slot>  scripted kill: retire this slot's device
-  --array-kill-at=<s>    kill time in seconds                 (default 0)
-  --array-outage-device=<slot>  scripted transient outage: suspend this slot
-  --array-outage-at=<s>  outage start, seconds                (default 0)
-  --array-outage-restore-at=<s>  device returns at this time
-  --array-spo-device=<slot>  sudden power-off for this slot's device; it
-                         recovers by OOB scan and resyncs via rebuild
-  --array-spo-at=<s>     array SPO time in seconds             (default 0)
-  --jobs=<n>             array GC fan-out threads, 0 = hardware (default 0)
-  --no-sip               disable SIP victim filtering (JIT-GC)
-  --percentile=<q>       CDH reserve quantile                 (default 0.8)
-  --metrics=<file>       write per-interval + run JSONL records (docs/model.md)
-  --csv / --csv-header   machine-readable one-line output
-  --json                 machine-readable JSON object output
-)";
+  CliOptions unused;
+  return usage("jitgc_cli", cli_flags(unused));
+}
+
+std::vector<Flag> sweep_flags(SweepCliOptions& c) {
+  std::vector<Flag> flags = {
+      keyword("--matrix", "<name>", c.matrix, {"fig7", "fig2"},
+              "fig7 (6 benchmarks x 4 policies, default) |\n"
+              "fig2 (6 benchmarks x fixed reserves 0.5/1.0/1.5)"),
+      text("--workload", "<name>", c.shared.workload,
+           "keep only this benchmark's cells (e.g. ycsb)"),
+      count("--seeds", "<n>", c.options.seeds, 1, "a positive repetition count",
+            "independent repetitions per cell     (default 1)"),
+      count("--base-seed", "<n>", c.options.base_seed, 0, "an unsigned integer",
+            "seed-derivation base                 (default 1)"),
+      count("--threads", "<n>", c.options.threads, 0, "a thread count (0 = all hardware)",
+            "worker threads; 0 = all hardware     (default 0)"),
+      choice("--format", "<f>", c.options.format,
+             {{"jsonl", SweepFormat::kJsonl}, {"csv", SweepFormat::kCsv}},
+             "jsonl (default) | csv (legacy run-level rows)"),
+      on("--intervals", c.options.emit_intervals, "also emit per-interval records (jsonl only)"),
+      count("--retries", "<n>", c.options.run_retries, 0, "a retry count",
+            "extra attempts per failed run        (default 2)"),
+      text("--checkpoint", "<dir>", c.options.checkpoint_dir,
+           "write crash-safe per-run progress here"),
+      on("--resume", c.options.resume, "reuse completed runs from --checkpoint dir"),
+  };
+  for (Flag& flag : shared_flags(c.shared)) flags.push_back(std::move(flag));
+  return flags;
+}
+
+std::optional<SweepCliOptions> parse_sweep_cli(const std::vector<std::string>& args,
+                                               std::string& error) {
+  SweepCliOptions cli;
+  cli.shared.workload.clear();
+  std::vector<std::string> given;
+  if (!parse_flags(args, sweep_flags(cli), given, error)) return std::nullopt;
+  if (cli.shared.show_help) return cli;
+  if (!check_shared_rules(cli.shared, given, error)) return std::nullopt;
+  const auto fail = [&error](std::string message) {
+    error = std::move(message);
+    return std::nullopt;
+  };
+  if (cli.options.resume && cli.options.checkpoint_dir.empty()) {
+    return fail("--resume needs --checkpoint=<dir>");
+  }
+  // Sweep tenants run benchmark specs only (no file-level workloads).
+  for (const std::string& mix : cli.shared.tenant_mix) {
+    if (!find_benchmark_spec(mix)) {
+      return fail("--tenant-mix needs paper or YCSB benchmark names, got '" + mix + "'");
+    }
+  }
+  cli.cells = cli.matrix == "fig2" ? fixed_reserve_cells({0.5, 1.0, 1.5}) : paper_matrix_cells();
+  if (!cli.shared.workload.empty()) {
+    const std::string wanted = normalized(cli.shared.workload);
+    std::erase_if(cli.cells, [&](const SweepCell& cell) {
+      return normalized(cell.workload.name) != wanted;
+    });
+    if (cli.cells.empty()) {
+      return fail("--workload matches no cell of --matrix=" + cli.matrix + ", got '" +
+                  cli.shared.workload + "'");
+    }
+  }
+  SimConfig& base = cli.options.base;
+  base = default_sim_config();
+  base.duration = seconds(cli.shared.seconds);
+  apply_device_options(cli.shared, base.ssd);
+  // A tenant without a mix inherits each cell's benchmark, so the matrix
+  // still varies the workload per cell; --workload only filters cells here.
+  CliOptions tenants = cli.shared;
+  tenants.workload.clear();
+  base.frontend = frontend_config_from_cli(tenants);
+  cli.options.snapshot_cache_dir = cli.shared.snapshot_cache_dir;
+  return cli;
+}
+
+std::string sweep_usage() {
+  SweepCliOptions unused;
+  return usage("jitgc_sweep", sweep_flags(unused));
+}
+
+void apply_device_options(const CliOptions& options, SsdConfig& ssd) {
+  ssd.ftl.geometry.blocks_per_plane = options.blocks_per_plane;
+  ssd.ftl.geometry.pages_per_block = options.pages_per_block;
+  ssd.ftl.op_ratio = options.op_ratio;
+  ssd.ftl.victim_policy = options.victim_policy;
+  ssd.ftl.enable_hot_cold_separation = options.hot_cold_separation;
+  ssd.service_queues = options.service_queues;
+  if (options.endurance_pe_cycles > 0) {
+    ssd.ftl.enforce_endurance = true;
+    ssd.ftl.timing.endurance_pe_cycles = options.endurance_pe_cycles;
+  }
+  ssd.ftl.fault.program_fail_prob = options.fault_program_fail_prob;
+  ssd.ftl.fault.erase_fail_prob = options.fault_erase_fail_prob;
+  ssd.ftl.fault.wear_fail_prob_at_limit = options.fault_wear_fail_prob;
+  ssd.ftl.spare_blocks = options.spare_blocks;
+  ssd.ftl.checkpoint_interval_erases = options.checkpoint_every_erases;
 }
 
 std::unique_ptr<wl::WorkloadGenerator> make_workload_from_cli(const CliOptions& options,
@@ -699,22 +672,8 @@ SimReport run_from_cli(const CliOptions& options) {
   SimConfig config = default_sim_config(options.seed);
   config.duration = seconds(options.seconds);
   config.open_loop_arrivals = options.open_loop_arrivals;
-  config.ssd.ftl.geometry.blocks_per_plane = options.blocks_per_plane;
-  config.ssd.ftl.geometry.pages_per_block = options.pages_per_block;
-  config.ssd.ftl.op_ratio = options.op_ratio;
-  config.ssd.ftl.victim_policy = options.victim_policy;
-  config.ssd.ftl.enable_hot_cold_separation = options.hot_cold_separation;
-  config.ssd.service_queues = options.service_queues;
+  apply_device_options(options, config.ssd);
   config.bgc_rate_limit_bps = options.bgc_rate_limit_bps;
-  if (options.endurance_pe_cycles > 0) {
-    config.ssd.ftl.enforce_endurance = true;
-    config.ssd.ftl.timing.endurance_pe_cycles = options.endurance_pe_cycles;
-  }
-  config.ssd.ftl.fault.program_fail_prob = options.fault_program_fail_prob;
-  config.ssd.ftl.fault.erase_fail_prob = options.fault_erase_fail_prob;
-  config.ssd.ftl.fault.wear_fail_prob_at_limit = options.fault_wear_fail_prob;
-  config.ssd.ftl.spare_blocks = options.spare_blocks;
-  config.ssd.ftl.checkpoint_interval_erases = options.checkpoint_every_erases;
   config.spo_at_s = options.spo_at_s;
   config.spo_every_s = options.spo_every_s;
   config.spo_precondition_after_writes = options.spo_precondition_writes;

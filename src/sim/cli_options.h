@@ -1,10 +1,12 @@
-// Command-line configuration for the jitgc_cli tool.
+// Command-line configuration for the jitgc_cli and jitgc_sweep tools.
 //
-// Parsing lives in the library (not the tool's main) so it is unit-testable
-// and reusable by scripts embedding the simulator.
+// Parsing lives in the library (not the tools' mains) so it is unit-testable
+// and reusable by scripts embedding the simulator. Each tool declares its
+// flags as one table of Flag rows; the rows both tools take are declared once.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,6 +15,7 @@
 #include "ftl/victim_policy.h"
 #include "host/frontend/frontend.h"
 #include "sim/experiment.h"
+#include "sim/sweep.h"
 #include "workload/synthetic.h"
 #include "workload/workload.h"
 
@@ -158,30 +161,71 @@ struct CliOptions {
   bool show_help = false;
 };
 
-// -- Strict value parsing, shared by jitgc_cli and jitgc_sweep ---------------
-// Each accepts only a value that parses whole: no sign on an unsigned value,
-// no leading space, no trailing text. "nan" and "inf" parse as doubles, so
-// range checks use the negated form !(std::isfinite(x) && cond).
+/// How a flag's value is read. The parse loop, its errors and the --help
+/// text are generated from a tool's table of Flag rows.
+enum class FlagKind {
+  kSwitch,   ///< `--name` alone; `--name=<value>` is refused
+  kText,     ///< any non-empty text: a path or a name
+  kChoice,   ///< one word of a fixed set
+  kReal,     ///< finite real number in a range
+  kCount,    ///< unsigned integer up to 2^64 - 1
+  kCount32,  ///< unsigned integer that fits the 32-bit (or slot) field it sets
+};
 
-bool parse_double(const std::string& value, double& out);
-bool parse_u64(const std::string& value, std::uint64_t& out);
-/// Splits on commas, keeping empty items ("a,,b" gives three).
-std::vector<std::string> split_list(const std::string& value);
-/// A non-empty comma-separated list of parse_double values.
-bool parse_double_list(const std::string& value, std::vector<double>& out);
+/// One row of a tool's flag table, bound to the options it fills.
+struct Flag {
+  std::string name;     ///< "--seconds"
+  std::string metavar;  ///< "<s>"; empty for a switch
+  FlagKind kind = FlagKind::kSwitch;
+  /// A bad value is reported as "<name> needs <needs>, got '<value>'".
+  std::string needs;
+  std::string help;     ///< --help text; each '\n' starts an indented line
+  /// Parses and range-checks the value, storing it only when it is valid.
+  std::function<bool(const std::string& value)> set;
+};
 
-/// Parses a per-tenant list flag (--tenant-weight, --tenant-rate or
-/// --tenant-qos-p99): finite values, weights > 0, rates and targets >= 0.
-/// On failure writes a one-line message naming the flag to `error`.
-bool parse_tenant_values(const std::string& flag, const std::string& value,
-                         std::vector<double>& out, std::string& error);
+/// jitgc_cli's flag table (the rows shared with jitgc_sweep plus its own),
+/// bound to `out`.
+std::vector<Flag> cli_flags(CliOptions& out);
 
 /// Parses argv-style arguments (excluding argv[0]). On failure returns
-/// nullopt and writes a message to `error`.
+/// nullopt and writes a one-line message naming the flag to `error`.
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::string& error);
 
-/// One-line usage text for --help.
+/// --help text, generated from cli_flags().
 std::string cli_usage();
+
+/// What jitgc_sweep's command line describes.
+struct SweepCliOptions {
+  /// The rows shared with jitgc_cli fill the same fields. Here `workload`
+  /// filters the matrix to one benchmark's cells (parse_sweep_cli starts it
+  /// empty: every cell), and a tenant without a --tenant-mix entry runs its
+  /// cell's benchmark.
+  CliOptions shared;
+  std::string matrix = "fig7";
+  /// The sweep's own rows; parse_sweep_cli also fills `base` (device, fault
+  /// and tenant knobs from `shared`) and `snapshot_cache_dir`.
+  SweepOptions options;
+  /// The matrix's cells, after the workload filter.
+  std::vector<SweepCell> cells;
+};
+
+/// jitgc_sweep's flag table (the rows shared with jitgc_cli plus its own),
+/// bound to `out`.
+std::vector<Flag> sweep_flags(SweepCliOptions& out);
+
+/// Parses jitgc_sweep's arguments (excluding argv[0]) like parse_cli.
+std::optional<SweepCliOptions> parse_sweep_cli(const std::vector<std::string>& args,
+                                               std::string& error);
+
+/// --help text, generated from sweep_flags().
+std::string sweep_usage();
+
+/// Applies the device knobs the options describe (geometry, OP, victim
+/// policy, hot/cold separation, service queues, endurance, fault model,
+/// spares, checkpoint interval) to `ssd`. Shared by the single-SSD, array
+/// and sweep runners.
+void apply_device_options(const CliOptions& options, SsdConfig& ssd);
 
 /// Builds the workload generator the options describe (trace replay, a
 /// file-level workload, or a paper benchmark), sized against `user_pages`

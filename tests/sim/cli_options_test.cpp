@@ -1,6 +1,11 @@
 #include "sim/cli_options.h"
 
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <set>
+#include <sstream>
 
 #include "temp_path.h"
 #include "workload/trace.h"
@@ -84,7 +89,7 @@ TEST(CliOptions, RejectsBadNumbers) {
 
 TEST(CliOptions, ParsesFaultInjectionFlags) {
   const auto opt = parse({"--fault-program=0.01", "--fault-erase=0.005", "--fault-wear=0.5",
-                          "--spare-blocks=12"});
+                          "--spare-blocks=12", "--endurance=3000"});
   ASSERT_TRUE(opt);
   EXPECT_DOUBLE_EQ(opt->fault_program_fail_prob, 0.01);
   EXPECT_DOUBLE_EQ(opt->fault_erase_fail_prob, 0.005);
@@ -133,6 +138,45 @@ TEST(CliOptions, RejectsOutOfRangeProbabilities) {
   rejects({"--spare-blocks=4294967552"}, "--spare-blocks");
   rejects({"--blocks-per-plane=16777216"}, "--blocks-per-plane");
   rejects({"--blocks-per-plane=4194304", "--pages-per-block=257"}, "--pages-per-block");
+  // Every flag that fills a 32-bit field refuses 2^32 instead of wrapping
+  // (to 0 tenants, a 1-device array, slot 1, volume 0 ...); a slot index
+  // also refuses 2^32 - 1, which wrapped to -1 and turned the fault off.
+  rejects({"--tenants=4294967296", "--tenant-mix=ycsb"}, "--tenants");
+  rejects({"--tenants=2", "--tenant-queue-depth=4294967296"}, "--tenant-queue-depth");
+  rejects({"--service-queues=4294967296"}, "--service-queues");
+  rejects({"--array-devices=4294967297"}, "--array-devices");
+  rejects({"--stripe-chunk=4294967296"}, "--stripe-chunk");
+  rejects({"--array-max-concurrent-gc=4294967296"}, "--array-max-concurrent-gc");
+  rejects({"--array-spares=4294967296"}, "--array-spares");
+  rejects({"--tenants=1", "--trace=t.csv", "--trace-volume-map=4294967296"},
+          "--trace-volume-map");
+  rejects({"--array-devices=4", "--array-kill-device=4294967297"}, "--array-kill-device");
+  rejects({"--array-devices=4", "--array-kill-device=4294967295"}, "--array-kill-device");
+  rejects({"--array-devices=4", "--array-outage-device=4294967296"}, "--array-outage-device");
+  rejects({"--array-devices=4", "--array-spo-device=4294967296"}, "--array-spo-device");
+  // A slot at or above --array-devices is a parse error, not a run-time ENSURE.
+  rejects({"--array-devices=4", "--array-kill-device=4"}, "--array-kill-device");
+  rejects({"--array-devices=4", "--array-outage-device=7"}, "--array-outage-device");
+  rejects({"--array-devices=2", "--array-spo-device=2"}, "--array-spo-device");
+  // Wear failures ramp up towards the endurance rating; without one they
+  // would silently never happen.
+  rejects({"--fault-wear=0.5"}, "--fault-wear");
+  // A switch given a value is refused, never read as "on".
+  rejects({"--no-sip=false"}, "--no-sip");
+  rejects({"--hot-cold=0"}, "--hot-cold");
+  rejects({"--csv=no"}, "--csv");
+  rejects({"--json=0"}, "--json");
+  rejects({"--measured-idle=off"}, "--measured-idle");
+}
+
+TEST(CliOptions, AcceptsSlotsBelowTheDeviceCount) {
+  const auto opt = parse({"--array-devices=4", "--array-kill-device=3",
+                          "--array-outage-device=0", "--array-spo-device=2"});
+  ASSERT_TRUE(opt);
+  EXPECT_EQ(opt->array_kill_slot, 3);
+  EXPECT_EQ(opt->array_outage_slot, 0);
+  EXPECT_EQ(opt->array_spo_slot, 2);
+  EXPECT_TRUE(parse({"--array-devices=4294967295"}));
 }
 
 TEST(CliOptions, RequiresValues) {
@@ -242,6 +286,201 @@ TEST(CliOptions, CsvRowMatchesHeaderArity) {
     return std::count(s.begin(), s.end(), ',');
   };
   EXPECT_EQ(count(header), count(row));
+}
+
+// -- jitgc_sweep's command line -------------------------------------------------
+
+std::optional<SweepCliOptions> parse_sweep(std::initializer_list<const char*> args,
+                                           std::string* err = nullptr) {
+  std::string error;
+  const auto opt = parse_sweep_cli(std::vector<std::string>(args.begin(), args.end()), error);
+  if (err) *err = error;
+  return opt;
+}
+
+TEST(SweepCli, DefaultsRunTheFullFig7MatrixOnTheDefaultDevice) {
+  const auto opt = parse_sweep({});
+  ASSERT_TRUE(opt);
+  SweepOptions expected;
+  expected.base = default_sim_config();
+  EXPECT_EQ(sweep_fingerprint(opt->options, opt->cells),
+            sweep_fingerprint(expected, paper_matrix_cells()));
+  EXPECT_EQ(opt->options.format, SweepFormat::kJsonl);
+  EXPECT_FALSE(opt->options.base.frontend.enabled());
+}
+
+TEST(SweepCli, SharedRowsFillTheBaseConfig) {
+  const auto opt = parse_sweep({"--matrix=fig2", "--workload=YCSB", "--seconds=20", "--seeds=2",
+                                "--threads=3", "--format=csv", "--intervals",
+                                "--fault-program=0.01", "--fault-wear=0.5", "--endurance=3000",
+                                "--spare-blocks=16", "--tenants=2", "--tenant-weight=2,1",
+                                "--tenant-arrival=closed", "--snapshot-cache=snap"});
+  ASSERT_TRUE(opt);
+  ASSERT_EQ(opt->cells.size(), 3u);  // fig2's three reserves, YCSB only
+  for (const SweepCell& cell : opt->cells) EXPECT_EQ(cell.workload.name, "YCSB");
+  const SweepOptions& o = opt->options;
+  EXPECT_EQ(o.seeds, 2u);
+  EXPECT_EQ(o.threads, 3u);
+  EXPECT_EQ(o.format, SweepFormat::kCsv);
+  EXPECT_TRUE(o.emit_intervals);
+  EXPECT_EQ(o.snapshot_cache_dir, "snap");
+  EXPECT_EQ(o.base.duration, seconds(20.0));
+  EXPECT_DOUBLE_EQ(o.base.ssd.ftl.fault.program_fail_prob, 0.01);
+  EXPECT_DOUBLE_EQ(o.base.ssd.ftl.fault.wear_fail_prob_at_limit, 0.5);
+  EXPECT_TRUE(o.base.ssd.ftl.enforce_endurance);
+  EXPECT_EQ(o.base.ssd.ftl.spare_blocks, 16u);
+  ASSERT_EQ(o.base.frontend.tenants.size(), 2u);
+  EXPECT_DOUBLE_EQ(o.base.frontend.tenants[0].weight, 2.0);
+  EXPECT_DOUBLE_EQ(o.base.frontend.tenants[1].weight, 1.0);
+  for (const auto& tenant : o.base.frontend.tenants) {
+    // No --tenant-mix: each tenant inherits its cell's benchmark, whatever
+    // --workload filtered.
+    EXPECT_EQ(tenant.mix, "");
+    EXPECT_TRUE(tenant.closed_loop);
+  }
+}
+
+TEST(SweepCli, RejectsWrapsEmptyValuesAndBrokenCombinations) {
+  const auto rejects = [](std::initializer_list<const char*> args, const char* flag) {
+    std::string err;
+    EXPECT_FALSE(parse_sweep(args, &err)) << flag;
+    EXPECT_NE(err.find(flag), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  };
+  // 2^32 + 256 ran with 256 spares; 2^32 tenants threw std::bad_alloc.
+  rejects({"--spare-blocks=4294967552"}, "--spare-blocks");
+  rejects({"--tenants=2", "--tenant-queue-depth=4294967296"}, "--tenant-queue-depth");
+  rejects({"--tenants=4294967296"}, "--tenants");
+  // An empty value is no longer "no filter" / "no directory".
+  rejects({"--workload="}, "--workload");
+  rejects({"--checkpoint="}, "--checkpoint");
+  rejects({"--snapshot-cache="}, "--snapshot-cache");
+  rejects({"--matrix=fig9"}, "--matrix");
+  rejects({"--format=xml"}, "--format");
+  rejects({"--workload=mail-server"}, "--workload");
+  rejects({"--resume"}, "--resume");
+  rejects({"--intervals=1"}, "--intervals");
+  rejects({"--fault-wear=0.5"}, "--fault-wear");
+  rejects({"--tenant-mix=ycsb"}, "--tenant-mix");
+  rejects({"--tenants=3", "--tenant-weight=1,2"}, "--tenant-weight");
+  rejects({"--tenants=2", "--tenant-mix=ycsb,nosuch"}, "--tenant-mix");
+}
+
+// -- Both flag tables, walked row by row ------------------------------------------
+
+struct ToolTable {
+  std::string tool;
+  std::vector<Flag> flags;  // bound to scratch options; only names and kinds are read
+  std::string help;
+  std::function<bool(const std::vector<std::string>&, std::string&)> parses;
+};
+
+std::vector<ToolTable> tool_tables() {
+  static CliOptions cli_scratch;
+  static SweepCliOptions sweep_scratch;
+  return {
+      {"jitgc_cli", cli_flags(cli_scratch), cli_usage(),
+       [](const std::vector<std::string>& args, std::string& error) {
+         return parse_cli(args, error).has_value();
+       }},
+      {"jitgc_sweep", sweep_flags(sweep_scratch), sweep_usage(),
+       [](const std::vector<std::string>& args, std::string& error) {
+         return parse_sweep_cli(args, error).has_value();
+       }},
+  };
+}
+
+TEST(FlagTables, DeclareEveryFlagOfBothTools) {
+  const auto names = [](const ToolTable& table) {
+    std::string joined;
+    for (const Flag& flag : table.flags) joined += flag.name + " ";
+    return joined;
+  };
+  const auto tables = tool_tables();
+  EXPECT_EQ(names(tables[0]),
+            "--workload --trace --trace-buffered --policy --reserve --seed --seconds "
+            "--snapshot-cache --tenants --tenant-mix --tenant-weight --tenant-rate "
+            "--tenant-qos-p99 --tenant-arrival --tenant-queue-depth --endurance "
+            "--fault-program --fault-erase --fault-wear --spare-blocks --help "
+            "--trace-volume-map --snapshot-cache-limit --spo-at --spo-every "
+            "--spo-precondition-writes --checkpoint-every-erases --arrival --blocks-per-plane "
+            "--pages-per-block --op-ratio --victim --hot-cold --measured-idle --service-queues "
+            "--bgc-rate-limit --array-devices --stripe-chunk --array-gc-mode "
+            "--array-max-concurrent-gc --array-redundancy --array-spares --rebuild-rate-floor "
+            "--array-kill-device --array-kill-at --array-outage-device --array-outage-at "
+            "--array-outage-restore-at --array-spo-device --array-spo-at --jobs --no-sip "
+            "--percentile --metrics --csv --csv-header --json ");
+  EXPECT_EQ(names(tables[1]),
+            "--matrix --workload --seeds --base-seed --threads --format --intervals --retries "
+            "--checkpoint --resume --seconds --snapshot-cache --tenants --tenant-mix "
+            "--tenant-weight --tenant-rate --tenant-qos-p99 --tenant-arrival "
+            "--tenant-queue-depth --endurance --fault-program --fault-erase --fault-wear "
+            "--spare-blocks --help ");
+}
+
+TEST(FlagTables, MutationPassRefusesEveryMalformedValueNamingTheFlag) {
+  std::size_t probes = 0;
+  for (const ToolTable& table : tool_tables()) {
+    for (const Flag& flag : table.flags) {
+      SCOPED_TRACE(table.tool + " " + flag.name);
+      const bool is_switch = flag.kind == FlagKind::kSwitch;
+      EXPECT_NE(table.help.find("\n  " + flag.name + (is_switch ? " " : "=")), std::string::npos);
+      std::vector<std::string> bad = {is_switch ? "=1" : "="};
+      if (flag.kind == FlagKind::kReal || flag.kind == FlagKind::kCount ||
+          flag.kind == FlagKind::kCount32) {
+        bad.insert(bad.end(), {"=nan", "=inf", "=-1", "=1e400", "=10abc"});
+      }
+      if (flag.kind == FlagKind::kCount32) bad.push_back("=4294967296");
+      for (const std::string& suffix : bad) {
+        std::string err;
+        EXPECT_FALSE(table.parses({flag.name + suffix}, err)) << suffix;
+        EXPECT_NE(err.find(flag.name), std::string::npos) << err;
+        EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+        ++probes;
+      }
+    }
+  }
+  EXPECT_GT(probes, 300u);
+}
+
+// Every `--name` on a ./build/tools/jitgc_cli or jitgc_sweep command line in
+// the docs must be a row of that tool's table (names only: values such as
+// $K are not checked).
+TEST(FlagTables, DocumentedCommandLinesUseOnlyTableRows) {
+  std::map<std::string, std::set<std::string>> rows;
+  for (const ToolTable& table : tool_tables()) {
+    for (const Flag& flag : table.flags) rows[table.tool].insert(flag.name);
+  }
+  std::size_t checked = 0;
+  for (const char* doc : {"README.md", "EXPERIMENTS.md"}) {
+    std::ifstream in(std::string(JITGC_SOURCE_DIR) + "/" + doc);
+    ASSERT_TRUE(in) << doc;
+    std::string line;
+    std::string command;
+    while (std::getline(in, line)) {
+      command += line;
+      if (!command.empty() && command.back() == '\\') {
+        command.back() = ' ';
+        continue;
+      }
+      for (const auto& [tool, names] : rows) {
+        const std::size_t at = command.find("./build/tools/" + tool + " ");
+        if (at == std::string::npos) continue;
+        // The tool's own arguments end at a comment, pipe or redirection.
+        const std::string args =
+            command.substr(at, command.find_first_of("#|>;", at) - at);
+        std::istringstream words(args);
+        for (std::string word; words >> word;) {
+          if (!word.starts_with("--")) continue;
+          const std::string name = word.substr(0, word.find('='));
+          EXPECT_TRUE(names.count(name)) << doc << ": " << tool << " has no " << name;
+          ++checked;
+        }
+      }
+      command.clear();
+    }
+  }
+  EXPECT_GT(checked, 20u);
 }
 
 }  // namespace

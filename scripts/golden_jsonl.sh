@@ -43,6 +43,12 @@ CASES=(
   # RAID-0 arrays.
   "array_staggered|cli|--array-devices=4 --array-gc-mode=staggered --workload=ycsb --seconds=20 --jobs=2"
   "array_naive|cli|--array-devices=4 --array-gc-mode=naive --workload=tpcc --seconds=20 --jobs=2"
+  # RAID-0 failure paths: a device wears out mid-op at 49.11 s and ends the
+  # run; a scripted kill ends it at the 15 s tick (YCSB's first 5 s are idle);
+  # a scripted power cut recovers the device in place.
+  "array_raid0_worn_out|cli|--array-devices=4 --endurance=3 --workload=tpcc --seconds=60 --jobs=2"
+  "array_raid0_kill|cli|--array-devices=4 --array-kill-device=1 --array-kill-at=12 --workload=ycsb --seconds=20 --jobs=2"
+  "array_raid0_spo|cli|--array-devices=4 --array-spo-device=0 --array-spo-at=10 --workload=ycsb --seconds=20 --jobs=2"
   # Redundant arrays.
   "array_parity_kill|cli|--array-devices=4 --array-redundancy=parity --array-spares=1 --array-kill-device=1 --array-kill-at=5 --workload=ycsb --seconds=30 --jobs=2"
   "array_mirror_outage|cli|--array-devices=4 --array-redundancy=mirror --array-outage-device=2 --array-outage-at=5 --array-outage-restore-at=15 --workload=ycsb --seconds=25 --jobs=2"

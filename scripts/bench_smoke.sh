@@ -353,9 +353,12 @@ EOF
   fi
 
   # -- Malformed array flags are rejected with enumerated messages -------------
+  # REJECT_MODE is the mode each flag is checked in: a flag of the other mode
+  # is refused for that alone.
+  REJECT_MODE=(--array-devices=4)
   expect_rejection() {
     local flag=$1 needle=$2
-    if "$CLI_BIN" --workload=ycsb --seconds=5 --array-devices=4 "$flag" \
+    if "$CLI_BIN" --workload=ycsb --seconds=5 "${REJECT_MODE[@]}" "$flag" \
         > /dev/null 2> "$WORKDIR/err.txt"; then
       echo "FAIL: jitgc_cli accepted $flag" >&2
       exit 1
@@ -418,6 +421,8 @@ EOF
   echo "bench_smoke: array SPO slot lifecycle OK (suspended -> recovered -> resumed)"
 
   # -- Malformed --spo-* flags are rejected, naming the offending flag ---------
+  # The single-SSD power-cut flags are checked in single-SSD mode.
+  REJECT_MODE=()
   expect_rejection --spo-at=nan "spo-at"
   expect_rejection --spo-at=-3 "spo-at"
   expect_rejection --spo-at=inf "spo-at"
@@ -425,7 +430,9 @@ EOF
   expect_rejection --spo-every=5 "spo-every requires --spo-at"
   expect_rejection --spo-precondition-writes=0 "spo-precondition-writes"
   expect_rejection --snapshot-cache-limit=4 "snapshot-cache-limit requires --snapshot-cache"
+  REJECT_MODE=(--array-devices=4)
   expect_rejection --array-spo-at=nan "array-spo-at"
+  expect_rejection --spo-at=3 "spo-at applies only in single-SSD mode"
   echo "bench_smoke: malformed --spo-* flags rejected with enumerated messages"
 fi
 

@@ -17,8 +17,9 @@ sim::SimReport run_array_from_cli(const sim::CliOptions& options) {
 
   // Device shape: the same defaults and knobs as a single-SSD run; each of
   // the N devices gets this configuration. Single-SSD-only options (--policy,
-  // --bgc-rate-limit, the page-cache knobs) don't apply — the array models
-  // the post-cache device stream and schedules GC with its own coordinator.
+  // --bgc-rate-limit, the page-cache knobs) are refused at parse time — the
+  // array models the post-cache device stream and schedules GC with its own
+  // coordinator.
   const sim::SimConfig base = sim::default_sim_config(options.seed);
   ArraySimConfig config;
   config.ssd = base.ssd;

@@ -13,18 +13,6 @@
 namespace jitgc::array {
 namespace {
 
-/// Pages of the logical prefix [0, prefix) that land on device `d` of `n`
-/// under chunked striping — the per-device share of a striped fill.
-Lba prefix_pages_on_device(Lba prefix, std::uint32_t d, std::uint32_t n, Lba chunk) {
-  const Lba full_chunks = prefix / chunk;
-  const Lba tail = prefix % chunk;
-  Lba pages = (full_chunks / n) * chunk;
-  const std::uint32_t extra = static_cast<std::uint32_t>(full_chunks % n);
-  if (d < extra) pages += chunk;
-  if (d == extra) pages += tail;
-  return pages;
-}
-
 std::string upper(const char* s) {
   std::string out;
   for (; *s != '\0'; ++s) out += static_cast<char>(std::toupper(static_cast<unsigned char>(*s)));
@@ -39,10 +27,10 @@ ArraySimulator::ArraySimulator(const ArraySimConfig& config)
       coordinator_(config.array),
       pool_(config.step_threads ? config.step_threads : ThreadPool::hardware_threads()),
       redundant_(config.array.redundancy != RedundancyScheme::kNone),
+      rebuild_mgr_(array_),
       states_(array_.total_device_count()),
       slot_demand_ewma_(config.array.devices, 0.0) {
   JITGC_ENSURE_MSG(config_.flush_period > 0, "flush period must be positive");
-  if (redundant_) rebuild_mgr_.emplace(array_);
   if (config_.kill_slot >= 0) {
     JITGC_ENSURE_MSG(static_cast<std::uint32_t>(config_.kill_slot) < config_.array.devices,
                      "kill slot out of range");
@@ -61,26 +49,20 @@ ArraySimulator::ArraySimulator(const ArraySimConfig& config)
 }
 
 void ArraySimulator::precondition(Lba footprint, Lba ws) {
-  const Lba chunk = config_.array.stripe_chunk_pages;
-  const std::uint32_t n = array_.device_count();
-
   // Each slot device ages independently: its share of the striped footprint
   // (including mirror copies and parity chunks under a redundant layout) is
   // a contiguous device-local prefix, and the scramble draws from its share
   // of the working set with a per-slot derived seed. Tasks touch only their
   // own device, so the fan-out is deterministic regardless of thread count.
   // Hot spares stay factory-fresh — they idle outside the volume.
-  pool_.parallel_for(n, [&](std::size_t d) {
-    ftl::Ftl& ftl = array_.device_at_slot(static_cast<std::uint32_t>(d)).mutable_ftl();
-    const Lba fill =
-        redundant_
-            ? array_.layout().fill_pages_on_slot(footprint, static_cast<std::uint32_t>(d))
-            : prefix_pages_on_device(footprint, static_cast<std::uint32_t>(d), n, chunk);
+  const RedundancyLayout& layout = array_.layout();
+  pool_.parallel_for(array_.device_count(), [&](std::size_t d) {
+    const auto slot = static_cast<std::uint32_t>(d);
+    ftl::Ftl& ftl = array_.device_at_slot(slot).mutable_ftl();
+    const Lba fill = layout.fill_pages_on_slot(footprint, slot);
     for (Lba lba = 0; lba < fill; ++lba) ftl.write(lba);
 
-    const Lba ws_d =
-        redundant_ ? array_.layout().fill_pages_on_slot(ws, static_cast<std::uint32_t>(d))
-                   : prefix_pages_on_device(ws, static_cast<std::uint32_t>(d), n, chunk);
+    const Lba ws_d = layout.fill_pages_on_slot(ws, slot);
     if (ws_d > 0) {
       Rng rng(derive_seed(config_.seed ^ 0xA6E5C0DE, d));
       const auto overwrites = static_cast<std::uint64_t>(config_.precondition_overwrite_factor *
@@ -150,40 +132,29 @@ TimeUs ArraySimulator::dispatch(std::uint32_t dev, TimeUs earliest, TimeUs cost,
 }
 
 TimeUs ArraySimulator::execute_op(const wl::AppOp& op, TimeUs issue, bool& stalled) {
-  if (!redundant_) {
-    // RAID-0 datapath, unchanged: one physical page per logical page.
-    const Bytes page_size = array_.page_size();
-    TimeUs completion = issue;
-    for (std::uint32_t i = 0; i < op.pages; ++i) {
-      const StripeTarget t = array_.map(op.lba + i);
-      sim::Ssd& dev = array_.device(t.device);
-      TimeUs cost = 0;
-      switch (op.type) {
-        case wl::OpType::kWrite:
-          cost = dev.write_page(t.lba);
-          states_[t.device].interval_write_bytes += page_size;
-          interval_write_bytes_ += page_size;
-          app_write_bytes_ += page_size;
-          break;
-        case wl::OpType::kRead:
-          cost = dev.read_page(t.lba);
-          interval_read_bytes_ += page_size;
-          break;
-        case wl::OpType::kTrim:
-          cost = dev.trim(t.lba);
-          break;
-      }
-      completion = std::max(completion, dispatch(t.device, issue, cost, stalled));
-    }
-    return completion;
-  }
-
-  // Redundant datapath: a device can retire mid-op. Retire it (possibly
-  // promoting a spare) and retry the op against the post-failure topology.
-  // Work already dispatched is sunk cost — it was genuinely attempted.
+  // A device can retire mid-op. Retire it (RAID-0: the run ends; redundant:
+  // possibly promoting a spare) and retry the op against the post-failure
+  // topology. Work already dispatched is sunk cost — it was genuinely
+  // attempted, so device time and device write bytes are charged per
+  // attempt — but the host transferred each page once: its bytes are counted
+  // after the page's first successful attempt.
+  const Bytes page_size = array_.page_size();
+  std::uint32_t counted = 0;  // leading pages whose host bytes are counted
   for (std::uint32_t attempt = 0;; ++attempt) {
     try {
-      return execute_redundant_op(op, issue, stalled);
+      TimeUs completion = issue;
+      for (std::uint32_t i = 0; i < op.pages; ++i) {
+        completion = std::max(completion, execute_page(op.type, op.lba + i, issue, stalled));
+        if (i < counted) continue;
+        counted = i + 1;
+        if (op.type == wl::OpType::kWrite) {
+          interval_write_bytes_ += page_size;
+          app_write_bytes_ += page_size;
+        } else if (op.type == wl::OpType::kRead) {
+          interval_read_bytes_ += page_size;
+        }
+      }
+      return completion;
     } catch (const SlotFailureSignal& s) {
       JITGC_ENSURE_MSG(attempt < array_.total_device_count(), "op retry limit exceeded");
       handle_slot_failure(s.slot, issue, "device_worn_out");
@@ -191,131 +162,128 @@ TimeUs ArraySimulator::execute_op(const wl::AppOp& op, TimeUs issue, bool& stall
   }
 }
 
-TimeUs ArraySimulator::execute_redundant_op(const wl::AppOp& op, TimeUs issue, bool& stalled) {
+TimeUs ArraySimulator::execute_page(wl::OpType type, Lba lba, TimeUs issue, bool& stalled) {
   const RedundancyLayout& layout = array_.layout();
-  const Bytes page_size = array_.page_size();
   const auto healthy = [&](std::uint32_t slot) {
-    return rebuild_mgr_->slot_state(slot) == SlotState::kHealthy;
+    return rebuild_mgr_.slot_state(slot) == SlotState::kHealthy;
   };
   // A rebuilding slot takes writes (the replacement is being filled); a
   // degraded slot has no device, a suspended one is temporarily offline.
   const auto writable = [&](std::uint32_t slot) {
-    const SlotState st = rebuild_mgr_->slot_state(slot);
+    const SlotState st = rebuild_mgr_.slot_state(slot);
     return st == SlotState::kHealthy || st == SlotState::kRebuilding;
   };
   const auto suspended = [&](std::uint32_t slot) {
-    return rebuild_mgr_->slot_state(slot) == SlotState::kSuspended;
+    return rebuild_mgr_.slot_state(slot) == SlotState::kSuspended;
   };
-  const auto write_slot = [&](std::uint32_t slot, Lba lba) -> TimeUs {
+  const auto write_slot = [&](std::uint32_t slot, Lba device_lba) -> TimeUs {
+    const std::uint32_t dev = array_.slot_device(slot);
     try {
-      const TimeUs cost = array_.device_at_slot(slot).write_page(lba);
-      states_[array_.slot_device(slot)].interval_write_bytes += page_size;
+      const TimeUs cost = array_.device(dev).write_page(device_lba);
+      states_[dev].interval_write_bytes += array_.page_size();
       return cost;
     } catch (const ftl::DeviceWornOut&) {
       throw SlotFailureSignal{slot};
     }
   };
-  const auto read_slot = [&](std::uint32_t slot, Lba lba) {
-    return array_.device_at_slot(slot).read_page(lba);  // reads work in read-only mode too
+  const auto read_slot = [&](std::uint32_t slot, Lba device_lba) {
+    return array_.device_at_slot(slot).read_page(device_lba);  // works read-only too
   };
   const auto dispatch_slot = [&](std::uint32_t slot, TimeUs earliest, TimeUs cost) {
     return dispatch(array_.slot_device(slot), earliest, cost, stalled);
   };
 
-  TimeUs completion = issue;
-  for (std::uint32_t i = 0; i < op.pages; ++i) {
-    const ChunkLoc loc = layout.map_data(op.lba + i);
-    const Lba row = layout.row_of_device_lba(loc.lba);
-    switch (op.type) {
-      case wl::OpType::kRead: {
-        interval_read_bytes_ += page_size;
-        if (healthy(loc.slot)) {
-          completion =
-              std::max(completion, dispatch_slot(loc.slot, issue, read_slot(loc.slot, loc.lba)));
-          break;
-        }
-        // Degraded read: reconstruct from every survivor (mirror: the pair
-        // partner; parity: the rest of the row). Completion waits for the
-        // slowest survivor. A still-rebuilding slot is served this way too —
-        // its replacement holds only a prefix of the contents.
-        for (const std::uint32_t s : layout.reconstruction_sources(loc.slot, row)) {
-          if (suspended(s)) continue;  // offline source: the others carry the read
-          completion = std::max(completion, dispatch_slot(s, issue, read_slot(s, loc.lba)));
-        }
-        break;
+  const ChunkLoc loc = layout.map_data(lba);
+  switch (type) {
+    case wl::OpType::kRead: {
+      if (healthy(loc.slot)) return dispatch_slot(loc.slot, issue, read_slot(loc.slot, loc.lba));
+      // Degraded read: reconstruct from every survivor (mirror: the pair
+      // partner; parity: the rest of the row). Completion waits for the
+      // slowest survivor. A still-rebuilding slot is served this way too —
+      // its replacement holds only a prefix of the contents.
+      TimeUs completion = issue;
+      for (const std::uint32_t s :
+           layout.reconstruction_sources(loc.slot, layout.row_of_device_lba(loc.lba))) {
+        if (suspended(s)) continue;  // offline source: the others carry the read
+        completion = std::max(completion, dispatch_slot(s, issue, read_slot(s, loc.lba)));
       }
-      case wl::OpType::kWrite: {
-        interval_write_bytes_ += page_size;
-        app_write_bytes_ += page_size;
-        if (layout.scheme() == RedundancyScheme::kMirror) {
-          for (const std::uint32_t s : {loc.slot, layout.mirror_partner(loc.slot)}) {
-            if (!writable(s)) {
-              // Lost copy: the survivor carries it. An offline (suspended)
-              // copy additionally stains the row for resync at restore.
-              if (suspended(s)) rebuild_mgr_->note_missed_write(s, row);
-              continue;
-            }
-            completion = std::max(completion, dispatch_slot(s, issue, write_slot(s, loc.lba)));
-          }
-          break;
-        }
-        const std::uint32_t pslot = layout.parity_slot(row);
-        const bool data_ok = writable(loc.slot);
-        const bool parity_ok = writable(pslot);
-        if (suspended(loc.slot)) rebuild_mgr_->note_missed_write(loc.slot, row);
-        if (!data_ok && !parity_ok) {
-          // Degraded + suspended overlap: neither the data nor the parity
-          // chunk is reachable this instant. The stain queues the row for
-          // resync when the suspended device returns.
-          if (suspended(pslot)) rebuild_mgr_->note_missed_write(pslot, row);
-          break;
-        }
-        if (data_ok && parity_ok) {
-          // RAID-5 small write: read old data and old parity in parallel,
-          // then rewrite both — each write depends on both reads.
-          const TimeUs r1 = dispatch_slot(loc.slot, issue, read_slot(loc.slot, loc.lba));
-          const TimeUs r2 = dispatch_slot(pslot, issue, read_slot(pslot, loc.lba));
-          const TimeUs ready = std::max(r1, r2);
-          const TimeUs w1 = dispatch_slot(loc.slot, ready, write_slot(loc.slot, loc.lba));
-          const TimeUs w2 = dispatch_slot(pslot, ready, write_slot(pslot, loc.lba));
-          completion = std::max(completion, std::max(w1, w2));
-        } else if (!data_ok) {
-          // Lost data chunk: fold the write into parity — read the row's
-          // surviving data chunks, then rewrite the parity chunk.
-          TimeUs ready = issue;
-          for (std::uint32_t s = 0; s < layout.slots(); ++s) {
-            if (s == loc.slot || s == pslot) continue;
-            ready = std::max(ready, dispatch_slot(s, issue, read_slot(s, loc.lba)));
-          }
-          completion = std::max(completion, dispatch_slot(pslot, ready, write_slot(pslot, loc.lba)));
-        } else {
-          // The row's parity chunk is on the lost (or offline) slot: the
-          // data write stands alone — parity returns with the rebuild, or
-          // via the resync stain when the suspended device comes back.
-          if (suspended(pslot)) rebuild_mgr_->note_missed_write(pslot, row);
-          completion =
-              std::max(completion, dispatch_slot(loc.slot, issue, write_slot(loc.slot, loc.lba)));
-        }
-        break;
+      return completion;
+    }
+    case wl::OpType::kWrite: {
+      if (layout.scheme() == RedundancyScheme::kNone) {
+        // RAID-0: one copy, on a slot that is always healthy (its first
+        // retirement ends the run).
+        return dispatch_slot(loc.slot, issue, write_slot(loc.slot, loc.lba));
       }
-      case wl::OpType::kTrim: {
-        // Trims drop data mappings only; parity is left stale (documented
-        // simplification — reconstruction treats unmapped pages as absent).
-        if (layout.scheme() == RedundancyScheme::kMirror) {
-          for (const std::uint32_t s : {loc.slot, layout.mirror_partner(loc.slot)}) {
-            if (!writable(s)) continue;
-            completion = std::max(
-                completion, dispatch_slot(s, issue, array_.device_at_slot(s).trim(loc.lba)));
+      const Lba row = layout.row_of_device_lba(loc.lba);
+      if (layout.scheme() == RedundancyScheme::kMirror) {
+        TimeUs completion = issue;
+        for (const std::uint32_t s : {loc.slot, layout.mirror_partner(loc.slot)}) {
+          if (!writable(s)) {
+            // Lost copy: the survivor carries it. An offline (suspended)
+            // copy additionally stains the row for resync at restore.
+            if (suspended(s)) rebuild_mgr_.note_missed_write(s, row);
+            continue;
           }
-        } else if (writable(loc.slot)) {
-          completion = std::max(completion, dispatch_slot(loc.slot, issue,
-                                                          array_.device_at_slot(loc.slot).trim(loc.lba)));
+          completion = std::max(completion, dispatch_slot(s, issue, write_slot(s, loc.lba)));
         }
-        break;
+        return completion;
       }
+      const std::uint32_t pslot = layout.parity_slot(row);
+      const bool data_ok = writable(loc.slot);
+      const bool parity_ok = writable(pslot);
+      if (suspended(loc.slot)) rebuild_mgr_.note_missed_write(loc.slot, row);
+      if (!data_ok && !parity_ok) {
+        // Degraded + suspended overlap: neither the data nor the parity
+        // chunk is reachable this instant. The stain queues the row for
+        // resync when the suspended device returns.
+        if (suspended(pslot)) rebuild_mgr_.note_missed_write(pslot, row);
+        return issue;
+      }
+      if (data_ok && parity_ok) {
+        // RAID-5 small write: read old data and old parity in parallel,
+        // then rewrite both — each write depends on both reads.
+        const TimeUs r1 = dispatch_slot(loc.slot, issue, read_slot(loc.slot, loc.lba));
+        const TimeUs r2 = dispatch_slot(pslot, issue, read_slot(pslot, loc.lba));
+        const TimeUs ready = std::max(r1, r2);
+        const TimeUs w1 = dispatch_slot(loc.slot, ready, write_slot(loc.slot, loc.lba));
+        const TimeUs w2 = dispatch_slot(pslot, ready, write_slot(pslot, loc.lba));
+        return std::max(w1, w2);
+      }
+      if (!data_ok) {
+        // Lost data chunk: fold the write into parity — read the row's
+        // surviving data chunks, then rewrite the parity chunk.
+        TimeUs ready = issue;
+        for (std::uint32_t s = 0; s < layout.slots(); ++s) {
+          if (s == loc.slot || s == pslot) continue;
+          ready = std::max(ready, dispatch_slot(s, issue, read_slot(s, loc.lba)));
+        }
+        return dispatch_slot(pslot, ready, write_slot(pslot, loc.lba));
+      }
+      // The row's parity chunk is on the lost (or offline) slot: the data
+      // write stands alone — parity returns with the rebuild, or via the
+      // resync stain when the suspended device comes back.
+      if (suspended(pslot)) rebuild_mgr_.note_missed_write(pslot, row);
+      return dispatch_slot(loc.slot, issue, write_slot(loc.slot, loc.lba));
+    }
+    case wl::OpType::kTrim: {
+      // Trims drop data mappings only; parity is left stale (documented
+      // simplification — reconstruction treats unmapped pages as absent).
+      TimeUs completion = issue;
+      if (layout.scheme() == RedundancyScheme::kMirror) {
+        for (const std::uint32_t s : {loc.slot, layout.mirror_partner(loc.slot)}) {
+          if (!writable(s)) continue;
+          completion = std::max(
+              completion, dispatch_slot(s, issue, array_.device_at_slot(s).trim(loc.lba)));
+        }
+      } else if (writable(loc.slot)) {
+        completion = dispatch_slot(loc.slot, issue, array_.device_at_slot(loc.slot).trim(loc.lba));
+      }
+      return completion;
     }
   }
-  return completion;
+  JITGC_ENSURE_MSG(false, "unreachable op type");
+  return issue;
 }
 
 void ArraySimulator::emit_state_record(TimeUs at, const char* state, std::uint32_t slot,
@@ -338,7 +306,7 @@ void ArraySimulator::handle_slot_failure(std::uint32_t slot, TimeUs at, const ch
   }
   RebuildManager::FailureOutcome out;
   try {
-    out = rebuild_mgr_->on_slot_failure(slot);
+    out = rebuild_mgr_.on_slot_failure(slot);
   } catch (const ArrayDataLoss&) {
     emit_state_record(at, "data_loss", slot, array_.slot_device(slot), "redundancy_exhausted");
     throw;
@@ -390,7 +358,7 @@ void ArraySimulator::apply_scripted_outage(TimeUs now) {
   const auto slot = static_cast<std::uint32_t>(config_.outage_slot);
   if (!outage_done_ && now >= config_.outage_at) {
     outage_done_ = true;
-    rebuild_mgr_->suspend_slot(slot);
+    rebuild_mgr_.suspend_slot(slot);
     emit_state_record(now, "suspended", slot, array_.slot_device(slot), "injected_outage");
   } else if (outage_done_ && !outage_restored_ && now >= config_.outage_restore_at) {
     outage_restored_ = true;
@@ -399,7 +367,7 @@ void ArraySimulator::apply_scripted_outage(TimeUs now) {
 }
 
 void ArraySimulator::resume_slot(std::uint32_t slot, TimeUs now) {
-  const RebuildManager::ResumeOutcome out = rebuild_mgr_->resume_slot(slot);
+  const RebuildManager::ResumeOutcome out = rebuild_mgr_.resume_slot(slot);
   const char* reason = out.rebuild_resumed    ? "rebuild_resumed"
                        : out.resync_started   ? "resync_started"
                                               : "no_resync_needed";
@@ -414,10 +382,11 @@ void ArraySimulator::apply_scripted_spo(TimeUs now) {
     const auto wall_start = std::chrono::steady_clock::now();
     if (redundant_) {
       // A degraded or already-suspended slot has no powered device to lose
-      // power — the script is a no-op then (never a crash).
-      const SlotState state = rebuild_mgr_->slot_state(slot);
+      // power — the script is a no-op then (never a crash). RAID-0 has no
+      // slot states: its device recovers in place.
+      const SlotState state = rebuild_mgr_.slot_state(slot);
       if (state != SlotState::kHealthy && state != SlotState::kRebuilding) return;
-      rebuild_mgr_->suspend_slot(slot);
+      rebuild_mgr_.suspend_slot(slot);
       emit_state_record(now, "suspended", slot, array_.slot_device(slot), "injected_spo");
     }
     // The device itself power-cycles: volatile FTL state is discarded and
@@ -432,7 +401,7 @@ void ArraySimulator::apply_scripted_spo(TimeUs now) {
     harness_.note_recovery(rep, now, static_cast<std::int32_t>(dev), wall_start);
   } else if (spo_done_ && !spo_resumed_) {
     spo_resumed_ = true;
-    if (redundant_ && rebuild_mgr_->slot_state(slot) == SlotState::kSuspended) {
+    if (rebuild_mgr_.slot_state(slot) == SlotState::kSuspended) {
       resume_slot(slot, now);
     }
   }
@@ -460,12 +429,12 @@ void ArraySimulator::tick(TimeUs now) {
   std::vector<DeviceDemand> demands(n);
   for (std::uint32_t d = 0; d < n; ++d) {
     // A degraded slot has no device to poll; a suspended one is offline.
-    if (redundant_ && (rebuild_mgr_->slot_state(d) == SlotState::kDegraded ||
-                       rebuild_mgr_->slot_state(d) == SlotState::kSuspended)) {
+    if (rebuild_mgr_.slot_state(d) == SlotState::kDegraded ||
+        rebuild_mgr_.slot_state(d) == SlotState::kSuspended) {
       slot_demand_ewma_[d] = 0.0;
       continue;  // demands[d] stays zero: want_gc() never grants it
     }
-    DeviceState& st = states_[redundant_ ? array_.slot_device(d) : d];
+    DeviceState& st = states_[array_.slot_device(d)];
     const double sample = static_cast<double>(st.interval_write_bytes);
     slot_demand_ewma_[d] =
         slot_demand_ewma_[d] == 0.0 ? sample : 0.3 * sample + 0.7 * slot_demand_ewma_[d];
@@ -500,14 +469,14 @@ void ArraySimulator::tick(TimeUs now) {
   // the coordinator's rebuild grant competes with the GC grants just issued
   // but never drops below the configured floor.
   RebuildManager::RebuildTick rtick;
-  if (redundant_ && rebuild_mgr_->rebuild_active()) {
+  if (rebuild_mgr_.rebuild_active()) {
     RebuildDemand rdemand;
     rdemand.active = true;
-    rdemand.slot = rebuild_mgr_->active_slot();
+    rdemand.slot = rebuild_mgr_.active_slot();
     const RebuildGrant rgrant = coordinator_.decide_rebuild(tick_index, grants, rdemand);
     const auto budget = static_cast<TimeUs>(rgrant.duty * static_cast<double>(p));
     try {
-      rtick = rebuild_mgr_->advance(budget);
+      rtick = rebuild_mgr_.advance(budget);
     } catch (const SlotFailureSignal& s) {
       // The replacement died under reconstruction load; this window's work
       // is lost with it.
@@ -546,14 +515,14 @@ void ArraySimulator::tick(TimeUs now) {
   Bytes free_min = 0;
   Bytes free_total = 0;
   for (std::uint32_t d = 0; d < n; ++d) {
-    const std::uint32_t dev_id = redundant_ ? array_.slot_device(d) : d;
+    const std::uint32_t dev_id = array_.slot_device(d);
     DeviceState& st = states_[dev_id];
     const GcPhaseResult& res = results[d];
     const bool spread = config_.array.gc_mode != ArrayGcMode::kNaive;
     // No reachable capacity: the slot's contents are gone (degraded) or its
     // device is offline (suspended).
-    const bool lost = redundant_ && (rebuild_mgr_->slot_state(d) == SlotState::kDegraded ||
-                                     rebuild_mgr_->slot_state(d) == SlotState::kSuspended);
+    const bool lost = rebuild_mgr_.slot_state(d) == SlotState::kDegraded ||
+                      rebuild_mgr_.slot_state(d) == SlotState::kSuspended;
 
     std::vector<TimeUs> all_bursts = res.bursts;
     if (rtick.active && dev_id < rtick.bursts.size()) {
@@ -631,10 +600,10 @@ void ArraySimulator::tick(TimeUs now) {
     rec.max_latency_us = harness_.interval_latencies().percentile(100.0);
     rec.write_p99_latency_us = interval_write_latencies_.percentile(99.0);
     rec.write_p999_latency_us = interval_write_latencies_.percentile(99.9);
-    if (redundant_) {
-      rec.state = rebuild_mgr_->rebuild_active()
+    if (redundant_) {  // RAID-0 lines carry no state
+      rec.state = rebuild_mgr_.rebuild_active()
                       ? "rebuilding"
-                      : (rebuild_mgr_->any_exposed() ? "degraded" : "healthy");
+                      : (rebuild_mgr_.any_exposed() ? "degraded" : "healthy");
     }
     harness_.sink()->on_array_interval(rec);
   }
@@ -650,10 +619,8 @@ void ArraySimulator::tick(TimeUs now) {
 
   // 7. Exposure accounting, at flush-period granularity: the state after
   // this tick's transitions covers the coming interval.
-  if (redundant_) {
-    if (rebuild_mgr_->any_exposed()) degraded_time_s_ += to_seconds(p);
-    if (rebuild_mgr_->rebuild_active()) rebuild_time_s_ += to_seconds(p);
-  }
+  if (rebuild_mgr_.any_exposed()) degraded_time_s_ += to_seconds(p);
+  if (rebuild_mgr_.rebuild_active()) rebuild_time_s_ += to_seconds(p);
   current_interval_ = tick_index + 2;
 }
 
@@ -668,7 +635,7 @@ TimeUs ArraySimulator::serve(const wl::AppOp& op, TimeUs issue, TimeUs arrival) 
   if (stalled) ++interval_stalled_ops_;
   if (write) {
     interval_write_latencies_.add(latency);
-    if (redundant_ && rebuild_mgr_->any_exposed()) degraded_write_latencies_.add(latency);
+    if (rebuild_mgr_.any_exposed()) degraded_write_latencies_.add(latency);
   }
   return completion;
 }
@@ -752,17 +719,17 @@ sim::SimReport ArraySimulator::run(wl::WorkloadGenerator& workload) {
   r.run_end_reason = end_reason;
   r.elapsed_s = to_seconds(elapsed);
 
-  if (redundant_) {
-    r.device_failures = rebuild_mgr_->device_failures();
-    r.rebuilds_completed = rebuild_mgr_->rebuilds_completed();
-    r.rebuild_read_bytes = rebuild_mgr_->total_read_bytes();
-    r.rebuild_write_bytes = rebuild_mgr_->total_write_bytes();
-    r.rebuild_time_s = rebuild_time_s_;
-    r.degraded_time_s = degraded_time_s_;
-    r.degraded_write_p99_latency_us = degraded_write_latencies_.count() != 0
-                                          ? degraded_write_latencies_.percentile(99.0)
-                                          : 0.0;
-  }
+  // All zero under RAID-0, whose first retirement ends the run: the JSONL
+  // redundancy block then stays out.
+  r.device_failures = rebuild_mgr_.device_failures();
+  r.rebuilds_completed = rebuild_mgr_.rebuilds_completed();
+  r.rebuild_read_bytes = rebuild_mgr_.total_read_bytes();
+  r.rebuild_write_bytes = rebuild_mgr_.total_write_bytes();
+  r.rebuild_time_s = rebuild_time_s_;
+  r.degraded_time_s = degraded_time_s_;
+  r.degraded_write_p99_latency_us = degraded_write_latencies_.count() != 0
+                                        ? degraded_write_latencies_.percentile(99.0)
+                                        : 0.0;
 
   drain_fault_events(to_seconds(elapsed));
   if (harness_.sink() != nullptr) harness_.sink()->on_run_end(r);

@@ -44,19 +44,22 @@
 // collecting device therefore stalls every request that touches it, which
 // is the array-level tail the metrics records capture.
 //
-// Redundant layouts (mirror/parity) route every op through the layout:
-// mirror writes land on both pair members, parity writes pay the RAID-5
-// read-modify-write (read old data + old parity in parallel, then write
-// both), and reads of a lost or still-rebuilding chunk reconstruct from
-// survivors. Device retirement (ftl::DeviceWornOut, or the scripted
-// kill_slot injection) flows through RebuildManager::on_slot_failure:
-// RAID-0 keeps its legacy device_worn_out ending, redundant arrays go
-// degraded, promote a spare and rebuild, and end with "array_data_loss"
-// only when a failure lands on an already-exposed stripe.
+// Every layout, RAID-0 included (the `none` scheme), routes each page of an
+// op through the RedundancyLayout and the RebuildManager's slot states: a
+// RAID-0 write is one write to the page's slot, mirror writes land on both
+// pair members, parity writes pay the RAID-5 read-modify-write (read old
+// data + old parity in parallel, then write both), and reads of a lost or
+// still-rebuilding chunk reconstruct from survivors. Device retirement
+// (ftl::DeviceWornOut, or the scripted kill_slot injection) flows through
+// handle_slot_failure: RAID-0 keeps its device_worn_out ending (so its
+// slots never leave healthy), redundant arrays go degraded, promote a spare
+// and rebuild, and end with "array_data_loss" only when a failure lands on
+// an already-exposed stripe. RAID-0 output differs from the redundant
+// layouts only by that ending, in-place power-cut recovery, the absent
+// array_interval.state, and its ARRAY-<MODE> policy name.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "array/gc_coordinator.h"
@@ -211,10 +214,12 @@ class ArraySimulator {
   GcPhaseResult collect_slot(std::uint32_t slot, const GcGrant& grant);
   /// Drains every device's degradation events through the harness.
   void drain_fault_events(double time_s);
+  /// Serves every page of `op`, retrying the whole op after a mid-op
+  /// retirement; counts the op's host bytes once per page.
   TimeUs execute_op(const wl::AppOp& op, TimeUs issue, bool& stalled);
-  /// Redundant datapath (mirror/parity), one attempt; throws
-  /// SlotFailureSignal when a device dies mid-op.
-  TimeUs execute_redundant_op(const wl::AppOp& op, TimeUs issue, bool& stalled);
+  /// One logical page through the layout, one attempt; returns its
+  /// completion and throws SlotFailureSignal when a device dies under it.
+  TimeUs execute_page(wl::OpType type, Lba lba, TimeUs issue, bool& stalled);
   /// Routes a retirement through the rebuild manager (RAID-0: rethrows the
   /// legacy DeviceWornOut) and emits the state records.
   void handle_slot_failure(std::uint32_t slot, TimeUs at, const char* reason);
@@ -226,8 +231,9 @@ class ArraySimulator {
   sim::RunHarness harness_;
   GcCoordinator coordinator_;
   ThreadPool pool_;
+  /// Not RAID-0. Read only where RAID-0 output differs by contract.
   bool redundant_ = false;
-  std::optional<RebuildManager> rebuild_mgr_;  ///< engaged when redundant_
+  RebuildManager rebuild_mgr_;  ///< every slot stays healthy under RAID-0
   std::vector<DeviceState> states_;       ///< per physical device
   std::vector<double> slot_demand_ewma_;  ///< per slot: EWMA of host-write bytes/interval
   bool kill_done_ = false;

@@ -12,18 +12,6 @@ RebuildManager::RebuildManager(SsdArray& array)
       pre_suspend_(array.device_count(), SlotState::kHealthy),
       missed_rows_(array.device_count()) {}
 
-SlotState RebuildManager::slot_state(std::uint32_t slot) const {
-  JITGC_ENSURE_MSG(slot < states_.size(), "slot out of range");
-  return states_[slot];
-}
-
-bool RebuildManager::any_exposed() const {
-  for (const SlotState s : states_) {
-    if (s != SlotState::kHealthy) return true;
-  }
-  return false;
-}
-
 std::vector<RebuildManager::PendingRebuild>::iterator RebuildManager::runnable_rebuild() {
   const auto& self = *this;
   const auto it = self.runnable_rebuild();

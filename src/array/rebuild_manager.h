@@ -23,12 +23,14 @@
 // spare, or leaves the slot degraded when the pool is empty.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "array/ssd_array.h"
+#include "common/ensure.h"
 #include "common/types.h"
 
 namespace jitgc::array {
@@ -64,11 +66,18 @@ class RebuildManager {
  public:
   explicit RebuildManager(SsdArray& array);
 
-  SlotState slot_state(std::uint32_t slot) const;
+  /// Inline: the array datapath asks once per page.
+  SlotState slot_state(std::uint32_t slot) const {
+    JITGC_ENSURE_MSG(slot < states_.size(), "slot out of range");
+    return states_[slot];
+  }
   /// True while any slot is not healthy (the volume is exposed: one more
   /// overlapping failure in the wrong place is data loss). A suspended slot
   /// counts as exposed — its contents are intact but unreachable.
-  bool any_exposed() const;
+  bool any_exposed() const {
+    return std::any_of(states_.begin(), states_.end(),
+                       [](SlotState s) { return s != SlotState::kHealthy; });
+  }
   /// True while a rebuild can make progress: at least one job whose slot is
   /// not suspended. (A rebuild interrupted by an outage parks, keeping its
   /// cursor; it asks for no grant until the device returns.)

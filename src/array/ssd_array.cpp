@@ -1,7 +1,5 @@
 #include "array/ssd_array.h"
 
-#include <algorithm>
-
 #include "common/ensure.h"
 #include "common/rng.h"
 
@@ -55,13 +53,6 @@ SsdArray::SsdArray(const sim::SsdConfig& device_config, const ArrayConfig& confi
   user_pages_ = layout_->user_pages();
 }
 
-Bytes SsdArray::page_size() const { return devices_.front()->ftl().page_size(); }
-
-std::uint32_t SsdArray::slot_device(std::uint32_t slot) const {
-  JITGC_ENSURE_MSG(slot < slot_device_.size(), "slot out of range");
-  return slot_device_[slot];
-}
-
 void SsdArray::remap_slot(std::uint32_t slot, std::uint32_t device) {
   JITGC_ENSURE_MSG(slot < slot_device_.size(), "slot out of range");
   JITGC_ENSURE_MSG(device < devices_.size(), "device out of range");
@@ -73,20 +64,6 @@ std::optional<std::uint32_t> SsdArray::take_spare() {
   const std::uint32_t d = free_spares_.front();
   free_spares_.erase(free_spares_.begin());
   return d;
-}
-
-StripeTarget SsdArray::map(Lba lba) const {
-  const ChunkLoc loc = layout_->map_data(lba);
-  StripeTarget t;
-  t.device = slot_device_[loc.slot];
-  t.lba = loc.lba;
-  return t;
-}
-
-Bytes SsdArray::free_bytes_total() const {
-  Bytes total = 0;
-  for (const std::uint32_t d : slot_device_) total += devices_[d]->ftl().free_bytes_for_writes();
-  return total;
 }
 
 }  // namespace jitgc::array

@@ -1,13 +1,13 @@
 // A striped volume over N independent simulated SSDs.
 //
 // The array is the paper's host-side manager scaled out: one logical LBA
-// space striped chunk-by-chunk over N devices (RAID-0 layout, no parity),
-// each device an independently-seeded sim::Ssd with its own FTL, fault
-// stream and GC state. The interesting coupling is temporal, not spatial:
-// a stripe request completes at the max of its per-device completions, so
-// one device busy with background GC stalls every request that touches it —
-// which is exactly what the array-level GC coordinator (gc_coordinator.h)
-// exists to manage.
+// space striped chunk-by-chunk over N devices by a RedundancyLayout (RAID-0,
+// mirror pairs or rotating parity; redundancy.h), each device an
+// independently-seeded sim::Ssd with its own FTL, fault stream and GC state.
+// The interesting coupling is temporal, not spatial: a stripe request
+// completes at the max of its per-device completions, so one device busy
+// with background GC stalls every request that touches it — which is exactly
+// what the array-level GC coordinator (gc_coordinator.h) exists to manage.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "array/redundancy.h"
+#include "common/ensure.h"
 #include "common/types.h"
 #include "sim/ssd.h"
 
@@ -73,12 +74,6 @@ struct ArrayConfig {
   double rebuild_rate_floor = 0.1;
 };
 
-/// Stripe mapping result: which device, and which LBA on it.
-struct StripeTarget {
-  std::uint32_t device = 0;
-  Lba lba = 0;
-};
-
 /// N independently-seeded Ssd instances behind a striping address map, plus
 /// optional hot spares. Logical position in the stripe is a *slot*; the
 /// slot→device table starts as the identity and is rewired by the rebuild
@@ -99,11 +94,17 @@ class SsdArray {
   const sim::Ssd& device(std::uint32_t d) const { return *devices_[d]; }
   const ArrayConfig& config() const { return config_; }
 
-  /// The address-math layer: scheme, chunk map, parity rotation.
+  /// The address-math layer: scheme, chunk map, parity rotation. Its
+  /// map_data() gives a logical LBA's slot and device-LBA; slot_device()
+  /// turns the slot into the physical device.
   const RedundancyLayout& layout() const { return *layout_; }
 
-  /// Physical device currently occupying stripe slot `slot`.
-  std::uint32_t slot_device(std::uint32_t slot) const;
+  /// Physical device currently occupying stripe slot `slot` (the identity
+  /// until a spare takes over a failed slot).
+  std::uint32_t slot_device(std::uint32_t slot) const {
+    JITGC_ENSURE_MSG(slot < slot_device_.size(), "slot out of range");
+    return slot_device_[slot];
+  }
   sim::Ssd& device_at_slot(std::uint32_t slot) { return *devices_[slot_device(slot)]; }
 
   /// Point `slot` at physical device `device` (spare promotion).
@@ -120,17 +121,7 @@ class SsdArray {
   Lba user_pages() const { return user_pages_; }
   /// Per-device share of the stripe (pages the layout uses on each device).
   Lba device_user_pages() const { return device_user_pages_; }
-  Bytes page_size() const;
-
-  /// LBA → primary data copy as (physical device, device-LBA). RAID-0: chunk
-  /// c goes to slot c % N at chunk c / N. Mirror/parity: the layout's
-  /// map_data() translated through the slot table.
-  StripeTarget map(Lba lba) const;
-
-  /// Sum of C_free over the devices occupying stripe slots (no command
-  /// overhead — host-side aggregate of already-polled values; the
-  /// coordinator charges the real polls). Spares idle outside the volume.
-  Bytes free_bytes_total() const;
+  Bytes page_size() const { return devices_.front()->ftl().page_size(); }
 
  private:
   ArrayConfig config_;

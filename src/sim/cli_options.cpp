@@ -87,14 +87,27 @@ Flag row(const char* name, const char* metavar, FlagKind kind, Field& out, std::
                 }
                 out = std::move(parsed);
                 return true;
-              }};
+              },
+              FlagMode::kAny};
 }
 
 Flag on(const char* name, bool& out, const char* help, bool value = true) {
-  return Flag{name, "", FlagKind::kSwitch, "", help, [&out, value](const std::string&) {
+  return Flag{name, "", FlagKind::kSwitch, "", help,
+              [&out, value](const std::string&) {
                 out = value;
                 return true;
-              }};
+              },
+              FlagMode::kAny};
+}
+
+// Rows that only one of jitgc_cli's runners reads.
+Flag single_ssd(Flag flag) {
+  flag.mode = FlagMode::kSingleSsd;
+  return flag;
+}
+Flag array_only(Flag flag) {
+  flag.mode = FlagMode::kArray;
+  return flag;
 }
 
 // Text is never empty; only a list can hold a bad (empty) item.
@@ -321,20 +334,20 @@ std::vector<Flag> cli_flags(CliOptions& o) {
       text("--trace", "<file>", o.trace_path, "replay an MSR-format block trace instead"),
       real("--trace-buffered", "<f>", o.trace_buffered_fraction, kUnitInterval,
            "a fraction in [0,1]", "re-synthesize this fraction of trace writes as buffered"),
-      choice("--policy", "<name>", o.policy,
-             {{"lazy", PolicyKind::kLazy},
-              {"l-bgc", PolicyKind::kLazy},
-              {"aggressive", PolicyKind::kAggressive},
-              {"a-bgc", PolicyKind::kAggressive},
-              {"adaptive", PolicyKind::kAdaptive},
-              {"adp-gc", PolicyKind::kAdaptive},
-              {"jit", PolicyKind::kJit},
-              {"jit-gc", PolicyKind::kJit},
-              {"fixed", PolicyKind::kFixedReserve}},
-             "lazy|aggressive|adaptive|jit|fixed   (default jit)"),
-      real("--reserve", "<m>", o.fixed_reserve_multiple, kPositive,
-           "a finite positive C_resv/C_OP multiple",
-           "C_resv as a multiple of C_OP for --policy=fixed"),
+      single_ssd(choice("--policy", "<name>", o.policy,
+                        {{"lazy", PolicyKind::kLazy},
+                         {"l-bgc", PolicyKind::kLazy},
+                         {"aggressive", PolicyKind::kAggressive},
+                         {"a-bgc", PolicyKind::kAggressive},
+                         {"adaptive", PolicyKind::kAdaptive},
+                         {"adp-gc", PolicyKind::kAdaptive},
+                         {"jit", PolicyKind::kJit},
+                         {"jit-gc", PolicyKind::kJit},
+                         {"fixed", PolicyKind::kFixedReserve}},
+                        "lazy|aggressive|adaptive|jit|fixed   (default jit)")),
+      single_ssd(real("--reserve", "<m>", o.fixed_reserve_multiple, kPositive,
+                      "a finite positive C_resv/C_OP multiple",
+                      "C_resv as a multiple of C_OP for --policy=fixed")),
       count("--seed", "<n>", o.seed, 0, "an unsigned integer",
             "RNG seed                             (default 1)"),
   };
@@ -345,18 +358,21 @@ std::vector<Flag> cli_flags(CliOptions& o) {
             "MSR volume each tenant replays (trace mode)"),
       count("--snapshot-cache-limit", "<n>", o.snapshot_cache_limit, 1,
             "a positive snapshot-file count", "LRU cap on the disk cache, in snapshot files"),
-      real("--spo-at", "<s>", o.spo_at_s, kNonNegative, "a finite time in seconds (>= 0)",
-           "sudden power-off this far into the measured run;\n"
-           "the device recovers by OOB scan (default off)"),
-      real("--spo-every", "<s>", o.spo_every_s, kPositive, "a finite positive period in seconds",
-           "repeat the power cut every s seconds (needs --spo-at)"),
-      count("--spo-precondition-writes", "<n>", o.spo_precondition_writes, 1,
-            "a positive write count", "one SPO after n preconditioning writes"),
+      single_ssd(real("--spo-at", "<s>", o.spo_at_s, kNonNegative,
+                      "a finite time in seconds (>= 0)",
+                      "sudden power-off this far into the measured run;\n"
+                      "the device recovers by OOB scan (default off)")),
+      single_ssd(real("--spo-every", "<s>", o.spo_every_s, kPositive,
+                      "a finite positive period in seconds",
+                      "repeat the power cut every s seconds (needs --spo-at)")),
+      single_ssd(count("--spo-precondition-writes", "<n>", o.spo_precondition_writes, 1,
+                       "a positive write count", "one SPO after n preconditioning writes")),
       count("--checkpoint-every-erases", "<k>", o.checkpoint_every_erases, 0,
             "an erase count (0 = off)",
             "mapping checkpoint every k erases\n(bounds the recovery scan; 0 = full scan)"),
-      choice("--arrival", "<m>", o.open_loop_arrivals, {{"closed", false}, {"open", true}},
-             "closed|open arrival model, single-SSD (default closed)"),
+      single_ssd(choice("--arrival", "<m>", o.open_loop_arrivals,
+                        {{"closed", false}, {"open", true}},
+                        "closed|open arrival model, single-SSD (default closed)")),
       count("--blocks-per-plane", "<n>", o.blocks_per_plane, 1, "a positive 32-bit integer",
             "device scale                         (default 256)"),
       count("--pages-per-block", "<n>", o.pages_per_block, 1, "a positive 32-bit integer",
@@ -371,48 +387,60 @@ std::vector<Flag> cli_flags(CliOptions& o) {
               {"sampled-greedy", VictimPolicyKind::kSampledGreedy}},
              "greedy|cost-benefit|fifo|random|sampled-greedy"),
       on("--hot-cold", o.hot_cold_separation, "enable hot/cold stream separation"),
-      on("--measured-idle", o.use_measured_idle, "JIT-GC uses measured device idle for T_idle"),
+      single_ssd(on("--measured-idle", o.use_measured_idle,
+                    "JIT-GC uses measured device idle for T_idle")),
       count("--service-queues", "<n>", o.service_queues, 0,
             "0 (per-plane) or a 32-bit queue count",
             "1 = scaled single queue; 0 = one queue per plane"),
-      real("--bgc-rate-limit", "<bps>", o.bgc_rate_limit_bps, kNonNegative,
-           "finite bytes/s (0 = unlimited)", "QoS cap on background GC reclaim (0 = unlimited)"),
+      single_ssd(real("--bgc-rate-limit", "<bps>", o.bgc_rate_limit_bps, kNonNegative,
+                      "finite bytes/s (0 = unlimited)",
+                      "QoS cap on background GC reclaim (0 = unlimited)")),
       count("--array-devices", "<n>", o.array_devices, 1, "a positive 32-bit device count",
             "stripe the volume over N SSDs (array mode; default off)"),
-      count("--stripe-chunk", "<pages>", o.stripe_chunk_pages, 1, "a positive 32-bit page count",
-            "stripe chunk size                    (default 8)"),
-      keyword("--array-gc-mode", "<m>", o.array_gc_mode, {"naive", "staggered", "maxk"},
-              "naive|staggered|maxk                 (default staggered)"),
-      count("--array-max-concurrent-gc", "<k>", o.array_max_concurrent_gc, 1,
-            "a positive 32-bit device count", "GC concurrency cap           (default 1)"),
+      array_only(count("--stripe-chunk", "<pages>", o.stripe_chunk_pages, 1,
+                       "a positive 32-bit page count",
+                       "stripe chunk size                    (default 8)")),
+      array_only(keyword("--array-gc-mode", "<m>", o.array_gc_mode,
+                         {"naive", "staggered", "maxk"},
+                         "naive|staggered|maxk                 (default staggered)")),
+      array_only(count("--array-max-concurrent-gc", "<k>", o.array_max_concurrent_gc, 1,
+                       "a positive 32-bit device count",
+                       "GC concurrency cap           (default 1)")),
       // The sim layer cannot call array::redundancy_scheme_names() (the
       // dependency is one-way); array_cli.cpp re-validates with that list.
-      keyword("--array-redundancy", "<s>", o.array_redundancy, {"none", "mirror", "parity"},
-              "none|mirror|parity                   (default none)"),
-      count("--array-spares", "<n>", o.array_spares, 0, "a 32-bit spare device count",
-            "hot spares for rebuilds              (default 0)"),
-      real("--rebuild-rate-floor", "<f>", o.rebuild_rate_floor, kUnitInterval,
-           "a duty fraction in [0, 1]", "min rebuild duty fraction [0,1]   (default 0.1)"),
-      count("--array-kill-device", "<slot>", o.array_kill_slot, 0, "a slot index below 2^31",
-            "scripted kill: retire this slot's device"),
-      real("--array-kill-at", "<s>", o.array_kill_at_s, kNonNegative,
-           "a finite time in seconds (>= 0)", "kill time in seconds                 (default 0)"),
-      count("--array-outage-device", "<slot>", o.array_outage_slot, 0, "a slot index below 2^31",
-            "scripted transient outage: suspend this slot"),
-      real("--array-outage-at", "<s>", o.array_outage_at_s, kNonNegative,
-           "a finite time in seconds (>= 0)", "outage start, seconds                (default 0)"),
-      real("--array-outage-restore-at", "<s>", o.array_outage_restore_at_s, kNonNegative,
-           "a finite time in seconds (>= 0)", "device returns at this time"),
-      count("--array-spo-device", "<slot>", o.array_spo_slot, 0, "a slot index below 2^31",
-            "sudden power-off for this slot's device; it\n"
-            "recovers by OOB scan and resyncs via rebuild"),
-      real("--array-spo-at", "<s>", o.array_spo_at_s, kNonNegative,
-           "a finite time in seconds (>= 0)", "array SPO time in seconds             (default 0)"),
-      count("--jobs", "<n>", o.jobs, 0, "a thread count (0 = hardware)",
-            "array GC fan-out threads, 0 = hardware (default 0)"),
-      on("--no-sip", o.use_sip_list, "disable SIP victim filtering (JIT-GC)", false),
-      real("--percentile", "<q>", o.direct_quantile, Range{.hi = 1.0, .lo_open = true},
-           "a value in (0,1]", "CDH reserve quantile                 (default 0.8)"),
+      array_only(keyword("--array-redundancy", "<s>", o.array_redundancy,
+                         {"none", "mirror", "parity"},
+                         "none|mirror|parity                   (default none)")),
+      array_only(count("--array-spares", "<n>", o.array_spares, 0, "a 32-bit spare device count",
+                       "hot spares for rebuilds              (default 0)")),
+      array_only(real("--rebuild-rate-floor", "<f>", o.rebuild_rate_floor, kUnitInterval,
+                      "a duty fraction in [0, 1]",
+                      "min rebuild duty fraction [0,1]   (default 0.1)")),
+      array_only(count("--array-kill-device", "<slot>", o.array_kill_slot, 0,
+                       "a slot index below 2^31", "scripted kill: retire this slot's device")),
+      array_only(real("--array-kill-at", "<s>", o.array_kill_at_s, kNonNegative,
+                      "a finite time in seconds (>= 0)",
+                      "kill time in seconds                 (default 0)")),
+      array_only(count("--array-outage-device", "<slot>", o.array_outage_slot, 0,
+                       "a slot index below 2^31", "scripted transient outage: suspend this slot")),
+      array_only(real("--array-outage-at", "<s>", o.array_outage_at_s, kNonNegative,
+                      "a finite time in seconds (>= 0)",
+                      "outage start, seconds                (default 0)")),
+      array_only(real("--array-outage-restore-at", "<s>", o.array_outage_restore_at_s,
+                      kNonNegative, "a finite time in seconds (>= 0)",
+                      "device returns at this time")),
+      array_only(count("--array-spo-device", "<slot>", o.array_spo_slot, 0,
+                       "a slot index below 2^31",
+                       "sudden power-off for this slot's device; it\n"
+                       "recovers by OOB scan and resyncs via rebuild")),
+      array_only(real("--array-spo-at", "<s>", o.array_spo_at_s, kNonNegative,
+                      "a finite time in seconds (>= 0)",
+                      "array SPO time in seconds             (default 0)")),
+      array_only(count("--jobs", "<n>", o.jobs, 0, "a thread count (0 = hardware)",
+                       "array GC fan-out threads, 0 = hardware (default 0)")),
+      single_ssd(on("--no-sip", o.use_sip_list, "disable SIP victim filtering (JIT-GC)", false)),
+      single_ssd(real("--percentile", "<q>", o.direct_quantile, Range{.hi = 1.0, .lo_open = true},
+                      "a value in (0,1]", "CDH reserve quantile                 (default 0.8)")),
       text("--metrics", "<file>", o.metrics_path,
            "write per-interval + run JSONL records (docs/model.md)"),
       on("--csv", o.csv, "machine-readable one-line output"),
@@ -426,13 +454,26 @@ std::vector<Flag> cli_flags(CliOptions& o) {
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::string& error) {
   CliOptions opt;
   std::vector<std::string> given;
-  if (!parse_flags(args, cli_flags(opt), given, error)) return std::nullopt;
+  const std::vector<Flag> flags = cli_flags(opt);
+  if (!parse_flags(args, flags, given, error)) return std::nullopt;
   if (opt.show_help) return opt;
-  if (!check_shared_rules(opt, given, error)) return std::nullopt;
   const auto fail = [&error](std::string message) {
     error = std::move(message);
     return std::nullopt;
   };
+  const bool array_mode = opt.array_devices > 0;
+  for (const std::string& name : given) {
+    const FlagMode mode =
+        std::find_if(flags.begin(), flags.end(), [&](const Flag& f) { return f.name == name; })
+            ->mode;
+    if (mode == FlagMode::kArray && !array_mode) {
+      return fail(name + " applies only in array mode (--array-devices)");
+    }
+    if (mode == FlagMode::kSingleSsd && array_mode) {
+      return fail(name + " applies only in single-SSD mode (without --array-devices)");
+    }
+  }
+  if (!check_shared_rules(opt, given, error)) return std::nullopt;
   if (opt.spo_every_s > 0.0 && opt.spo_at_s < 0.0) {
     return fail("--spo-every requires --spo-at (the first cut anchors the cadence)");
   }
@@ -457,8 +498,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       {"--array-spo-device", opt.array_spo_slot},
   };
   for (const auto& [flag, slot] : slots) {
-    if (opt.array_devices > 0 && slot >= 0 &&
-        static_cast<std::uint32_t>(slot) >= opt.array_devices) {
+    if (slot >= 0 && static_cast<std::uint32_t>(slot) >= opt.array_devices) {
       return fail(std::string(flag) + " needs a slot below --array-devices=" +
                   std::to_string(opt.array_devices) + ", got '" + std::to_string(slot) + "'");
     }

@@ -172,6 +172,15 @@ enum class FlagKind {
   kCount32,  ///< unsigned integer that fits the 32-bit (or slot) field it sets
 };
 
+/// Which of jitgc_cli's two runners reads a flag: run_from_cli (one SSD) or
+/// run_array_from_cli (--array-devices). A flag given in the mode that does
+/// not read it is a parse error, never silently ignored.
+enum class FlagMode {
+  kAny,        ///< both runners; every jitgc_sweep row
+  kSingleSsd,  ///< refused with --array-devices
+  kArray,      ///< needs --array-devices
+};
+
 /// One row of a tool's flag table, bound to the options it fills.
 struct Flag {
   std::string name;     ///< "--seconds"
@@ -182,6 +191,7 @@ struct Flag {
   std::string help;     ///< --help text; each '\n' starts an indented line
   /// Parses and range-checks the value, storing it only when it is valid.
   std::function<bool(const std::string& value)> set;
+  FlagMode mode = FlagMode::kAny;
 };
 
 /// jitgc_cli's flag table (the rows shared with jitgc_sweep plus its own),

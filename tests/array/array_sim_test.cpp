@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -117,6 +118,31 @@ TEST(ArraySimulator, IntervalOpsSumToReportOps) {
   std::uint64_t ops = 0;
   for (const auto& rec : sink.array_intervals()) ops += rec.ops;
   EXPECT_EQ(ops, r.ops_completed);
+}
+
+TEST(ArraySimulator, IntervalFreeBytesTotalSumsSlotDevices) {
+  // The array-level C_free aggregates are the per-device polls of the same
+  // tick: total is their sum, min their minimum.
+  const ArraySimConfig config = small_array(ArrayGcMode::kStaggered, 1);
+  ArraySimulator simulator(config);
+  wl::SyntheticWorkload gen(steady_spec(), simulator.ssd_array().user_pages(), config.seed);
+  sim::RecordingMetricsSink sink;
+  simulator.set_metrics_sink(&sink);
+  simulator.run(gen);
+
+  ASSERT_EQ(sink.device_intervals().size(), sink.array_intervals().size() * 4);
+  for (std::size_t t = 0; t < sink.array_intervals().size(); ++t) {
+    Bytes total = 0;
+    Bytes min = sink.device_intervals()[t * 4].free_bytes;
+    for (std::size_t d = 0; d < 4; ++d) {
+      const Bytes free = sink.device_intervals()[t * 4 + d].free_bytes;
+      total += free;
+      min = std::min(min, free);
+    }
+    EXPECT_GT(total, 0u);
+    EXPECT_EQ(sink.array_intervals()[t].free_bytes_total, total) << "interval " << t + 1;
+    EXPECT_EQ(sink.array_intervals()[t].free_bytes_min, min) << "interval " << t + 1;
+  }
 }
 
 TEST(ArraySimulator, ByteIdenticalAcrossThreadCounts) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -81,6 +82,37 @@ TEST(RedundancyLayout, FillSharesAccountForRedundancyOverhead) {
   EXPECT_EQ(parity.fill_pages_on_slot(2, 0), 2u);
   EXPECT_EQ(parity.fill_pages_on_slot(2, 2), 0u);
   EXPECT_EQ(parity.fill_pages_on_slot(2, 3), 0u);
+}
+
+TEST(RedundancyLayout, NoneFillMatchesTheChunkedStripeFormula) {
+  // Reference: the RAID-0 preconditioner's own formula before it was folded
+  // into the layout. Whole chunks deal round-robin over the n devices; the
+  // partial chunk lands on the device after the last whole one.
+  const auto reference = [](Lba prefix, std::uint32_t d, std::uint32_t n, Lba chunk) {
+    const Lba full_chunks = prefix / chunk;
+    Lba pages = (full_chunks / n) * chunk;
+    const auto extra = static_cast<std::uint32_t>(full_chunks % n);
+    if (d < extra) pages += chunk;
+    if (d == extra) pages += prefix % chunk;
+    return pages;
+  };
+  const Lba chunk = 8;
+  const Lba device_pages = 64;
+  for (const std::uint32_t n : {4u, 8u}) {
+    const RedundancyLayout none(RedundancyScheme::kNone, n, chunk, device_pages);
+    const Lba row = chunk * n;
+    ASSERT_EQ(none.user_pages(), device_pages * n);
+    for (const Lba prefix : {Lba{0}, Lba{1}, chunk - 1, chunk, chunk + 1, row - 1, row, row + 1,
+                             none.user_pages()}) {
+      Lba total = 0;
+      for (std::uint32_t d = 0; d < n; ++d) {
+        EXPECT_EQ(none.fill_pages_on_slot(prefix, d), reference(prefix, d, n, chunk))
+            << "n " << n << " prefix " << prefix << " device " << d;
+        total += none.fill_pages_on_slot(prefix, d);
+      }
+      EXPECT_EQ(total, prefix) << "n " << n << " prefix " << prefix;
+    }
+  }
 }
 
 // -- Simulator fixtures -------------------------------------------------------
@@ -331,6 +363,57 @@ TEST(Rebuild, DeviceRecordsCarryRebuildTrafficOnlyWhileRebuilding) {
   ASSERT_TRUE(sink.has_report());
   EXPECT_EQ(survivor_reads, sink.report().rebuild_read_bytes);
   EXPECT_EQ(replacement_writes, sink.report().rebuild_write_bytes);
+}
+
+// -- Host accounting across a mid-op retirement -------------------------------
+
+/// Passes `inner`'s ops through and sums the write bytes of every op the run
+/// served: the run loop asks for the next op only once the previous one is
+/// done.
+class ServedWriteBytes : public wl::WorkloadGenerator {
+ public:
+  ServedWriteBytes(wl::WorkloadGenerator& inner, Bytes page_size)
+      : inner_(inner), page_size_(page_size) {}
+  std::string name() const override { return inner_.name(); }
+  std::optional<wl::AppOp> next() override {
+    if (pending_ && pending_->type == wl::OpType::kWrite) served_ += pending_->bytes(page_size_);
+    pending_ = inner_.next();
+    return pending_;
+  }
+  Lba footprint_pages() const override { return inner_.footprint_pages(); }
+  Lba working_set_pages() const override { return inner_.working_set_pages(); }
+  Bytes served() const { return served_; }
+
+ private:
+  wl::WorkloadGenerator& inner_;
+  Bytes page_size_;
+  std::optional<wl::AppOp> pending_;
+  Bytes served_ = 0;
+};
+
+TEST(Rebuild, RetriedOpCountsItsHostBytesOnce) {
+  // At a 7-cycle endurance rating one parity device wears out under a host
+  // write: the op is retried against the promoted spare, and the run
+  // completes. The retry re-charges device time and device write bytes, but
+  // the host wrote each page once.
+  ArraySimConfig config = redundant_array(RedundancyScheme::kParity, 2, /*kill_slot=*/-1, 0.0);
+  config.ssd.ftl.enforce_endurance = true;
+  config.ssd.ftl.timing.endurance_pe_cycles = 7;
+  config.duration = seconds(60);
+  ArraySimulator simulator(config);
+  wl::SyntheticWorkload gen(steady_spec(), simulator.ssd_array().user_pages(), config.seed);
+  ServedWriteBytes served(gen, simulator.ssd_array().page_size());
+  sim::RecordingMetricsSink sink;
+  simulator.set_metrics_sink(&sink);
+  const sim::SimReport r = simulator.run(served);
+
+  ASSERT_EQ(r.run_end_reason, "completed");
+  ASSERT_EQ(r.device_failures, 1u);
+  EXPECT_EQ(sink.array_states().front().reason, "device_worn_out");
+  EXPECT_EQ(r.tbw_bytes(), served.served());
+  Bytes interval_writes = 0;
+  for (const auto& rec : sink.array_intervals()) interval_writes += rec.write_bytes;
+  EXPECT_EQ(interval_writes, served.served());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace jitgc::array {
@@ -28,6 +29,12 @@ ArrayConfig array_of(std::uint32_t n, std::uint32_t chunk) {
   return cfg;
 }
 
+/// Where the array datapath sends logical `lba`: (physical device, device-LBA).
+std::pair<std::uint32_t, Lba> target(const SsdArray& arr, Lba lba) {
+  const ChunkLoc loc = arr.layout().map_data(lba);
+  return {arr.slot_device(loc.slot), loc.lba};
+}
+
 TEST(SsdArray, ModeNamesRoundTrip) {
   for (const auto mode :
        {ArrayGcMode::kNaive, ArrayGcMode::kStaggered, ArrayGcMode::kMaxK}) {
@@ -51,10 +58,10 @@ TEST(SsdArray, MapStripesChunksRoundRobin) {
   SsdArray arr(small_device(), array_of(4, 8), /*seed=*/1);
   // Chunk c lands on device c % N at chunk c / N.
   for (Lba lba = 0; lba < arr.user_pages(); ++lba) {
-    const StripeTarget t = arr.map(lba);
+    const auto [device, device_lba] = target(arr, lba);
     const Lba chunk = lba / 8;
-    EXPECT_EQ(t.device, chunk % 4);
-    EXPECT_EQ(t.lba, (chunk / 4) * 8 + lba % 8);
+    EXPECT_EQ(device, chunk % 4);
+    EXPECT_EQ(device_lba, (chunk / 4) * 8 + lba % 8);
   }
 }
 
@@ -62,10 +69,10 @@ TEST(SsdArray, MapIsABijectionOntoDevicePages) {
   SsdArray arr(small_device(), array_of(4, 8), /*seed=*/1);
   std::set<std::pair<std::uint32_t, Lba>> seen;
   for (Lba lba = 0; lba < arr.user_pages(); ++lba) {
-    const StripeTarget t = arr.map(lba);
-    ASSERT_LT(t.device, arr.device_count());
-    ASSERT_LT(t.lba, arr.device_user_pages());
-    EXPECT_TRUE(seen.insert({t.device, t.lba}).second) << "duplicate target for LBA " << lba;
+    const auto t = target(arr, lba);
+    ASSERT_LT(t.first, arr.device_count());
+    ASSERT_LT(t.second, arr.device_user_pages());
+    EXPECT_TRUE(seen.insert(t).second) << "duplicate target for LBA " << lba;
   }
   EXPECT_EQ(seen.size(), arr.user_pages());
 }
@@ -73,27 +80,18 @@ TEST(SsdArray, MapIsABijectionOntoDevicePages) {
 TEST(SsdArray, ConsecutiveLbasWithinAChunkStayOnOneDevice) {
   SsdArray arr(small_device(), array_of(4, 8), /*seed=*/1);
   for (Lba base = 0; base + 8 <= arr.user_pages(); base += 8) {
-    const std::uint32_t dev = arr.map(base).device;
-    for (Lba i = 1; i < 8; ++i) EXPECT_EQ(arr.map(base + i).device, dev);
+    const std::uint32_t dev = target(arr, base).first;
+    for (Lba i = 1; i < 8; ++i) EXPECT_EQ(target(arr, base + i).first, dev);
   }
 }
 
 TEST(SsdArray, SingleDeviceArrayIsIdentityMapping) {
   SsdArray arr(small_device(), array_of(1, 8), /*seed=*/1);
   for (Lba lba = 0; lba < arr.user_pages(); ++lba) {
-    const StripeTarget t = arr.map(lba);
-    EXPECT_EQ(t.device, 0u);
-    EXPECT_EQ(t.lba, lba);
+    const auto [device, device_lba] = target(arr, lba);
+    EXPECT_EQ(device, 0u);
+    EXPECT_EQ(device_lba, lba);
   }
-}
-
-TEST(SsdArray, FreeBytesTotalSumsDevices) {
-  SsdArray arr(small_device(), array_of(2, 8), /*seed=*/1);
-  Bytes expected = 0;
-  for (std::uint32_t d = 0; d < arr.device_count(); ++d) {
-    expected += arr.device(d).ftl().free_bytes_for_writes();
-  }
-  EXPECT_EQ(arr.free_bytes_total(), expected);
 }
 
 TEST(SsdArray, DevicesAreIndependent) {

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "temp_path.h"
@@ -167,6 +166,15 @@ TEST(CliOptions, RejectsOutOfRangeProbabilities) {
   rejects({"--csv=no"}, "--csv");
   rejects({"--json=0"}, "--json");
   rejects({"--measured-idle=off"}, "--measured-idle");
+  // A flag only the other mode's runner reads is refused, never ignored: the
+  // kill used to be dropped from a single-SSD run, and the array used to run
+  // without the policy, rate limit, SIP switch and power cut it was given.
+  rejects({"--array-kill-device=3", "--policy=lazy", "--seconds=10"}, "--array-kill-device");
+  rejects({"--array-devices=2", "--policy=lazy", "--bgc-rate-limit=5", "--no-sip", "--spo-at=3"},
+          "--policy");
+  rejects({"--array-devices=2", "--bgc-rate-limit=5"},
+          "--bgc-rate-limit applies only in single-SSD mode");
+  rejects({"--jobs=2"}, "--jobs applies only in array mode (--array-devices)");
 }
 
 TEST(CliOptions, AcceptsSlotsBelowTheDeviceCount) {
@@ -418,6 +426,28 @@ TEST(FlagTables, DeclareEveryFlagOfBothTools) {
             "--spare-blocks --help ");
 }
 
+TEST(FlagTables, JitgcCliRowsNameTheModeThatReadsThem) {
+  // run_from_cli reads the single-SSD rows, run_array_from_cli the array rows;
+  // every other row is read by both. jitgc_sweep has one mode.
+  const auto names = [](const ToolTable& table, FlagMode mode) {
+    std::string joined;
+    for (const Flag& flag : table.flags) {
+      if (flag.mode == mode) joined += flag.name + " ";
+    }
+    return joined;
+  };
+  const auto tables = tool_tables();
+  EXPECT_EQ(names(tables[0], FlagMode::kSingleSsd),
+            "--policy --reserve --spo-at --spo-every --spo-precondition-writes --arrival "
+            "--measured-idle --bgc-rate-limit --no-sip --percentile ");
+  EXPECT_EQ(names(tables[0], FlagMode::kArray),
+            "--stripe-chunk --array-gc-mode --array-max-concurrent-gc --array-redundancy "
+            "--array-spares --rebuild-rate-floor --array-kill-device --array-kill-at "
+            "--array-outage-device --array-outage-at --array-outage-restore-at "
+            "--array-spo-device --array-spo-at --jobs ");
+  for (const Flag& flag : tables[1].flags) EXPECT_EQ(flag.mode, FlagMode::kAny) << flag.name;
+}
+
 TEST(FlagTables, MutationPassRefusesEveryMalformedValueNamingTheFlag) {
   std::size_t probes = 0;
   for (const ToolTable& table : tool_tables()) {
@@ -444,12 +474,12 @@ TEST(FlagTables, MutationPassRefusesEveryMalformedValueNamingTheFlag) {
 }
 
 // Every `--name` on a ./build/tools/jitgc_cli or jitgc_sweep command line in
-// the docs must be a row of that tool's table (names only: values such as
-// $K are not checked).
+// the docs must be a row of that tool's table, of the line's mode (names
+// only: values such as $K are not checked).
 TEST(FlagTables, DocumentedCommandLinesUseOnlyTableRows) {
-  std::map<std::string, std::set<std::string>> rows;
+  std::map<std::string, std::map<std::string, FlagMode>> rows;
   for (const ToolTable& table : tool_tables()) {
-    for (const Flag& flag : table.flags) rows[table.tool].insert(flag.name);
+    for (const Flag& flag : table.flags) rows[table.tool][flag.name] = flag.mode;
   }
   std::size_t checked = 0;
   for (const char* doc : {"README.md", "EXPERIMENTS.md"}) {
@@ -469,12 +499,19 @@ TEST(FlagTables, DocumentedCommandLinesUseOnlyTableRows) {
         // The tool's own arguments end at a comment, pipe or redirection.
         const std::string args =
             command.substr(at, command.find_first_of("#|>;", at) - at);
+        const bool array_mode = args.find("--array-devices=") != std::string::npos;
         std::istringstream words(args);
         for (std::string word; words >> word;) {
           if (!word.starts_with("--")) continue;
           const std::string name = word.substr(0, word.find('='));
-          EXPECT_TRUE(names.count(name)) << doc << ": " << tool << " has no " << name;
+          const auto row = names.find(name);
           ++checked;
+          if (row == names.end()) {
+            ADD_FAILURE() << doc << ": " << tool << " has no " << name;
+            continue;
+          }
+          EXPECT_NE(row->second, array_mode ? FlagMode::kSingleSsd : FlagMode::kArray)
+              << doc << ": " << name << " in the wrong mode: " << args;
         }
       }
       command.clear();

@@ -1,12 +1,15 @@
 // Microbenchmarks of the substrate primitives (google-benchmark): mapping
 // writes, host reads, GC cycles, page-cache operations, predictor scans, CDH
-// updates and latency-tail recording.
+// updates, latency-tail recording and the multi-tenant front-end's cycle.
 // These bound the simulator's own cost, which is what makes the full
 // paper-reproduction sweeps run in seconds.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,6 +20,7 @@
 #include "ftl/ftl.h"
 #include "ftl/sip_index.h"
 #include "ftl/victim_index.h"
+#include "host/frontend/frontend.h"
 #include "host/page_cache.h"
 
 namespace {
@@ -322,6 +326,62 @@ void BM_TailTrackerAdd(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TailTrackerAdd);
+
+/// Endless 1-page op stream for the front-end cycle: writes and reads in
+/// turn, 5 us think time.
+class LoopWorkload final : public wl::WorkloadGenerator {
+ public:
+  std::string name() const override { return "loop"; }
+  std::optional<wl::AppOp> next() override {
+    wl::AppOp op;
+    op.type = ++n_ % 2 == 0 ? wl::OpType::kWrite : wl::OpType::kRead;
+    op.lba = n_ % 1024;
+    op.think_us = 5;
+    return op;
+  }
+  Lba footprint_pages() const override { return 1024; }
+  Lba working_set_pages() const override { return 1024; }
+
+ private:
+  std::uint64_t n_ = 0;
+};
+
+// One event of the multi-tenant measured-run loop, without the device: two
+// closed-loop tenants (as in perfbench's tenants_closed), each event either
+// retires the earliest completion or admits the due arrivals, then a
+// dispatch pass drains the queues into note_issued() and ends on a pass
+// that finds them empty. The interval trackers are cleared every 4096
+// events, as the flusher tick does.
+void BM_FrontendClosedLoopCycle(benchmark::State& state) {
+  frontend::FrontendConfig config;
+  config.tenants.resize(2);
+  for (frontend::TenantSpec& tenant : config.tenants) tenant.closed_loop = true;
+  frontend::HostFrontend fe(config, /*user_pages=*/4096, 4 * KiB, /*seed=*/1,
+                            [](const frontend::TenantSpec&, std::uint32_t, Lba, std::uint64_t) {
+                              return std::make_unique<LoopWorkload>();
+                            });
+  Rng rng(12);
+  TimeUs now = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const std::optional<TimeUs> arrival = fe.next_arrival();
+    const std::optional<TimeUs> completion = fe.next_completion();
+    if (completion && (!arrival || *completion <= *arrival)) {
+      now = *completion;
+      fe.retire_completions(now);
+    } else {
+      now = *arrival;
+      fe.admit_arrivals(now);
+    }
+    while (const std::optional<frontend::DispatchedOp> d = fe.pop_dispatch(now)) {
+      fe.note_issued(*d, now + 50 + static_cast<TimeUs>(rng.uniform(200)));
+    }
+    if (++events % 4096 == 0) fe.reset_interval_stats();
+  }
+  benchmark::DoNotOptimize(fe.run_stats(0).p99_latency_us);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_FrontendClosedLoopCycle);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng seed(6);

@@ -61,6 +61,8 @@ sim::SimReport run_array_from_cli(const sim::CliOptions& options) {
   snapshot_cache.set_disk_limit(options.snapshot_cache_limit);
   if (!options.snapshot_cache_dir.empty()) simulator.set_snapshot_cache(&snapshot_cache);
   const Lba user_pages = simulator.ssd_array().user_pages();
+  JITGC_ENSURE_MSG(user_pages == sim::volume_user_pages(options),
+                   "the parse-time volume size disagrees with the array layout");
   const std::unique_ptr<wl::WorkloadGenerator> gen =
       options.tenants > 0
           ? sim::make_frontend_from_cli(options, user_pages,

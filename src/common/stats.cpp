@@ -72,6 +72,14 @@ bool ranks_before(double a, double b) {
 }
 
 constexpr std::size_t kMinTableSlots = 16;
+constexpr std::size_t kDirectBytes = TailTracker::kDirectBound * sizeof(std::uint32_t);
+
+/// Table size for `distinct` values under the growth rule (at most half full).
+std::size_t slots_for(std::size_t distinct) {
+  std::size_t slots = kMinTableSlots;
+  while (2 * distinct > slots) slots *= 2;
+  return slots;
+}
 
 }  // namespace
 
@@ -92,15 +100,92 @@ std::size_t TailTracker::probe(double x) const {
   return i;
 }
 
-void TailTracker::grow_table() {
-  std::vector<Slot> old(std::max(kMinTableSlots, 2 * table_.size()));
+void TailTracker::rehash(std::size_t slots) {
+  std::vector<Slot> old(slots);
   old.swap(table_);
+  distinct_ = 0;
+  std::size_t k = 0;
   for (const Slot& slot : old) {
-    if (slot.count != 0) table_[probe(slot.value)] = slot;
+    if (slot.count == 0) continue;
+    if (!direct_.empty() && direct_index(slot.value, k)) {
+      direct_[k] = static_cast<std::uint32_t>(slot.count);
+      ++direct_distinct_;
+    } else {
+      table_[probe(slot.value)] = slot;
+      ++distinct_;
+    }
   }
 }
 
-void TailTracker::add(double x) {
+void TailTracker::grow_for(double x) {
+  const std::size_t doubled = 2 * table_.size();
+  if (direct_.empty()) {
+    // The table-only tracker would double to `doubled` slots here. Past the
+    // direct array's size, switch if the array plus a table of what is not
+    // direct-countable (x included) comes out no larger.
+    if (doubled * sizeof(Slot) > kDirectBytes && exact_cap_ <= UINT32_MAX) {
+      std::size_t k = 0;
+      std::size_t rest = direct_index(x, k) ? 0 : 1;
+      for (const Slot& slot : table_) {
+        if (slot.count != 0 && !direct_index(slot.value, k)) ++rest;
+      }
+      const std::size_t slots = slots_for(rest);
+      if (kDirectBytes + slots * sizeof(Slot) <= doubled * sizeof(Slot)) {
+        shadow_slots_ = table_.size();
+        direct_.assign(kDirectBound, 0);
+        rehash(slots);
+        return;
+      }
+    }
+    rehash(doubled);
+    return;
+  }
+  // Direct mode: keep it while the array plus the doubled table stays
+  // within the table-only size once `x` is counted; otherwise move the
+  // direct counts back into a table of exactly that size.
+  const bool shadow_grows = 2 * (distinct_ + direct_distinct_ + 1) > shadow_slots_;
+  const std::size_t shadow = shadow_grows ? 2 * shadow_slots_ : shadow_slots_;
+  if (kDirectBytes + doubled * sizeof(Slot) <= shadow * sizeof(Slot)) {
+    rehash(doubled);
+    return;
+  }
+  rehash(shadow);
+  for (std::size_t v = 0; v < direct_.size(); ++v) {
+    const auto value = static_cast<double>(v);
+    if (direct_[v] != 0) table_[probe(value)] = Slot{value, direct_[v]};
+  }
+  distinct_ += direct_distinct_;
+  direct_ = {};
+  direct_distinct_ = 0;
+}
+
+void TailTracker::count(double x) {
+  std::size_t k = 0;
+  if (!direct_.empty() && direct_index(x, k)) {
+    if (direct_[k]++ != 0) return;
+    ++direct_distinct_;
+  } else {
+    if (table_.empty()) table_.resize(kMinTableSlots);
+    const std::size_t i = probe(x);
+    if (table_[i].count != 0) {
+      ++table_[i].count;
+      return;
+    }
+    if (2 * (distinct_ + 1) > table_.size()) {
+      grow_for(x);
+      count(x);  // x may now be direct-counted; either store has room for it
+      return;
+    }
+    table_[i] = Slot{x, 1};
+    ++distinct_;
+  }
+  // A new distinct value: the table-only tracker's table may double here.
+  if (!direct_.empty() && 2 * (distinct_ + direct_distinct_) > shadow_slots_) {
+    shadow_slots_ *= 2;
+  }
+}
+
+void TailTracker::add_sample(double x) {
   JITGC_ENSURE_MSG(!std::isnan(x), "latency sample is NaN");
   if (n_ == 0) {
     min_ = max_ = x;
@@ -115,17 +200,7 @@ void TailTracker::add(double x) {
     hist_->add(x);
     return;
   }
-  if (table_.empty()) grow_table();
-  std::size_t i = probe(x);
-  if (table_[i].count == 0) {
-    if (2 * (distinct_ + 1) > table_.size()) {
-      grow_table();
-      i = probe(x);
-    }
-    table_[i].value = x;
-    ++distinct_;
-  }
-  ++table_[i].count;
+  count(x);
   ranked_.clear();
   if (n_ >= exact_cap_) {
     // Fold: every recorded sample moves into the histogram; from here on
@@ -134,8 +209,13 @@ void TailTracker::add(double x) {
     for (const Slot& slot : table_) {
       for (std::uint64_t c = 0; c < slot.count; ++c) hist_->add(slot.value);
     }
+    for (std::size_t v = 0; v < direct_.size(); ++v) {
+      for (std::uint32_t c = 0; c < direct_[v]; ++c) hist_->add(static_cast<double>(v));
+    }
     table_ = {};
     distinct_ = 0;
+    direct_ = {};
+    direct_distinct_ = 0;
     ranked_ = {};
   }
 }
@@ -151,8 +231,18 @@ double TailTracker::percentile(double p) const {
       for (const Slot& slot : table_) {
         if (slot.count != 0) ranked_.push_back(slot);
       }
-      std::sort(ranked_.begin(), ranked_.end(),
-                [](const Slot& a, const Slot& b) { return ranks_before(a.value, b.value); });
+      const auto by_rank = [](const Slot& a, const Slot& b) {
+        return ranks_before(a.value, b.value);
+      };
+      std::sort(ranked_.begin(), ranked_.end(), by_rank);
+      if (!direct_.empty()) {
+        // The direct counts are already in value order; no value is in both.
+        const auto hashed = static_cast<std::ptrdiff_t>(ranked_.size());
+        for (std::size_t v = 0; v < direct_.size(); ++v) {
+          if (direct_[v] != 0) ranked_.push_back(Slot{static_cast<double>(v), direct_[v]});
+        }
+        std::inplace_merge(ranked_.begin(), ranked_.begin() + hashed, ranked_.end(), by_rank);
+      }
       std::uint64_t cumulative = 0;
       for (Slot& slot : ranked_) slot.count = cumulative += slot.count;
     }
@@ -172,7 +262,9 @@ double TailTracker::percentile(double p) const {
 
 void TailTracker::clear() {
   if (distinct_ != 0) std::fill(table_.begin(), table_.end(), Slot{});
+  if (direct_distinct_ != 0) std::fill(direct_.begin(), direct_.end(), 0);
   distinct_ = 0;
+  direct_distinct_ = 0;
   ranked_.clear();
   hist_.reset();
   n_ = 0;

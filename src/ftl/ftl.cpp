@@ -26,7 +26,7 @@ Ftl::Ftl(const FtlConfig& config)
   JITGC_ENSURE_MSG(config_.op_ratio > 0.0, "over-provisioning ratio must be positive");
 
   const std::uint64_t total = config_.geometry.total_pages();
-  user_pages_ = static_cast<std::uint64_t>(static_cast<double>(total) / (1.0 + config_.op_ratio));
+  user_pages_ = user_pages_for(config_);
   op_pages_ = total - user_pages_;
   const std::uint64_t spare_pages =
       static_cast<std::uint64_t>(config_.spare_blocks) * config_.geometry.pages_per_block;

@@ -234,6 +234,12 @@ class Ftl {
   // -- Capacity queries -------------------------------------------------------
 
   std::uint64_t user_pages() const { return user_pages_; }
+  /// User pages of a device built from `config`: its physical pages less
+  /// the over-provisioning share.
+  static std::uint64_t user_pages_for(const FtlConfig& config) {
+    return static_cast<std::uint64_t>(static_cast<double>(config.geometry.total_pages()) /
+                                      (1.0 + config.op_ratio));
+  }
   Bytes user_capacity() const { return user_pages_ * page_size(); }
   Bytes op_capacity() const { return op_pages_ * page_size(); }
   Bytes page_size() const { return config_.geometry.page_size; }

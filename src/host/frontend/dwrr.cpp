@@ -11,7 +11,7 @@ DeficitScheduler::DeficitScheduler(std::vector<double> weights, Bytes quantum_by
     : weights_(std::move(weights)),
       quantum_(static_cast<double>(quantum_bytes)),
       deficit_(weights_.size(), 0.0),
-      visited_(weights_.size(), false) {
+      visited_(weights_.size(), 0) {
   JITGC_ENSURE_MSG(!weights_.empty(), "DWRR needs at least one queue");
   JITGC_ENSURE_MSG(quantum_bytes > 0, "DWRR quantum must be positive");
   for (const double w : weights_) {
@@ -19,11 +19,19 @@ DeficitScheduler::DeficitScheduler(std::vector<double> weights, Bytes quantum_by
   }
 }
 
-int DeficitScheduler::pick(const std::vector<Bytes>& head_cost, const std::vector<bool>& ready,
-                           const std::vector<bool>& backlogged) {
+void DeficitScheduler::zero_credit() {
+  std::fill(deficit_.begin(), deficit_.end(), 0.0);
+  std::fill(visited_.begin(), visited_.end(), 0);
+  credited_ = false;
+}
+
+int DeficitScheduler::pick(const std::vector<Bytes>& head_cost,
+                           const std::vector<std::uint8_t>& ready,
+                           const std::vector<std::uint8_t>& backlogged) {
   const std::size_t n = weights_.size();
   JITGC_ENSURE_MSG(head_cost.size() == n && ready.size() == n && backlogged.size() == n,
                    "DWRR pick() vectors must match the queue count");
+  credited_ = true;
 
   bool any_ready = false;
   for (std::size_t i = 0; i < n; ++i) {
@@ -31,7 +39,7 @@ int DeficitScheduler::pick(const std::vector<Bytes>& head_cost, const std::vecto
       // An emptied queue forfeits its deficit (the DRR rule that stops idle
       // queues from hoarding credit); a blocked-but-backlogged one keeps it.
       deficit_[i] = 0.0;
-      visited_[i] = false;
+      visited_[i] = 0;
     }
     if (ready[i]) any_ready = true;
   }
@@ -44,7 +52,7 @@ int DeficitScheduler::pick(const std::vector<Bytes>& head_cost, const std::vecto
     if (!ready[i]) continue;
     if (!visited_[i]) {
       deficit_[i] += quantum_ * weights_[i];
-      visited_[i] = true;
+      visited_[i] = 1;
     }
     if (deficit_[i] >= static_cast<double>(head_cost[i])) {
       deficit_[i] -= static_cast<double>(head_cost[i]);
@@ -52,7 +60,7 @@ int DeficitScheduler::pick(const std::vector<Bytes>& head_cost, const std::vecto
       return static_cast<int>(i);
     }
     // This queue's turn is over; its next visit tops it up again.
-    visited_[i] = false;
+    visited_[i] = 0;
   }
 
   // No ready queue could cover its head in a single round (cost far above
@@ -77,7 +85,7 @@ int DeficitScheduler::pick(const std::vector<Bytes>& head_cost, const std::vecto
     if (!ready[i]) continue;
     if (deficit_[i] >= static_cast<double>(head_cost[i])) {
       deficit_[i] -= static_cast<double>(head_cost[i]);
-      visited_[i] = true;
+      visited_[i] = 1;
       cursor_ = i;
       return static_cast<int>(i);
     }

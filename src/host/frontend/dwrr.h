@@ -33,19 +33,30 @@ class DeficitScheduler {
   /// deficit). On success the pick's cost is charged against the queue's
   /// deficit and the cursor stays on it, so a queue with deficit left keeps
   /// the floor until the deficit runs out.
-  int pick(const std::vector<Bytes>& head_cost, const std::vector<bool>& ready,
-           const std::vector<bool>& backlogged);
+  int pick(const std::vector<Bytes>& head_cost, const std::vector<std::uint8_t>& ready,
+           const std::vector<std::uint8_t>& backlogged);
+
+  /// Exactly what pick() does when no queue is backlogged: every queue
+  /// forfeits its deficit and its top-up for the round. O(1) when no pick()
+  /// ran since the last forfeit (the state is already all zero).
+  void forfeit_all() {
+    if (credited_) zero_credit();
+  }
 
   std::size_t queues() const { return weights_.size(); }
   double deficit(std::size_t i) const { return deficit_[i]; }
 
  private:
+  void zero_credit();
+
   std::vector<double> weights_;
   double quantum_;
   std::vector<double> deficit_;
   /// Whether the queue already received its top-up in the current round.
-  std::vector<bool> visited_;
+  std::vector<std::uint8_t> visited_;
   std::size_t cursor_ = 0;
+  /// False while every deficit and visit flag is zero (since forfeit_all()).
+  bool credited_ = false;
 };
 
 }  // namespace jitgc::frontend

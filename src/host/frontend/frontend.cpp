@@ -27,6 +27,7 @@ HostFrontend::HostFrontend(const FrontendConfig& config, Lba user_pages, Bytes p
     : config_(config),
       page_size_(page_size),
       tenants_(config.tenants.size()),
+      arrival_at_(config.tenants.size(), kNoArrival),
       scheduler_(tenant_weights(config), config.quantum_bytes) {
   const auto n = static_cast<Lba>(config.tenants.size());
   JITGC_ENSURE_MSG(n > 0, "the front-end needs at least one tenant");
@@ -45,8 +46,8 @@ HostFrontend::HostFrontend(const FrontendConfig& config, Lba user_pages, Bytes p
         factory(tenant.spec, t, tenant.pages, derive_seed(seed ^ kTenantSeedSalt, t));
     JITGC_ENSURE_MSG(tenant.generator != nullptr, "tenant generator factory returned null");
     tenant.tokens = bucket_capacity(tenant);
-    tenant.staged = tenant.generator->next();
-    if (tenant.staged) tenant.staged_at = tenant.staged->think_us;
+    if (tenant.spec.rate_bps > 0.0) rate_capped_.push_back(t);
+    stage_next(t, 0);
 
     const Lba fp = std::min<Lba>(tenant.generator->footprint_pages(), tenant.pages);
     footprint_pages_ = std::max(footprint_pages_, tenant.offset + fp);
@@ -78,17 +79,19 @@ Lba HostFrontend::partition_pages(std::uint32_t tenant) const {
   return partitions_.share;
 }
 
-void HostFrontend::stage_next(Tenant& tenant, TimeUs reference) {
+void HostFrontend::stage_next(std::uint32_t t, TimeUs reference) {
+  Tenant& tenant = tenants_[t];
   tenant.staged = tenant.generator->next();
-  if (tenant.staged) tenant.staged_at = reference + tenant.staged->think_us;
+  arrival_at_[t] = tenant.staged ? reference + tenant.staged->think_us : kNoArrival;
 }
 
 void HostFrontend::admit_arrivals(TimeUs now) {
-  for (Tenant& tenant : tenants_) {
-    while (tenant.staged && !tenant.waiting_completion && tenant.staged_at <= now) {
-      QueuedOp queued;
+  for (std::uint32_t t = 0; t < tenants_.size(); ++t) {
+    Tenant& tenant = tenants_[t];
+    while (arrival_at_[t] <= now) {
+      QueuedOp& queued = tenant.queue.emplace_back();
       queued.op = *tenant.staged;
-      queued.arrived_at = tenant.staged_at;
+      queued.arrived_at = arrival_at_[t];
       // Remap into the tenant's contiguous partition; ops never cross the
       // partition boundary (clamped, mirroring the generators' own wrap).
       queued.op.lba = tenant.offset + (queued.op.lba % tenant.pages);
@@ -96,25 +99,23 @@ void HostFrontend::admit_arrivals(TimeUs now) {
       if (queued.op.lba + queued.op.pages > end) {
         queued.op.pages = static_cast<std::uint32_t>(end - queued.op.lba);
       }
-      tenant.queue.push_back(queued);
+      ++queued_;
       ++tenant.interval_queued;
       if (tenant.spec.closed_loop) {
         // The next arrival is staged when this op completes.
         tenant.staged.reset();
         tenant.waiting_completion = true;
+        arrival_at_[t] = kNoArrival;
       } else {
-        stage_next(tenant, queued.arrived_at);
+        stage_next(t, queued.arrived_at);
       }
     }
   }
 }
 
 std::optional<TimeUs> HostFrontend::next_arrival() const {
-  std::optional<TimeUs> best;
-  for (const Tenant& tenant : tenants_) {
-    if (!tenant.staged || tenant.waiting_completion) continue;
-    if (!best || tenant.staged_at < *best) best = tenant.staged_at;
-  }
+  const TimeUs best = *std::min_element(arrival_at_.begin(), arrival_at_.end());
+  if (best == kNoArrival) return std::nullopt;
   return best;
 }
 
@@ -125,7 +126,6 @@ double HostFrontend::bucket_capacity(const Tenant& tenant) const {
 }
 
 void HostFrontend::refill_tokens(Tenant& tenant, TimeUs now) {
-  if (tenant.spec.rate_bps <= 0.0) return;
   if (now <= tenant.tokens_at) return;
   const double dt_s = static_cast<double>(now - tenant.tokens_at) / 1e6;
   tenant.tokens = std::min(bucket_capacity(tenant), tenant.tokens + tenant.spec.rate_bps * dt_s);
@@ -139,10 +139,9 @@ bool HostFrontend::rate_ok(const Tenant& tenant, Bytes cost) const {
   return tenant.tokens >= std::min(static_cast<double>(cost), bucket_capacity(tenant));
 }
 
-std::optional<DispatchedOp> HostFrontend::pop_dispatch(TimeUs now) {
+std::optional<DispatchedOp> HostFrontend::pick_backlogged() {
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    Tenant& tenant = tenants_[i];
-    refill_tokens(tenant, now);
+    const Tenant& tenant = tenants_[i];
     backlogged_[i] = !tenant.queue.empty();
     if (backlogged_[i]) {
       head_cost_[i] = tenant.queue.front().op.bytes(page_size_);
@@ -156,13 +155,15 @@ std::optional<DispatchedOp> HostFrontend::pop_dispatch(TimeUs now) {
   if (pick < 0) return std::nullopt;
 
   Tenant& tenant = tenants_[static_cast<std::size_t>(pick)];
-  DispatchedOp dispatched;
-  dispatched.tenant = static_cast<std::uint32_t>(pick);
-  dispatched.op = tenant.queue.front().op;
-  dispatched.enqueued_at = tenant.queue.front().arrived_at;
+  // Filled in the caller's slot (named return value), not copied into it.
+  std::optional<DispatchedOp> dispatched(std::in_place);
+  dispatched->tenant = static_cast<std::uint32_t>(pick);
+  dispatched->op = tenant.queue.front().op;
+  dispatched->enqueued_at = tenant.queue.front().arrived_at;
   tenant.queue.pop_front();
+  --queued_;
   if (tenant.spec.rate_bps > 0.0) {
-    tenant.tokens -= static_cast<double>(dispatched.op.bytes(page_size_));
+    tenant.tokens -= static_cast<double>(dispatched->op.bytes(page_size_));
   }
   return dispatched;
 }
@@ -235,16 +236,9 @@ void HostFrontend::retire_completions(TimeUs now) {
     Tenant& tenant = tenants_[done.tenant];
     if (tenant.spec.closed_loop && tenant.waiting_completion) {
       tenant.waiting_completion = false;
-      stage_next(tenant, done.at);
+      stage_next(done.tenant, done.at);
     }
   }
-}
-
-bool HostFrontend::backlog() const {
-  for (const Tenant& tenant : tenants_) {
-    if (!tenant.queue.empty()) return true;
-  }
-  return false;
 }
 
 TenantIntervalStats HostFrontend::interval_stats(std::uint32_t tenant) const {

@@ -22,8 +22,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -115,7 +115,18 @@ class HostFrontend final : public wl::WorkloadGenerator {
   std::optional<TimeUs> next_arrival() const;
   /// One DWRR pick honoring rate caps; nullopt when no queue is ready. The
   /// caller must respect the admission window (outstanding() < queue_depth).
-  std::optional<DispatchedOp> pop_dispatch(TimeUs now);
+  /// A pass over empty queues returns at once, leaving the state the full
+  /// pass would: rate buckets refilled at `now` and DWRR's forfeit applied.
+  std::optional<DispatchedOp> pop_dispatch(TimeUs now) {
+    // Buckets refill at every pass, empty or not: the token arithmetic is
+    // floating-point, so skipping a refill instant would change later sums.
+    for (const std::uint32_t t : rate_capped_) refill_tokens(tenants_[t], now);
+    if (queued_ == 0) {
+      scheduler_.forfeit_all();  // what pick() does with nothing backlogged
+      return std::nullopt;
+    }
+    return pick_backlogged();
+  }
   /// Earliest instant a rate-blocked backlogged tenant becomes eligible
   /// (strictly after `now`), or nullopt when nothing is rate-blocked.
   std::optional<TimeUs> next_rate_eligible(TimeUs now) const;
@@ -130,7 +141,7 @@ class HostFrontend final : public wl::WorkloadGenerator {
   void retire_completions(TimeUs now);
   std::uint32_t outstanding() const { return outstanding_; }
   /// Any tenant holding a queued (admitted, undispatched) op.
-  bool backlog() const;
+  bool backlog() const { return queued_ != 0; }
 
   // -- metrics ---------------------------------------------------------------
   TenantIntervalStats interval_stats(std::uint32_t tenant) const;
@@ -143,10 +154,39 @@ class HostFrontend final : public wl::WorkloadGenerator {
   void reset_interval_stats();
   TenantRunStats run_stats(std::uint32_t tenant) const;
 
+  // -- scheduler state (tests) -----------------------------------------------
+  const DeficitScheduler& scheduler() const { return scheduler_; }
+  /// Tenant's rate-cap bucket, in bytes, as of its last refill.
+  double tokens(std::uint32_t tenant) const { return tenants_[tenant].tokens; }
+
  private:
   struct QueuedOp {
     wl::AppOp op;
     TimeUs arrived_at = 0;
+  };
+
+  /// FIFO of queued ops in one vector: slots before `head` are spent, and
+  /// the vector is emptied whenever the queue drains (or compacted once half
+  /// spent), so a queue that hovers near empty keeps reusing the same
+  /// memory instead of walking through fresh deque nodes.
+  class OpQueue {
+   public:
+    bool empty() const { return head_ == ops_.size(); }
+    const QueuedOp& front() const { return ops_[head_]; }
+    QueuedOp& emplace_back() { return ops_.emplace_back(); }
+    void pop_front() {
+      if (++head_ == ops_.size()) {
+        ops_.clear();
+        head_ = 0;
+      } else if (2 * head_ >= ops_.size()) {
+        ops_.erase(ops_.begin(), ops_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+
+   private:
+    std::vector<QueuedOp> ops_;
+    std::size_t head_ = 0;
   };
 
   struct Tenant {
@@ -154,13 +194,12 @@ class HostFrontend final : public wl::WorkloadGenerator {
     std::unique_ptr<wl::WorkloadGenerator> generator;
     Lba offset = 0;
     Lba pages = 0;
-    /// Next op not yet arrived; `staged_at` is its arrival instant.
+    /// Next op not yet arrived; arrival_at_ holds its arrival instant.
     std::optional<wl::AppOp> staged;
-    TimeUs staged_at = 0;
     /// Closed loop: the next arrival is staged when the in-flight op
     /// completes, not before.
     bool waiting_completion = false;
-    std::deque<QueuedOp> queue;
+    OpQueue queue;
     /// Rate-cap token bucket (engaged when spec.rate_bps > 0).
     double tokens = 0.0;
     TimeUs tokens_at = 0;
@@ -193,7 +232,11 @@ class HostFrontend final : public wl::WorkloadGenerator {
     }
   };
 
-  void stage_next(Tenant& tenant, TimeUs reference);
+  /// Stages tenant `t`'s next op to arrive its think time after `reference`.
+  void stage_next(std::uint32_t t, TimeUs reference);
+  /// The full dispatch pass, over queues holding at least one op.
+  std::optional<DispatchedOp> pick_backlogged();
+  /// Tops a rate-capped tenant's bucket up to `now`.
   void refill_tokens(Tenant& tenant, TimeUs now);
   double bucket_capacity(const Tenant& tenant) const;
   bool rate_ok(const Tenant& tenant, Bytes cost) const;
@@ -205,16 +248,25 @@ class HostFrontend final : public wl::WorkloadGenerator {
   Lba footprint_pages_ = 0;
   Lba working_set_pages_ = 0;
   std::vector<Tenant> tenants_;
+  /// Each tenant's staged arrival instant, kNoArrival when none is staged
+  /// (drained, or closed loop waiting on its completion). Kept apart from
+  /// the large Tenant records so next_arrival() scans one dense array.
+  static constexpr TimeUs kNoArrival = std::numeric_limits<TimeUs>::max();
+  std::vector<TimeUs> arrival_at_;
   DeficitScheduler scheduler_;
   /// In-flight completions sorted latest-first, so the earliest pops from
   /// the back; the admission window caps it at queue_depth entries.
   std::vector<Completion> completions_;
   std::uint64_t completion_seq_ = 0;
   std::uint32_t outstanding_ = 0;
-  // Scratch vectors for pop_dispatch (avoid per-pick allocation).
+  /// Ops admitted to a queue and not yet dispatched, over every tenant.
+  std::uint64_t queued_ = 0;
+  /// Tenants with a rate cap (spec.rate_bps > 0), the only ones refilled.
+  std::vector<std::uint32_t> rate_capped_;
+  // Scratch vectors for pick_backlogged (avoid per-pick allocation).
   std::vector<Bytes> head_cost_;
-  std::vector<bool> ready_;
-  std::vector<bool> backlogged_;
+  std::vector<std::uint8_t> ready_;
+  std::vector<std::uint8_t> backlogged_;
 };
 
 }  // namespace jitgc::frontend

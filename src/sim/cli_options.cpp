@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ftl/ftl.h"
 #include "nand/geometry.h"
 #include "sim/metrics_sink.h"
 #include "workload/file_workload.h"
@@ -232,6 +233,13 @@ std::vector<Flag> shared_flags(CliOptions& o) {
   };
 }
 
+/// One device's user pages under the options' device knobs.
+Lba device_user_pages(const CliOptions& o) {
+  SsdConfig ssd = default_sim_config(o.seed).ssd;
+  apply_device_options(o, ssd);
+  return ftl::Ftl::user_pages_for(ssd.ftl);
+}
+
 // Rules over several shared flags, written once for both tools. `given`
 // lists the flags on the command line, in order.
 bool check_shared_rules(const CliOptions& o, const std::vector<std::string>& given,
@@ -264,6 +272,14 @@ bool check_shared_rules(const CliOptions& o, const std::vector<std::string>& giv
               std::to_string(o.tenants) + " tenants (give one shared value or one per tenant)";
       return false;
     }
+  }
+  // Each tenant owns at least one page of the volume; refusing here also
+  // keeps a huge count from building its tenant list.
+  const Lba pages = volume_user_pages(o);
+  if (o.tenants > pages) {
+    error = "--tenants=" + std::to_string(o.tenants) + " exceeds the volume's " +
+            std::to_string(pages) + " user pages (each tenant needs at least one)";
+    return false;
   }
   return true;
 }
@@ -473,6 +489,27 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       return fail(name + " applies only in single-SSD mode (without --array-devices)");
     }
   }
+  // The FTL packs every physical page address into 32 bits (nand::PpaCodec);
+  // a device too large for that is refused here, naming the flags.
+  nand::Geometry geometry = nand::small_geometry();
+  geometry.blocks_per_plane = opt.blocks_per_plane;
+  geometry.pages_per_block = opt.pages_per_block;
+  if (!geometry.packed_ppa_fits()) {
+    return fail(
+        "--blocks-per-plane x --pages-per-block: device too large for 32-bit page addresses");
+  }
+  // The layout rules RedundancyLayout enforces, named before the tenant
+  // bound reads the volume size they shape.
+  if (opt.array_redundancy == "mirror" && opt.array_devices % 2 != 0) {
+    return fail("--array-redundancy=mirror needs an even --array-devices");
+  }
+  if (opt.array_redundancy == "parity" && opt.array_devices < 3) {
+    return fail("--array-redundancy=parity needs --array-devices >= 3");
+  }
+  if (const Lba device = device_user_pages(opt); array_mode && opt.stripe_chunk_pages > device) {
+    return fail("--stripe-chunk=" + std::to_string(opt.stripe_chunk_pages) +
+                " exceeds one device's " + std::to_string(device) + " user pages");
+  }
   if (!check_shared_rules(opt, given, error)) return std::nullopt;
   if (opt.spo_every_s > 0.0 && opt.spo_at_s < 0.0) {
     return fail("--spo-every requires --spo-at (the first cut anchors the cadence)");
@@ -502,15 +539,6 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args, std::s
       return fail(std::string(flag) + " needs a slot below --array-devices=" +
                   std::to_string(opt.array_devices) + ", got '" + std::to_string(slot) + "'");
     }
-  }
-  // The FTL packs every physical page address into 32 bits (nand::PpaCodec);
-  // a device too large for that is refused here, naming the flags.
-  nand::Geometry geometry = nand::small_geometry();
-  geometry.blocks_per_plane = opt.blocks_per_plane;
-  geometry.pages_per_block = opt.pages_per_block;
-  if (!geometry.packed_ppa_fits()) {
-    return fail(
-        "--blocks-per-plane x --pages-per-block: device too large for 32-bit page addresses");
   }
   opt.csv = opt.csv || opt.csv_header;
   return opt;
@@ -614,6 +642,20 @@ void apply_device_options(const CliOptions& options, SsdConfig& ssd) {
   ssd.ftl.fault.wear_fail_prob_at_limit = options.fault_wear_fail_prob;
   ssd.ftl.spare_blocks = options.spare_blocks;
   ssd.ftl.checkpoint_interval_erases = options.checkpoint_every_erases;
+}
+
+Lba volume_user_pages(const CliOptions& options) {
+  const Lba device = device_user_pages(options);
+  if (options.array_devices == 0) return device;
+  // RedundancyLayout's capacity rule (the sim layer cannot call it; the
+  // array runner checks that the two agree): whole chunks on every device,
+  // times the slots that hold data.
+  const std::uint32_t n = options.array_devices;
+  const Lba data_slots = options.array_redundancy == "mirror"   ? n / 2
+                         : options.array_redundancy == "parity" ? n - 1
+                                                                : n;
+  const Lba chunk = options.stripe_chunk_pages;
+  return device / chunk * chunk * data_slots;
 }
 
 std::unique_ptr<wl::WorkloadGenerator> make_workload_from_cli(const CliOptions& options,

@@ -237,6 +237,11 @@ std::string sweep_usage();
 /// and sweep runners.
 void apply_device_options(const CliOptions& options, SsdConfig& ssd);
 
+/// User pages of the volume the front-end partitions across tenants: one
+/// SSD's FTL user pages, or the array's logical capacity under its
+/// redundancy layout. Arithmetic over the options alone; no device is built.
+Lba volume_user_pages(const CliOptions& options);
+
 /// Builds the workload generator the options describe (trace replay, a
 /// file-level workload, or a paper benchmark), sized against `user_pages`
 /// (one device's capacity, or the whole array's). Throws std::runtime_error

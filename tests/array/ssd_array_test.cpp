@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "sim/cli_options.h"
 
 namespace jitgc::array {
 namespace {
@@ -52,6 +55,31 @@ TEST(SsdArray, CapacityIsPerDeviceShareFlooredToChunks) {
   EXPECT_EQ(arr.device_user_pages(), (per_device / 8) * 8);
   EXPECT_EQ(arr.user_pages(), arr.device_user_pages() * 3);
   EXPECT_EQ(arr.page_size(), 4 * KiB);
+}
+
+TEST(SsdArray, ParseTimeVolumeSizeMatchesTheLayout) {
+  // jitgc_cli bounds --tenants by sim::volume_user_pages() before any
+  // device exists; it must agree with the built array's capacity.
+  sim::CliOptions options;
+  options.blocks_per_plane = 16;
+  options.pages_per_block = 8;
+  options.op_ratio = 0.25;
+  for (const char* scheme : {"none", "mirror", "parity"}) {
+    for (const std::uint32_t n : {4u, 6u}) {
+      for (const std::uint32_t chunk : {5u, 8u}) {
+        options.array_devices = n;
+        options.stripe_chunk_pages = chunk;
+        options.array_redundancy = scheme;
+        sim::SsdConfig device = sim::default_sim_config(options.seed).ssd;
+        sim::apply_device_options(options, device);
+        ArrayConfig config = array_of(n, chunk);
+        config.redundancy = *parse_redundancy_scheme(scheme);
+        const SsdArray arr(device, config, /*seed=*/1);
+        EXPECT_EQ(sim::volume_user_pages(options), arr.user_pages())
+            << scheme << " x" << n << " chunk " << chunk;
+      }
+    }
+  }
 }
 
 TEST(SsdArray, MapStripesChunksRoundRobin) {

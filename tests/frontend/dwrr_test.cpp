@@ -4,6 +4,7 @@
 #include "host/frontend/dwrr.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,14 +18,14 @@ constexpr Bytes kQuantum = 64 * KiB;
 constexpr Bytes kPage = 4 * KiB;
 
 std::vector<Bytes> costs(std::size_t n, Bytes c) { return std::vector<Bytes>(n, c); }
-std::vector<bool> all(std::size_t n, bool v) { return std::vector<bool>(n, v); }
+std::vector<std::uint8_t> all(std::size_t n, bool v) { return std::vector<std::uint8_t>(n, v); }
 
 TEST(DeficitScheduler, WorkConservation) {
   // Whenever any queue is ready, pick() serves one — never -1.
   DeficitScheduler sched({1.0, 1.0, 1.0}, kQuantum);
   const auto cost = costs(3, kPage);
   for (std::size_t only = 0; only < 3; ++only) {
-    std::vector<bool> ready(3, false);
+    std::vector<std::uint8_t> ready(3, 0);
     ready[only] = true;
     EXPECT_EQ(sched.pick(cost, ready, ready), static_cast<int>(only));
   }

@@ -2,6 +2,8 @@
 // closed loop), the admit/dispatch/retire cycle, and the rate-cap bucket.
 #include "host/frontend/frontend.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/types.h"
+#include "host/frontend/dwrr.h"
 #include "host/frontend/tenant_config.h"
 #include "workload/workload.h"
 
@@ -209,6 +212,62 @@ TEST(HostFrontend, OversizedOpPassesOnFullBucket) {
   // The follow-up op is throttled until the debt is repaid.
   EXPECT_FALSE(fe.pop_dispatch(0));
   ASSERT_TRUE(fe.next_rate_eligible(0));
+}
+
+TEST(HostFrontend, EmptyDispatchPassKeepsDwrrAndBucketState) {
+  // A dispatch pass that finds every queue empty returns at once, but must
+  // leave the state the full pass leaves: DWRR's forfeit (every deficit and
+  // visit flag zeroed, as pick() does with nothing backlogged) and a refill
+  // of every rate-capped bucket at that instant. The bucket arithmetic is
+  // floating-point, so refilling at 250 us and then 1000 us differs in the
+  // last bit from one refill at 1000 us; the test asserts that it does.
+  constexpr Bytes kCost = 4 * kPage;
+  constexpr double kRate = 333333.0;
+  const std::vector<wl::AppOp> ops = {write_op(0, 0, 4), write_op(4, 1000, 4)};
+  FrontendConfig config = two_tenants();
+  config.tenants[0].rate_bps = kRate;  // bucket = the 64 KiB quantum
+  HostFrontend fe(config, /*user_pages=*/64, kPage, 1, scripted_factory(ops, /*footprint=*/32));
+  DeficitScheduler reference({1.0, 1.0}, config.quantum_bytes);
+  const std::vector<Bytes> both_heads = {kCost, kCost};
+  const std::vector<std::uint8_t> both = {1, 1};
+
+  fe.admit_arrivals(0);
+  ASSERT_EQ(reference.pick(both_heads, both, both), 0);
+  const auto first = fe.pop_dispatch(0);
+  ASSERT_TRUE(first);
+  EXPECT_EQ(first->tenant, 0u);
+  ASSERT_EQ(reference.pick({0, kCost}, {0, 1}, {0, 1}), 1);
+  const auto second = fe.pop_dispatch(0);
+  ASSERT_TRUE(second);
+  EXPECT_EQ(second->tenant, 1u);
+  ASSERT_GT(fe.scheduler().deficit(1), 0.0);  // credit the empty pass must forfeit
+  const double drained = 64.0 * KiB - static_cast<double>(kCost);
+  EXPECT_EQ(fe.tokens(0), drained);
+
+  // The empty pass at 250 us.
+  EXPECT_FALSE(fe.backlog());
+  EXPECT_FALSE(fe.pop_dispatch(250));
+  ASSERT_EQ(reference.pick({0, 0}, {0, 0}, {0, 0}), -1);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(fe.scheduler().deficit(i), reference.deficit(i)) << "queue " << i;
+    EXPECT_EQ(fe.scheduler().deficit(i), 0.0) << "queue " << i;
+  }
+  const double at_250 = std::min(64.0 * KiB, drained + kRate * (250.0 / 1e6));
+  EXPECT_EQ(fe.tokens(0), at_250);
+
+  // The next arrivals at 1000 us: the pick matches the reference scheduler
+  // and the bucket holds the two-step refill, not the one-step one.
+  fe.admit_arrivals(1000);
+  const int expected = reference.pick(both_heads, both, both);
+  const auto third = fe.pop_dispatch(1000);
+  ASSERT_TRUE(third);
+  EXPECT_EQ(static_cast<int>(third->tenant), expected);
+  const double at_1000 = std::min(64.0 * KiB, at_250 + kRate * (750.0 / 1e6));
+  ASSERT_NE(at_1000, std::min(64.0 * KiB, drained + kRate * (1000.0 / 1e6)));
+  EXPECT_EQ(fe.tokens(0), expected == 0 ? at_1000 - static_cast<double>(kCost) : at_1000);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(fe.scheduler().deficit(i), reference.deficit(i)) << "queue " << i;
+  }
 }
 
 TEST(HostFrontend, IntervalStatsResetCleanly) {

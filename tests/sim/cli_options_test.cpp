@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "ftl/ftl.h"
 #include "temp_path.h"
 #include "workload/trace.h"
 
@@ -20,6 +21,22 @@ std::optional<CliOptions> parse(std::initializer_list<const char*> args, std::st
   const auto opt = parse_cli(v, error);
   if (err) *err = error;
   return opt;
+}
+
+/// User pages of the default device, read from a built FTL.
+Lba default_volume_pages() {
+  return ftl::Ftl(default_sim_config().ssd.ftl).user_pages();
+}
+
+/// A 4-device parity array of default devices (8-page chunks): three data
+/// slots of whole chunks.
+Lba parity4_volume_pages() { return 3 * (default_volume_pages() / 8 * 8); }
+
+TEST(CliOptions, AcceptsOneTenantPerVolumePage) {
+  const std::string one_ssd = "--tenants=" + std::to_string(default_volume_pages());
+  const std::string parity = "--tenants=" + std::to_string(parity4_volume_pages());
+  EXPECT_TRUE(parse({one_ssd.c_str(), "--tenant-mix=ycsb"}));
+  EXPECT_TRUE(parse({"--array-devices=4", "--array-redundancy=parity", parity.c_str()}));
 }
 
 TEST(CliOptions, DefaultsWhenEmpty) {
@@ -153,6 +170,20 @@ TEST(CliOptions, RejectsOutOfRangeProbabilities) {
   rejects({"--array-devices=4", "--array-kill-device=4294967295"}, "--array-kill-device");
   rejects({"--array-devices=4", "--array-outage-device=4294967296"}, "--array-outage-device");
   rejects({"--array-devices=4", "--array-spo-device=4294967296"}, "--array-spo-device");
+  // Each tenant needs a page of the volume: a larger count is refused here,
+  // before a tenant list is built (one SSD's user pages, or the array's
+  // capacity under its layout), and so is the largest 32-bit count.
+  const std::string one_ssd_over = "--tenants=" + std::to_string(default_volume_pages() + 1);
+  rejects({one_ssd_over.c_str(), "--tenant-mix=ycsb"}, "--tenants");
+  rejects({"--tenants=4294967295", "--tenant-mix=ycsb"}, "--tenants");
+  const std::string parity_over = "--tenants=" + std::to_string(parity4_volume_pages() + 1);
+  rejects({"--array-devices=4", "--array-redundancy=parity", parity_over.c_str()}, "--tenants");
+  rejects({"--array-devices=4", "--tenants=4294967295"}, "--tenants");
+  rejects({"--tenants=4294967295"}, "--tenants");
+  // The layout rules that size the volume are named at parse time too.
+  rejects({"--array-devices=3", "--array-redundancy=mirror"}, "--array-redundancy");
+  rejects({"--array-devices=2", "--array-redundancy=parity"}, "--array-redundancy");
+  rejects({"--array-devices=2", "--stripe-chunk=4294967295"}, "--stripe-chunk");
   // A slot at or above --array-devices is a parse error, not a run-time ENSURE.
   rejects({"--array-devices=4", "--array-kill-device=4"}, "--array-kill-device");
   rejects({"--array-devices=4", "--array-outage-device=7"}, "--array-outage-device");

@@ -269,15 +269,18 @@ TimeUs ArraySimulator::execute_page(wl::OpType type, Lba lba, TimeUs issue, bool
     case wl::OpType::kTrim: {
       // Trims drop data mappings only; parity is left stale (documented
       // simplification — reconstruction treats unmapped pages as absent).
+      // A trim costs no NAND time but still queues on each copy's device.
+      const auto trim_slot = [&](std::uint32_t s) {
+        array_.device_at_slot(s).trim(loc.lba);
+        return dispatch_slot(s, issue, 0);
+      };
       TimeUs completion = issue;
       if (layout.scheme() == RedundancyScheme::kMirror) {
         for (const std::uint32_t s : {loc.slot, layout.mirror_partner(loc.slot)}) {
-          if (!writable(s)) continue;
-          completion = std::max(
-              completion, dispatch_slot(s, issue, array_.device_at_slot(s).trim(loc.lba)));
+          if (writable(s)) completion = std::max(completion, trim_slot(s));
         }
       } else if (writable(loc.slot)) {
-        completion = dispatch_slot(loc.slot, issue, array_.device_at_slot(loc.slot).trim(loc.lba));
+        completion = trim_slot(loc.slot);
       }
       return completion;
     }

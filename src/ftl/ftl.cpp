@@ -9,13 +9,17 @@
 
 namespace jitgc::ftl {
 
+/// Weight of a SIP page in victim scoring. A soon-to-be-invalidated page
+/// migrated now is pure waste, so each one counts as this many extra valid
+/// pages against the candidate — steering GC away from SIP-heavy blocks
+/// without hard-banning them (the paper: "tends to avoid" such blocks).
+constexpr double kSipPenalty = 2.0;
+
 Ftl::Ftl(const FtlConfig& config)
     : config_(config),
       nand_(config.geometry, config.timing, config.fault),
       codec_(config.geometry),
       policy_(make_victim_policy(config.victim_policy)),
-      map_cache_(config.mapping_cache_pages,
-                 static_cast<std::uint32_t>(config.geometry.page_size / 4)),
       index_(nand_.num_blocks(), config.geometry.pages_per_block,
              // Skip maintaining order sets this configuration can never
              // query: by_recency feeds only cost-benefit, by_fill only FIFO.
@@ -81,7 +85,7 @@ void Ftl::touch_block(std::uint32_t block_id) { block_last_update_seq_[block_id]
 
 std::uint32_t Ftl::adjusted_valid(std::uint32_t valid, std::uint32_t sip) const {
   if (sip == 0) return valid;
-  const double extra = config_.sip_penalty * static_cast<double>(sip);
+  const double extra = kSipPenalty * static_cast<double>(sip);
   return static_cast<std::uint32_t>(
       std::min<double>(config_.geometry.pages_per_block, valid + extra));
 }
@@ -149,12 +153,6 @@ void Ftl::move_sip_count(Lba lba, std::uint32_t from, std::uint32_t to) {
 void Ftl::note_program(std::uint32_t block_id) {
   touch_block(block_id);
   if (nand_.block(block_id).is_full()) block_fill_seq_[block_id] = write_seq_;
-}
-
-TimeUs Ftl::cached_map_access_cost(Lba lba, bool dirty) {
-  const MappingCache::AccessResult r = map_cache_.access(lba, dirty);
-  return static_cast<TimeUs>(r.map_reads) * config_.timing.read_cost() +
-         static_cast<TimeUs>(r.map_writes) * config_.timing.program_cost();
 }
 
 bool Ftl::finish_erase(std::uint32_t block_id) {
@@ -245,11 +243,11 @@ void Ftl::retire_block(std::uint32_t block) {
   }
 }
 
-nand::Ppa Ftl::program_with_retry(std::uint32_t& active, Lba lba, bool is_migration,
-                                  TimeUs& cost, std::uint64_t stamp) {
+std::uint32_t Ftl::program_with_retry(std::uint32_t& active, Lba lba, bool is_migration,
+                                      TimeUs& cost, std::uint64_t stamp) {
   for (std::uint32_t attempt = 0;; ++attempt) {
     const nand::ProgramResult r = nand_.program_page(active, lba, is_migration, write_seq_, stamp);
-    if (r.ok()) return r.ppa;
+    if (r.ok()) return r.ppa.page;
     // The failed pulse burned a page and condemned the block: a program
     // failure is how grown-bad blocks announce themselves. Charge the
     // wasted pulse and retry on a fresh block.
@@ -259,7 +257,7 @@ nand::Ppa Ftl::program_with_retry(std::uint32_t& active, Lba lba, bool is_migrat
     degrade_events_.push_back({DegradeEvent::Kind::kProgramFail, active,
                                nand_.block(active).erase_count(), write_seq_});
     mark_grown_bad(active);
-    if (attempt >= config_.program_retry_limit) {
+    if (attempt >= kProgramRetryLimit) {
       enter_read_only();
       throw DeviceWornOut("jitgc::ftl: program retries exhausted across fresh blocks");
     }
@@ -278,15 +276,14 @@ TimeUs Ftl::retire_grown_bad(std::uint32_t block) {
 
     ensure_gc_active_block();
     ++write_seq_;
-    cost += map_access_cost(lba, /*dirty=*/true);
-    const nand::Ppa dst = program_with_retry(gc_active_, lba, /*is_migration=*/true, cost,
-                                             blk.page_stamp(p));
-    note_program(dst.block);
+    const std::uint32_t dst_page = program_with_retry(gc_active_, lba, /*is_migration=*/true,
+                                                      cost, blk.page_stamp(p));
+    note_program(gc_active_);
     invalidate_page_at(nand::Ppa{block, p});
-    map_[lba] = codec_.pack(dst);
+    map_[lba] = codec_.pack(nand::Ppa{gc_active_, dst_page});
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
-    move_sip_count(lba, block, dst.block);
+    move_sip_count(lba, block, gc_active_);
     cost += config_.timing.migrate_cost();
   }
   if (gc_active_ != kNoBlock) refresh_block_index(gc_active_);
@@ -347,7 +344,7 @@ TimeUs Ftl::write(Lba lba) {
   std::uint32_t& active = (config_.enable_hot_cold_separation && !hot)
                               ? user_active_cold_
                               : user_active_;
-  TimeUs cost = map_access_cost(lba, /*dirty=*/true);
+  TimeUs cost = 0;
   if (active == kNoBlock || nand_.block(active).is_full()) {
     if (free_pool_.size() <= config_.min_free_blocks) cost += foreground_collect();
     active = allocate_free_block();
@@ -362,7 +359,7 @@ TimeUs Ftl::write(Lba lba) {
   // (With faults off this is state-equivalent to invalidate-first.)
   // A host write's content stamp is its write sequence number — the
   // host-write identity migrations will carry along unchanged.
-  const nand::Ppa new_ppa =
+  const std::uint32_t new_page =
       program_with_retry(active, lba, /*is_migration=*/false, cost, write_seq_);
   note_program(active);
   JITGC_ENSURE(free_pages_ > 0);
@@ -382,10 +379,10 @@ TimeUs Ftl::write(Lba lba) {
     refresh_block_index(prev);
   }
 
-  entry = codec_.pack(new_ppa);
-  if (lba_on_sip) ++block_sip_count_[new_ppa.block];
+  entry = codec_.pack(nand::Ppa{active, new_page});
+  if (lba_on_sip) ++block_sip_count_[active];
   ++valid_pages_;
-  refresh_block_index(new_ppa.block);
+  refresh_block_index(active);
 
   ++stats_.host_pages_written;
   cost += config_.timing.program_cost();
@@ -399,21 +396,16 @@ TimeUs Ftl::read(Lba lba) const {
   const std::uint32_t entry = map_[lba];
   auto& self = const_cast<Ftl&>(*this);
   ++self.stats_.host_pages_read;
-  const TimeUs map_cost = self.map_access_cost(lba, /*dirty=*/false);
-  if (entry == kNoPpa) return map_cost + config_.timing.page_transfer_us;
+  if (entry == kNoPpa) return config_.timing.page_transfer_us;
   const Lba stored = self.nand_.read_page(codec_.unpack(entry));
   JITGC_ENSURE_MSG(stored == lba, "mapping/OOB disagreement");
-  return map_cost + config_.timing.read_cost();
+  return config_.timing.read_cost();
 }
 
-TimeUs Ftl::trim(Lba lba) {
+void Ftl::trim(Lba lba) {
   JITGC_ENSURE_MSG(lba < user_pages_, "LBA beyond user capacity");
-  // A trim is a mapping-table update: it pays the same map access a write
-  // pays (a lookup, plus a dirtied entry when a mapping is dropped), just
-  // never any NAND page program.
   std::uint32_t& entry = map_[lba];
-  if (entry == kNoPpa) return map_access_cost(lba, /*dirty=*/false);
-  const TimeUs map_cost = map_access_cost(lba, /*dirty=*/true);
+  if (entry == kNoPpa) return;
   const nand::Ppa old = codec_.unpack(entry);
   const std::uint32_t prev = old.block;
   ++write_seq_;
@@ -427,7 +419,6 @@ TimeUs Ftl::trim(Lba lba) {
   entry = kNoPpa;
   ++stats_.trims;
   refresh_block_index(prev);
-  return map_cost;
 }
 
 void Ftl::set_sip_list(const std::vector<Lba>& lbas) {
@@ -497,11 +488,9 @@ Ftl::VictimChoice Ftl::select_victim_reference() const {
     double adjusted = raw;
     if (config_.enable_sip_filter && cand.sip_pages > 0) {
       // Re-score with SIP pages weighted as extra cost: migrating them is
-      // wasted work, so the candidate looks (sip_penalty x sip) pages worse.
+      // wasted work, so the candidate looks (kSipPenalty x sip) pages worse.
       VictimCandidate penalized = cand;
-      const double extra = config_.sip_penalty * static_cast<double>(cand.sip_pages);
-      penalized.valid_pages =
-          static_cast<std::uint32_t>(std::min<double>(ppb, cand.valid_pages + extra));
+      penalized.valid_pages = adjusted_valid(cand.valid_pages, cand.sip_pages);
       adjusted = policy_->score(penalized, write_seq_);
     }
     if (adjusted < best_adj) {
@@ -574,17 +563,16 @@ GcResult Ftl::collect_block(std::uint32_t victim, bool foreground) {
 
     ensure_gc_active_block();
     ++write_seq_;
-    result.time_us += map_access_cost(lba, /*dirty=*/true);
     // Program-first so a failed copy cannot lose the page (see write()).
-    const nand::Ppa dst = program_with_retry(gc_active_, lba, /*is_migration=*/true,
-                                             result.time_us, blk.page_stamp(p));
-    note_program(dst.block);
+    const std::uint32_t dst_page = program_with_retry(gc_active_, lba, /*is_migration=*/true,
+                                                      result.time_us, blk.page_stamp(p));
+    note_program(gc_active_);
     invalidate_page_at(nand::Ppa{victim, p});
-    map_[lba] = codec_.pack(dst);
+    map_[lba] = codec_.pack(nand::Ppa{gc_active_, dst_page});
     // Migration consumes a free page; the erase below returns ppb of them.
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
-    move_sip_count(lba, victim, dst.block);
+    move_sip_count(lba, victim, gc_active_);
     ++result.migrated_pages;
     result.time_us += config_.timing.migrate_cost();
   }
@@ -672,16 +660,15 @@ Ftl::GcStep Ftl::background_collect_step(std::uint32_t max_pages) {
 
     ensure_gc_active_block();
     ++write_seq_;
-    step.time_us += map_access_cost(lba, /*dirty=*/true);
     // Program-first so a failed copy cannot lose the page (see write()).
-    const nand::Ppa dst = program_with_retry(gc_active_, lba, /*is_migration=*/true, step.time_us,
-                                             blk.page_stamp(p));
-    note_program(dst.block);
+    const std::uint32_t dst_page = program_with_retry(gc_active_, lba, /*is_migration=*/true,
+                                                      step.time_us, blk.page_stamp(p));
+    note_program(gc_active_);
     invalidate_page_at(nand::Ppa{bgc_victim_, p});
-    map_[lba] = codec_.pack(dst);
+    map_[lba] = codec_.pack(nand::Ppa{gc_active_, dst_page});
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
-    move_sip_count(lba, bgc_victim_, dst.block);
+    move_sip_count(lba, bgc_victim_, gc_active_);
     ++step.migrated;
     step.time_us += config_.timing.migrate_cost();
   }
@@ -762,13 +749,13 @@ TimeUs Ftl::maybe_static_wear_level() {
     const Lba lba = src.page_lba(p);
     ++write_seq_;
     // Program-first (see write()); a retry may swap `dest` for a fresh block.
-    const nand::Ppa dst =
+    const std::uint32_t dst_page =
         program_with_retry(dest, lba, /*is_migration=*/true, cost, src.page_stamp(p));
     invalidate_page_at(nand::Ppa{coldest, p});
-    map_[lba] = codec_.pack(dst);
+    map_[lba] = codec_.pack(nand::Ppa{dest, dst_page});
     JITGC_ENSURE(free_pages_ > 0);
     --free_pages_;
-    move_sip_count(lba, coldest, dst.block);
+    move_sip_count(lba, coldest, dest);
     cost += config_.timing.migrate_cost();
   }
   note_program(dest);
@@ -850,8 +837,6 @@ void Ftl::save_state(BinaryWriter& w) const {
 
   // SIP membership, ascending, so the blob is a pure function of the state.
   save_u64_vec(w, sip_.sorted());
-
-  map_cache_.save_state(w);
 
   checkpoint_.save_state(w, codec_);
   w.u64(erases_since_checkpoint_);
@@ -946,8 +931,6 @@ void Ftl::restore_state(BinaryReader& r) {
   if (sip_size > user_pages_) throw BinaryFormatError("snapshot SIP list larger than the device");
   sip_.clear();
   for (std::uint64_t i = 0; i < sip_size; ++i) sip_.insert(r.u64());
-
-  map_cache_.restore_state(r);
 
   checkpoint_.restore_state(r, codec_);
   if (checkpoint_.present &&

@@ -16,7 +16,6 @@
 
 #include "common/ensure.h"
 #include "common/types.h"
-#include "ftl/mapping_cache.h"
 #include "ftl/recovery.h"
 #include "ftl/sip_index.h"
 #include "ftl/victim_index.h"
@@ -68,9 +67,6 @@ struct FtlConfig {
   /// promotes one spare; when none remain the device shrinks and eventually
   /// degrades to read-only.
   std::uint32_t spare_blocks = 0;
-  /// A failed program is retried on a fresh block at most this many times
-  /// before the device gives up (DeviceWornOut).
-  std::uint32_t program_retry_limit = 3;
   /// Over-provisioning as a fraction of user capacity (SM843T: 7 %).
   double op_ratio = 0.07;
   /// Free-block low watermark: a host write that would leave at most this
@@ -80,11 +76,6 @@ struct FtlConfig {
   VictimPolicyKind victim_policy = VictimPolicyKind::kGreedy;
   /// Honor the SIP list when selecting victims (JIT-GC's extended collector).
   bool enable_sip_filter = false;
-  /// Weight of a SIP page in victim scoring. A soon-to-be-invalidated page
-  /// migrated now is pure waste, so each one counts as this many extra valid
-  /// pages against the candidate — steering GC away from SIP-heavy blocks
-  /// without hard-banning them (the paper: "tends to avoid" such blocks).
-  double sip_penalty = 2.0;
   /// Background GC refuses victims whose valid fraction exceeds this: they
   /// cost nearly a block of migrations for almost no reclaimed space (the
   /// paper's "useless BGC operations" that the C_resv cap exists to avoid).
@@ -106,10 +97,6 @@ struct FtlConfig {
   /// An LBA rewritten within this many host writes counts as hot
   /// (0 = auto: user_pages / 8).
   std::uint64_t hot_recency_window = 0;
-  /// DFTL-style cached mapping: number of translation pages held in RAM
-  /// (0 = whole map in DRAM, the SM843T configuration). When enabled, map
-  /// misses cost a flash read and dirty evictions a program.
-  std::uint32_t mapping_cache_pages = 0;
   /// Durable mapping checkpoint every this many block erases (0 = never).
   /// Bounds SPO recovery to scanning only blocks written or erased since
   /// the last checkpoint instead of the whole device (see ftl/recovery.h).
@@ -185,10 +172,9 @@ class Ftl {
   /// The page's OOB LBA must be `lba` ("mapping/OOB disagreement" otherwise).
   TimeUs read(Lba lba) const;
 
-  /// Drops the mapping for `lba`. Returns the command's service time: the
-  /// mapping-table access cost (nonzero only with a partial mapping cache),
-  /// never a NAND page program.
-  TimeUs trim(Lba lba);
+  /// Drops the mapping for `lba`. The whole map lives in DRAM, so a trim
+  /// costs no NAND time; an unmapped LBA is a no-op.
+  void trim(Lba lba);
 
   // -- Extended host interface (the paper's custom SG_IO commands) -----------
 
@@ -285,10 +271,10 @@ class Ftl {
 
   /// Sudden power-off: tears the open write frontiers, discards every piece
   /// of volatile state (L2P map, free pool, active streams, GC cursor, SIP
-  /// counts, recency, mapping cache) and rebuilds the FTL from the OOB
-  /// stamps on media — checkpoint-bounded when a valid mapping checkpoint
-  /// exists. Cumulative stats and the durable bad-block/spare tables
-  /// survive, as they would in a real device's flash-resident system area.
+  /// counts, recency) and rebuilds the FTL from the OOB stamps on media —
+  /// checkpoint-bounded when a valid mapping checkpoint exists. Cumulative
+  /// stats and the durable bad-block/spare tables survive, as they would in
+  /// a real device's flash-resident system area.
   RecoveryReport sudden_power_off() { return RecoveryEngine::sudden_power_off(*this); }
 
   /// Content stamp of the page `lba` currently maps to — the host-write
@@ -338,7 +324,6 @@ class Ftl {
   const FtlStats& stats() const { return stats_; }
   const nand::NandDevice& nand() const { return nand_; }
   const SipIndex& sip_index() const { return sip_; }
-  const MappingCache& mapping_cache() const { return map_cache_; }
 
   /// Valid pages of `block` currently on the SIP list (tests compare this
   /// against a recount of sip_index() through the mapping).
@@ -348,6 +333,10 @@ class Ftl {
   double waf() const;
 
   static constexpr std::uint32_t kNoBlock = nand::PpaCodec::kNoBlock;
+
+  /// A failed program is retried on a fresh block at most this many times
+  /// before the device gives up (DeviceWornOut).
+  static constexpr std::uint32_t kProgramRetryLimit = 3;
 
   struct VictimChoice {
     std::uint32_t block = kNoBlock;
@@ -366,8 +355,8 @@ class Ftl {
   // -- Warm-state snapshots (sim/snapshot.h) ----------------------------------
   // Serializes the NAND device plus every piece of FTL truth: the L2P map,
   // free pool, active streams, bad-block/spare/degradation state, SIP
-  // counts, hot/cold recency, mapping cache, and the stats counters. The
-  // victim index and its deferred-maintenance dirty sets are NOT serialized:
+  // counts, hot/cold recency and the stats counters. The victim index and
+  // its deferred-maintenance dirty sets are NOT serialized:
   // restore_state() re-declares every block from the restored truth, which
   // settles the index into exactly the state any lazily-flushed cold run
   // observes at its first query.
@@ -397,9 +386,10 @@ class Ftl {
   /// `stamp` is the content stamp written to the page's OOB (the current
   /// write_seq_ for host writes; the source page's stamp for migrations).
   /// Throws DeviceWornOut when retries are exhausted or no fresh block
-  /// exists. Returns the PPA that finally stuck.
-  nand::Ppa program_with_retry(std::uint32_t& active, Lba lba, bool is_migration, TimeUs& cost,
-                               std::uint64_t stamp);
+  /// exists. Returns the page that stuck, in the block `active` names on
+  /// return (a returned Ppa went through a stack slot and stalled the caller).
+  std::uint32_t program_with_retry(std::uint32_t& active, Lba lba, bool is_migration,
+                                   TimeUs& cost, std::uint64_t stamp);
 
   /// Counts an erase toward the checkpoint cadence and takes a mapping
   /// checkpoint when the interval elapses (no-op with checkpointing off).
@@ -448,16 +438,10 @@ class Ftl {
   void touch_block(std::uint32_t block_id);
   /// Post-program bookkeeping: recency touch + fill-sequence stamp.
   void note_program(std::uint32_t block_id);
-  /// Charges the mapping-cache cost of touching `lba`'s L2P entry. With the
-  /// model off (the whole map in DRAM) it is free, without a call.
-  TimeUs map_access_cost(Lba lba, bool dirty) {
-    return map_cache_.enabled() ? cached_map_access_cost(lba, dirty) : 0;
-  }
-  TimeUs cached_map_access_cost(Lba lba, bool dirty);
   TimeUs maybe_static_wear_level();
 
-  /// Valid count after the SIP penalty — the exact expression the reference
-  /// scan applies before re-scoring a candidate.
+  /// Valid count after the SIP penalty, shared by the index and the
+  /// reference scan so both re-score a candidate identically.
   std::uint32_t adjusted_valid(std::uint32_t valid, std::uint32_t sip) const;
   /// Marks `block_id`'s indexed state stale; call after any mutation of its
   /// pages, recency, fill stamp, or SIP count. Selections are rarer than
@@ -538,7 +522,6 @@ class Ftl {
 
   /// Bitmap over [0, user_pages_), sized in the constructor.
   SipIndex sip_;
-  MappingCache map_cache_;
   /// Mutable alongside the dirty set: queries are logically const but must
   /// settle pending block-state updates first (the same pattern as
   /// PercentileTracker's sort-on-demand samples).

@@ -117,8 +117,8 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
 
   // -- Discard all volatile state -------------------------------------------
   // Everything RAM-resident is gone: the L2P map, free pool, active streams,
-  // incremental-GC cursor, SIP counts (the host re-sends its list), hot/cold
-  // recency, and the mapping cache. Cumulative stats, the bad-block/spare
+  // incremental-GC cursor, SIP counts (the host re-sends its list) and
+  // hot/cold recency. Cumulative stats, the bad-block/spare
   // tables, degradation history and the read-only latch live in the durable
   // system area and survive. The retirement queue is RAM too, but is fully
   // derivable: every grown-bad block is by definition awaiting retirement.
@@ -135,8 +135,6 @@ RecoveryReport RecoveryEngine::sudden_power_off(Ftl& f) {
   f.sip_.clear();
   std::fill(f.block_sip_count_.begin(), f.block_sip_count_.end(), 0u);
   std::fill(f.lba_last_write_seq_.begin(), f.lba_last_write_seq_.end(), std::uint64_t{0});
-  f.map_cache_ = MappingCache(f.config_.mapping_cache_pages,
-                              static_cast<std::uint32_t>(f.config_.geometry.page_size / 4));
   f.pending_retire_.clear();
   for (std::uint32_t b = 0; b < nblocks; ++b) {
     if (f.block_health_[b] == BlockHealth::kGrownBad) f.pending_retire_.push_back(b);

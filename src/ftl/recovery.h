@@ -2,7 +2,7 @@
 //
 // A sudden power-off destroys everything the FTL keeps in RAM — the L2P map,
 // the free pool, the active write streams, the incremental-GC cursor, SIP
-// counts, hot/cold recency, the mapping cache. What survives is the media:
+// counts, hot/cold recency. What survives is the media:
 // every programmed page's OOB carries the LBA it belongs to, a monotone
 // program-sequence stamp (fresh on every program, including GC copies) and a
 // content stamp (the host-write identity, copied unchanged by migrations).

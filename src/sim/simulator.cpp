@@ -321,14 +321,13 @@ TimeUs Simulator::execute_op(const wl::AppOp& op, TimeUs issue) {
     }
     case wl::OpType::kTrim: {
       // TRIM is a metadata command: drop the mappings (and any dirty cached
-      // copies, whose flush would resurrect deleted data). It still queues on
-      // the device and pays its mapping-table access like reads and writes —
-      // zero NAND time, but never a free pass past a busy queue.
+      // copies, whose flush would resurrect deleted data). It costs no NAND
+      // time, but it still queues on the device like reads and writes —
+      // never a free pass past a busy queue.
       TimeUs completion = issue;
       for (std::uint32_t i = 0; i < op.pages; ++i) {
-        const TimeUs cost = ssd_.trim(op.lba + i);
-        completion = std::max(completion, service_.dispatch(issue, cost));
-        interval_busy_us_ += cost;
+        ssd_.trim(op.lba + i);
+        completion = std::max(completion, service_.dispatch(issue, 0));
         // Trim withdraws the acknowledgment: the device owes nothing for
         // this LBA anymore (a post-crash resurrection is legal, not stale).
         if (!shadow_.empty()) shadow_[op.lba + i] = 0;

@@ -104,7 +104,6 @@ void append_ssd_fingerprint_fields(std::string& out, const SsdConfig& ssd) {
   append_f64(out, "ftl.op_ratio", f.op_ratio);
   append_u64(out, "ftl.min_free_blocks", f.min_free_blocks);
   append_u64(out, "ftl.spare_blocks", f.spare_blocks);
-  append_u64(out, "ftl.program_retry_limit", f.program_retry_limit);
   append_u64(out, "ftl.victim_policy", static_cast<std::uint64_t>(f.victim_policy));
   append_f64(out, "ftl.bgc_valid_threshold", f.bgc_valid_threshold);
   append_u64(out, "ftl.enable_static_wear_leveling", f.enable_static_wear_leveling ? 1 : 0);
@@ -112,7 +111,6 @@ void append_ssd_fingerprint_fields(std::string& out, const SsdConfig& ssd) {
   append_u64(out, "ftl.enforce_endurance", f.enforce_endurance ? 1 : 0);
   append_u64(out, "ftl.enable_hot_cold_separation", f.enable_hot_cold_separation ? 1 : 0);
   append_u64(out, "ftl.hot_recency_window", f.hot_recency_window);
-  append_u64(out, "ftl.mapping_cache_pages", f.mapping_cache_pages);
   // Checkpointing mutates serialized FTL state (the mapping checkpoint is
   // rewritten every K erases, preconditioning included), so the interval is
   // part of what the snapshot captures.

@@ -47,7 +47,9 @@ struct SimConfig;
 /// page state, and the FTL payload gained the mapping checkpoint.
 /// v3: the FTL payload keeps one exact per-block SIP count (the shadow
 /// count and the heal list are gone).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+/// v4: the FTL payload loses the mapping-cache blob (the map always lives in
+/// DRAM); the fingerprint drops the program-retry limit and the cache size.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// Where a run's post-precondition state came from.
 enum class SnapshotSource : std::uint8_t {
@@ -62,11 +64,11 @@ const char* snapshot_source_name(SnapshotSource source);
 /// Appends the SsdConfig fields that influence precondition evolution to a
 /// fingerprint under construction: geometry, timing, OP/spare/GC-watermark
 /// shape, victim policy (it steers the on-demand GC that the fill
-/// triggers), hot/cold + wear-leveling + mapping-cache state machines, and
-/// the full fault/endurance config including the resolved fault seed.
-/// Deliberately excluded (they cannot touch precondition state): the SIP
-/// filter and penalty (the SIP list is empty until the first measured
-/// tick), host-interface costs, and the service-queue count.
+/// triggers), hot/cold + wear-leveling state machines, and the full
+/// fault/endurance config including the resolved fault seed. Deliberately
+/// excluded (they cannot touch precondition state): the SIP filter (the SIP
+/// list is empty until the first measured tick), host-interface costs, and
+/// the service-queue count.
 void append_ssd_fingerprint_fields(std::string& out, const SsdConfig& ssd);
 
 /// Fingerprint of a single-SSD run's preconditioning: everything that

@@ -20,7 +20,7 @@ TimeUs Ssd::write_page(Lba lba) { return scale(ftl_.write(lba)); }
 
 TimeUs Ssd::read_page(Lba lba) { return scale(ftl_.read(lba)); }
 
-TimeUs Ssd::trim(Lba lba) { return scale(ftl_.trim(lba)); }
+void Ssd::trim(Lba lba) { ftl_.trim(lba); }
 
 Bytes Ssd::query_free_capacity(TimeUs& overhead) const {
   overhead += config_.host_command_overhead_us;

@@ -41,9 +41,9 @@ class Ssd {
   /// Writes one page; returned time includes any foreground-GC stall.
   TimeUs write_page(Lba lba);
   TimeUs read_page(Lba lba);
-  /// Drops one page's mapping; returns the (scaled) command service time so
-  /// trims queue on the device like every other command.
-  TimeUs trim(Lba lba);
+  /// Drops one page's mapping. It costs no NAND time (the map lives in
+  /// DRAM), but callers still dispatch it so it queues like every command.
+  void trim(Lba lba);
 
   // -- Extended interface -----------------------------------------------------
 

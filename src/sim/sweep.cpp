@@ -214,7 +214,7 @@ std::string sweep_fingerprint(const SweepOptions& options, const std::vector<Swe
       << " erase=" << ftl.fault.erase_fail_prob
       << " wear=" << ftl.fault.wear_fail_prob_at_limit
       << " ramp_start=" << ftl.fault.wear_ramp_start
-      << " spares=" << ftl.spare_blocks << " retry_limit=" << ftl.program_retry_limit << '\n';
+      << " spares=" << ftl.spare_blocks << " retry_limit=" << ftl::Ftl::kProgramRetryLimit << '\n';
   // Tenant lines appear only when the front-end is on, so manifests written
   // by single-stream sweeps keep their exact legacy bytes.
   if (options.base.frontend.enabled()) {

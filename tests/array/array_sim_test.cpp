@@ -7,10 +7,12 @@
 #include <string>
 
 #include "array/array_cli.h"
+#include "array/redundancy.h"
 #include "sim/cli_options.h"
 #include "sim/metrics_sink.h"
 #include "workload/specs.h"
 #include "workload/synthetic.h"
+#include "workload/trace.h"
 
 namespace jitgc::array {
 namespace {
@@ -68,6 +70,35 @@ std::string run_jsonl(const ArraySimConfig& config) {
   simulator.set_metrics_sink(&sink);
   simulator.run(gen);
   return out.str();
+}
+
+TEST(ArraySimulator, MirrorTrimIssuedWhileBusyCompletesAtBusyHorizon) {
+  // A trim costs no NAND time, but it queues behind both copies' devices:
+  // issued 1 us into a long write, it completes when that write does.
+  ArraySimConfig config = small_array(ArrayGcMode::kNaive, 1);
+  config.array.devices = 2;
+  config.array.redundancy = RedundancyScheme::kMirror;
+  config.precondition = false;
+  config.duration = seconds(1);
+  ArraySimulator simulator(config);
+
+  std::vector<wl::TraceRecord> records;
+  records.push_back({0, wl::OpType::kWrite, 0, 4 * 4096});
+  records.push_back({1, wl::OpType::kTrim, 0, 4096});
+  wl::TraceReplayOptions opts;
+  opts.user_pages = simulator.ssd_array().user_pages();
+  wl::TraceWorkload gen("trim-queue", records, opts);
+
+  const sim::SimReport r = simulator.run(gen);
+  ASSERT_EQ(r.ops_completed, 2u);
+  const double write_latency = r.max_latency_us;
+  ASSERT_GT(write_latency, 1.0);
+  const double trim_latency = 2.0 * r.mean_latency_us - write_latency;
+  EXPECT_EQ(trim_latency, write_latency - 1.0);
+  for (std::uint32_t d = 0; d < 2; ++d) {
+    EXPECT_FALSE(simulator.ssd_array().device(d).ftl().is_mapped(0)) << "device " << d;
+    EXPECT_TRUE(simulator.ssd_array().device(d).ftl().is_mapped(1)) << "device " << d;
+  }
 }
 
 TEST(ArraySimulator, CompletesOpsAndReports) {

@@ -105,8 +105,8 @@ TEST(FtlEdge, SipPenaltyComposesWithCostBenefit) {
 }
 
 TEST(FtlEdge, KitchenSinkConfigurationStaysCoherent) {
-  // Everything on at once: endurance, hot/cold, SIP, mapping cache, static
-  // wear leveling, cost-benefit scoring — plus churn with trims.
+  // Everything on at once: endurance, hot/cold, SIP, static wear leveling,
+  // cost-benefit scoring — plus churn with trims.
   FtlConfig cfg = tiny(64, 16);
   cfg.victim_policy = VictimPolicyKind::kCostBenefit;
   cfg.enable_sip_filter = true;
@@ -115,7 +115,6 @@ TEST(FtlEdge, KitchenSinkConfigurationStaysCoherent) {
   cfg.wl_spread_threshold = 8;
   cfg.enforce_endurance = true;
   cfg.timing.endurance_pe_cycles = 10'000;  // high enough not to die here
-  cfg.mapping_cache_pages = 4;
   Ftl ftl(cfg);
 
   Rng rng(11);

@@ -76,6 +76,17 @@ TEST(Ftl, TrimUnmapsAndInvalidates) {
   EXPECT_EQ(ftl.stats().trims, 1u);
 }
 
+TEST(Ftl, TrimStillInvalidatesAndKeepsAccounting) {
+  Ftl ftl(tiny_config());
+  ftl.write(1);
+  ftl.write(2);
+  const std::uint64_t valid_before = ftl.valid_pages();
+  ftl.trim(1);
+  EXPECT_EQ(ftl.valid_pages(), valid_before - 1);
+  EXPECT_FALSE(ftl.is_mapped(1));
+  EXPECT_TRUE(ftl.is_mapped(2));
+}
+
 TEST(Ftl, ReadUnmappedCostsTransferOnly) {
   Ftl ftl(tiny_config());
   EXPECT_EQ(ftl.read(3), ftl.config().timing.page_transfer_us);
@@ -165,7 +176,6 @@ TEST(Ftl, SipListInstallsAndCounts) {
 TEST(Ftl, SipPenaltySteersVictimSelection) {
   FtlConfig cfg = tiny_config();
   cfg.enable_sip_filter = true;
-  cfg.sip_penalty = 2.0;
   cfg.bgc_valid_threshold = 1.0;  // candidates are 7/8 valid by construction
   Ftl ftl(cfg);
 
@@ -189,7 +199,6 @@ TEST(Ftl, SipPenaltySteersVictimSelection) {
 TEST(Ftl, SipPenaltyYieldsWhenAlternativeTooExpensive) {
   FtlConfig cfg = tiny_config();
   cfg.enable_sip_filter = true;
-  cfg.sip_penalty = 2.0;
   Ftl ftl(cfg);
 
   // Block A: 1 valid SIP page (7 invalid). Block B: fully valid except one.

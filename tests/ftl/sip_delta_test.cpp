@@ -31,7 +31,6 @@ FtlConfig twin_config() {
   cfg.min_free_blocks = 2;
   cfg.victim_policy = VictimPolicyKind::kGreedy;
   cfg.enable_sip_filter = true;
-  cfg.sip_penalty = 2.0;
   cfg.verify_victim_selection = true;
   return cfg;
 }

@@ -460,6 +460,33 @@ TEST(Simulator, TrimOpDropsDirtyCacheCopies) {
   EXPECT_LE(simulator.ssd().ftl().stats().host_pages_written, 16u);
 }
 
+TEST(Simulator, TrimIssuedWhileBusyCompletesAtBusyHorizon) {
+  // A trim costs no NAND time, but it still queues on the device: issued
+  // 1 us into a long direct write, it completes when that write does.
+  SimConfig sim = test_config();
+  sim.precondition = false;
+  sim.open_loop_arrivals = true;
+  sim.duration = seconds(1);
+  Simulator simulator(sim);
+
+  std::vector<wl::TraceRecord> records;
+  records.push_back({0, wl::OpType::kWrite, 0, 64 * 4096});
+  records.push_back({1, wl::OpType::kTrim, 0, 4096});
+  wl::TraceReplayOptions opts;
+  opts.user_pages = simulator.ssd().ftl().user_pages();
+  wl::TraceWorkload gen("trim-queue", records, opts);
+
+  auto policy = make_policy(PolicyKind::kLazy, sim);
+  const SimReport r = simulator.run(gen, *policy);
+  ASSERT_EQ(r.ops_completed, 2u);
+  const double write_latency = r.max_latency_us;
+  ASSERT_GT(write_latency, 1.0);
+  const double trim_latency = 2.0 * r.mean_latency_us - write_latency;
+  EXPECT_EQ(trim_latency, write_latency - 1.0);
+  EXPECT_FALSE(simulator.ssd().ftl().is_mapped(0));
+  EXPECT_TRUE(simulator.ssd().ftl().is_mapped(1));
+}
+
 TEST(Simulator, FiniteWorkloadDrainsCleanly) {
   SimConfig sim = test_config();
   sim.precondition = false;

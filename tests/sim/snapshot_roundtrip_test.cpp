@@ -196,6 +196,20 @@ TEST_F(SnapshotRobustnessTest, FormatVersionMismatchFallsBackCold) {
   expect_cold_fallback();
 }
 
+TEST_F(SnapshotRobustnessTest, PreviousFormatVersionFallsBackColdWithNamedWarning) {
+  // A v3 file still carries the mapping-cache blob in its FTL payload; it
+  // must be refused by version, before the payload is ever parsed.
+  std::string bytes = read_snap();
+  ASSERT_EQ(static_cast<unsigned char>(bytes[8]), kSnapshotFormatVersion);
+  bytes.replace(8, 4, std::string("\x03\x00\x00\x00", 4));
+  write_snap(bytes);
+  testing::internal::CaptureStderr();
+  expect_cold_fallback();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("snapshot format version mismatch"), std::string::npos) << err;
+  EXPECT_NE(err.find("falling back to cold preconditioning"), std::string::npos) << err;
+}
+
 TEST_F(SnapshotRobustnessTest, PayloadCorruptionFallsBackCold) {
   std::string bytes = read_snap();
   bytes[bytes.size() - 1] ^= 0x01;  // inside the serialized payload

@@ -34,6 +34,8 @@ CASES=(
   "ssd_spo|cli|--workload=ycsb --policy=jit --spo-at=5 --spo-every=5 --seconds=20"
   "ssd_fault|cli|--workload=ycsb --policy=aggressive --fault-program=0.00002 --spare-blocks=16 --seconds=20"
   "ssd_fault_worn_out|cli|--workload=ycsb --policy=aggressive --fault-program=0.0001 --spare-blocks=16 --seconds=20"
+  # Cost-benefit victims, hot/cold write streams and mapping checkpoints.
+  "ssd_ycsb_costbenefit_hotcold_ckpt|cli|--workload=ycsb --policy=jit --victim=cost-benefit --hot-cold --checkpoint-every-erases=16 --seconds=30"
   # Multi-tenant front-end on one SSD.
   "tenants_open|cli|--tenants=2 --tenant-mix=ycsb,tpcc --tenant-arrival=open --policy=jit --seconds=20"
   "tenants_closed_rate|cli|--tenants=2 --tenant-mix=ycsb --tenant-arrival=closed --tenant-rate=0,2000000 --policy=jit --seconds=20"

@@ -113,9 +113,9 @@ void BM_VictimSelectionScan(benchmark::State& state) {
   for (Lba l = 0; l < ftl.user_pages(); ++l) ftl.write(l);
   for (Lba i = 0; i < ftl.user_pages() / 2; ++i) ftl.write(rng.uniform(ftl.user_pages() / 2));
   for (auto _ : state) {
-    const ftl::GcResult r = ftl.background_collect_once();
+    const ftl::Ftl::GcStep r = ftl.background_collect_step(ftl.pages_per_block());
     benchmark::DoNotOptimize(r);
-    if (!r.collected) {
+    if (!r.progressed) {
       // Re-dirty to keep candidates available.
       for (int i = 0; i < 1000; ++i) ftl.write(rng.uniform(ftl.user_pages() / 2));
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdio>
 
 #include "common/binary_io.h"
 #include "common/ensure.h"
@@ -65,7 +64,7 @@ void ArraySimulator::precondition(Lba footprint, Lba ws) {
     const Lba ws_d = layout.fill_pages_on_slot(ws, slot);
     if (ws_d > 0) {
       Rng rng(derive_seed(config_.seed ^ 0xA6E5C0DE, d));
-      const auto overwrites = static_cast<std::uint64_t>(config_.precondition_overwrite_factor *
+      const auto overwrites = static_cast<std::uint64_t>(sim::kPreconditionOverwriteFactor *
                                                          static_cast<double>(ws_d));
       for (std::uint64_t i = 0; i < overwrites; ++i) ftl.write(rng.uniform(ws_d));
     }
@@ -99,10 +98,6 @@ std::string ArraySimulator::array_precondition_fingerprint(Lba footprint, Lba ws
   u64("array.redundancy", static_cast<std::uint64_t>(config_.array.redundancy));
   u64("array.spare_devices", config_.array.spare_devices);
   u64("array.seed", config_.seed);
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "array.precondition_overwrite_factor=%.17g\n",
-                config_.precondition_overwrite_factor);
-  out += buf;
   u64("array.footprint_pages", footprint);
   u64("array.working_set_pages", ws);
   return out;

@@ -91,7 +91,6 @@ struct ArraySimConfig {
   /// Age every device before measuring (fill footprint, scramble working
   /// set), exactly like the single-SSD simulator but per device, in parallel.
   bool precondition = true;
-  double precondition_overwrite_factor = 1.0;
   std::uint64_t seed = 1;
   /// Threads for the per-tick GC fan-out and preconditioning (0 = hardware).
   std::size_t step_threads = 0;

@@ -265,26 +265,34 @@ std::uint32_t Ftl::program_with_retry(std::uint32_t& active, Lba lba, bool is_mi
   }
 }
 
+void Ftl::migrate_page(std::uint32_t src_block, std::uint32_t page, std::uint32_t& dest,
+                       TimeUs& cost) {
+  const nand::Block& src = nand_.block(src_block);
+  const Lba lba = src.page_lba(page);
+  JITGC_ENSURE_MSG(map_[lba] == codec_.pack(nand::Ppa{src_block, page}),
+                   "mapping/OOB disagreement");
+  ++write_seq_;
+  // Program-first so a failed copy cannot lose the page (see write()).
+  const std::uint32_t dst_page =
+      program_with_retry(dest, lba, /*is_migration=*/true, cost, src.page_stamp(page));
+  invalidate_page_at(nand::Ppa{src_block, page});
+  map_[lba] = codec_.pack(nand::Ppa{dest, dst_page});
+  // A migration consumes a free page; erasing the source returns them.
+  JITGC_ENSURE(free_pages_ > 0);
+  --free_pages_;
+  move_sip_count(lba, src_block, dest);
+  cost += config_.timing.migrate_cost();
+}
+
 TimeUs Ftl::retire_grown_bad(std::uint32_t block) {
   TimeUs cost = 0;
   const nand::Block& blk = nand_.block(block);
   const std::uint32_t ppb = config_.geometry.pages_per_block;
   for (std::uint32_t p = 0; p < ppb; ++p) {
     if (blk.page_state(p) != nand::PageState::kValid) continue;
-    const Lba lba = blk.page_lba(p);
-    JITGC_ENSURE_MSG(map_[lba] == codec_.pack(nand::Ppa{block, p}), "mapping/OOB disagreement");
-
     ensure_gc_active_block();
-    ++write_seq_;
-    const std::uint32_t dst_page = program_with_retry(gc_active_, lba, /*is_migration=*/true,
-                                                      cost, blk.page_stamp(p));
+    migrate_page(block, p, gc_active_, cost);
     note_program(gc_active_);
-    invalidate_page_at(nand::Ppa{block, p});
-    map_[lba] = codec_.pack(nand::Ppa{gc_active_, dst_page});
-    JITGC_ENSURE(free_pages_ > 0);
-    --free_pages_;
-    move_sip_count(lba, block, gc_active_);
-    cost += config_.timing.migrate_cost();
   }
   if (gc_active_ != kNoBlock) refresh_block_index(gc_active_);
   JITGC_ENSURE(block_sip_count_[block] == 0);
@@ -541,92 +549,47 @@ Ftl::VictimChoice Ftl::select_victim() {
   return choice;
 }
 
-GcResult Ftl::collect_block(std::uint32_t victim, bool foreground) {
-  // A full-cycle collection of the incremental collector's block supersedes
-  // the in-flight incremental work.
-  if (victim == bgc_victim_) {
-    bgc_victim_ = kNoBlock;
-    bgc_victim_cursor_ = 0;
-  }
-
-  GcResult result;
-  result.collected = true;
-  result.victim_block = victim;
-
-  const nand::Block& blk = nand_.block(victim);
-  const std::uint32_t ppb = config_.geometry.pages_per_block;
-
-  for (std::uint32_t p = 0; p < ppb; ++p) {
-    if (blk.page_state(p) != nand::PageState::kValid) continue;
-    const Lba lba = blk.page_lba(p);
-    JITGC_ENSURE_MSG(map_[lba] == codec_.pack(nand::Ppa{victim, p}), "mapping/OOB disagreement");
-
-    ensure_gc_active_block();
-    ++write_seq_;
-    // Program-first so a failed copy cannot lose the page (see write()).
-    const std::uint32_t dst_page = program_with_retry(gc_active_, lba, /*is_migration=*/true,
-                                                      result.time_us, blk.page_stamp(p));
-    note_program(gc_active_);
-    invalidate_page_at(nand::Ppa{victim, p});
-    map_[lba] = codec_.pack(nand::Ppa{gc_active_, dst_page});
-    // Migration consumes a free page; the erase below returns ppb of them.
-    JITGC_ENSURE(free_pages_ > 0);
-    --free_pages_;
-    move_sip_count(lba, victim, gc_active_);
-    ++result.migrated_pages;
-    result.time_us += config_.timing.migrate_cost();
-  }
-  if (gc_active_ != kNoBlock) refresh_block_index(gc_active_);
-
-  const bool usable = finish_erase(victim);
-  result.time_us += config_.timing.block_erase_us;
-  result.freed_pages = usable ? ppb - result.migrated_pages : 0;
-
-  ++stats_.gc_cycles;
-  if (foreground) {
-    ++stats_.foreground_gc_cycles;
-    stats_.foreground_gc_time_us += result.time_us;
-  } else {
-    ++stats_.background_gc_cycles;
-  }
-  return result;
-}
-
 TimeUs Ftl::foreground_collect() {
   TimeUs total = 0;
+  const std::uint32_t ppb = config_.geometry.pages_per_block;
   while (free_pool_.size() <= config_.min_free_blocks) {
-    const VictimChoice choice = select_victim();
-    if (choice.block == kNoBlock) {
+    const std::uint32_t victim = select_victim().block;
+    if (victim == kNoBlock) {
       if (degraded_mode_possible()) {
         enter_read_only();
         throw DeviceWornOut("jitgc::ftl: no collectible victim left (device worn out)");
       }
       throw std::runtime_error("jitgc::ftl: device out of space (no collectible victim)");
     }
-    JITGC_ENSURE(nand_.block(choice.block).invalid_count() > 0);
-    GcResult r = collect_block(choice.block, /*foreground=*/true);
-    if (choice.sip_filtered) r.sip_filtered = true;
-    total += r.time_us;
+    const nand::Block& blk = nand_.block(victim);
+    JITGC_ENSURE(blk.invalid_count() > 0);
+    // A full-cycle collection of the background collector's block
+    // supersedes its in-flight incremental work.
+    if (victim == bgc_victim_) {
+      bgc_victim_ = kNoBlock;
+      bgc_victim_cursor_ = 0;
+    }
+    TimeUs cycle = 0;
+    for (std::uint32_t p = 0; p < ppb; ++p) {
+      if (blk.page_state(p) != nand::PageState::kValid) continue;
+      ensure_gc_active_block();
+      migrate_page(victim, p, gc_active_, cycle);
+      note_program(gc_active_);
+    }
+    if (gc_active_ != kNoBlock) refresh_block_index(gc_active_);
+    finish_erase(victim);
+    cycle += config_.timing.block_erase_us;
+
+    ++stats_.gc_cycles;
+    ++stats_.foreground_gc_cycles;
+    stats_.foreground_gc_time_us += cycle;
+    total += cycle;
     // A program retry during the collection may have condemned a block;
     // retire it before re-checking the watermark so the free accounting the
     // loop condition reads is settled.
     total += process_pending_retirements();
   }
   return total;
-}
-
-GcResult Ftl::background_collect_once() {
-  const VictimChoice choice = select_victim();
-  if (choice.block == kNoBlock) return GcResult{};  // nothing to collect
-  // Useless-BGC guard (see background_collect_step).
-  const nand::Block& cand = nand_.block(choice.block);
-  const double valid_frac =
-      static_cast<double>(cand.valid_count()) / static_cast<double>(cand.pages_per_block());
-  if (cand.invalid_count() == 0 || valid_frac > config_.bgc_valid_threshold) return GcResult{};
-  GcResult r = collect_block(choice.block, /*foreground=*/false);
-  r.sip_filtered = choice.sip_filtered;
-  r.time_us += process_pending_retirements();
-  return r;
 }
 
 Ftl::GcStep Ftl::background_collect_step(std::uint32_t max_pages) {
@@ -654,23 +617,10 @@ Ftl::GcStep Ftl::background_collect_step(std::uint32_t max_pages) {
   while (bgc_victim_cursor_ < ppb && step.migrated < max_pages) {
     const std::uint32_t p = bgc_victim_cursor_++;
     if (blk.page_state(p) != nand::PageState::kValid) continue;
-    const Lba lba = blk.page_lba(p);
-    JITGC_ENSURE_MSG(map_[lba] == codec_.pack(nand::Ppa{bgc_victim_, p}),
-                     "mapping/OOB disagreement");
-
     ensure_gc_active_block();
-    ++write_seq_;
-    // Program-first so a failed copy cannot lose the page (see write()).
-    const std::uint32_t dst_page = program_with_retry(gc_active_, lba, /*is_migration=*/true,
-                                                      step.time_us, blk.page_stamp(p));
+    migrate_page(bgc_victim_, p, gc_active_, step.time_us);
     note_program(gc_active_);
-    invalidate_page_at(nand::Ppa{bgc_victim_, p});
-    map_[lba] = codec_.pack(nand::Ppa{gc_active_, dst_page});
-    JITGC_ENSURE(free_pages_ > 0);
-    --free_pages_;
-    move_sip_count(lba, bgc_victim_, gc_active_);
     ++step.migrated;
-    step.time_us += config_.timing.migrate_cost();
   }
   step.progressed = true;
   if (gc_active_ != kNoBlock) refresh_block_index(gc_active_);
@@ -697,9 +647,11 @@ TimeUs Ftl::background_reclaim(std::uint64_t target_pages) {
   TimeUs total = 0;
   const std::uint64_t goal = free_pages_ + target_pages;
   while (free_pages_ < goal) {
-    const GcResult r = background_collect_once();
-    if (!r.collected || r.freed_pages == 0) break;  // no forward progress possible
-    total += r.time_us;
+    const GcStep step = background_collect_step(pages_per_block());
+    total += step.time_us;
+    // No forward progress possible: nothing eligible, or the victim's erase
+    // retired it.
+    if (!step.progressed || (step.erased && step.freed_pages == 0)) break;
   }
   return total;
 }
@@ -745,18 +697,7 @@ TimeUs Ftl::maybe_static_wear_level() {
   const nand::Block& src = nand_.block(coldest);
   const std::uint32_t ppb = config_.geometry.pages_per_block;
   for (std::uint32_t p = 0; p < ppb; ++p) {
-    if (src.page_state(p) != nand::PageState::kValid) continue;
-    const Lba lba = src.page_lba(p);
-    ++write_seq_;
-    // Program-first (see write()); a retry may swap `dest` for a fresh block.
-    const std::uint32_t dst_page =
-        program_with_retry(dest, lba, /*is_migration=*/true, cost, src.page_stamp(p));
-    invalidate_page_at(nand::Ppa{coldest, p});
-    map_[lba] = codec_.pack(nand::Ppa{dest, dst_page});
-    JITGC_ENSURE(free_pages_ > 0);
-    --free_pages_;
-    move_sip_count(lba, coldest, dest);
-    cost += config_.timing.migrate_cost();
+    if (src.page_state(p) == nand::PageState::kValid) migrate_page(coldest, p, dest, cost);
   }
   note_program(dest);
   finish_erase(coldest);

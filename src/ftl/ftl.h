@@ -114,16 +114,6 @@ struct FtlConfig {
 #endif
 };
 
-/// Outcome of one GC cycle (one victim block).
-struct GcResult {
-  bool collected = false;          ///< false: no eligible victim existed
-  std::uint32_t victim_block = 0;
-  std::uint32_t migrated_pages = 0;
-  std::uint32_t freed_pages = 0;   ///< net free-page gain (pages_per_block - migrated)
-  TimeUs time_us = 0;
-  bool sip_filtered = false;       ///< the unfiltered winner was vetoed by the SIP list
-};
-
 struct FtlStats {
   std::uint64_t host_pages_written = 0;
   std::uint64_t host_pages_read = 0;
@@ -195,14 +185,12 @@ class Ftl {
   /// to match the active BGC policy's capabilities).
   void set_sip_filter_enabled(bool on) { config_.enable_sip_filter = on; }
 
-  /// Runs one background-GC cycle; respects the SIP filter if enabled.
-  GcResult background_collect_once();
-
-  /// Incremental (preemptible) background GC: migrates at most `max_pages`
-  /// valid pages of the current BGC victim (selecting one first if needed)
-  /// and erases the block once it holds no valid data. Real controllers
-  /// interleave exactly such steps between host requests; the simulator uses
-  /// this to fill millisecond-scale idle gaps.
+  /// The one background collector, incremental (preemptible): migrates at
+  /// most `max_pages` valid pages of the current BGC victim (selecting one
+  /// first if needed) and erases the block once it holds no valid data. Real
+  /// controllers interleave such steps between host requests; the simulator
+  /// uses them to fill millisecond-scale idle gaps. pages_per_block() pages
+  /// finish any victim.
   struct GcStep {
     bool progressed = false;       ///< false: nothing collectible
     std::uint32_t migrated = 0;
@@ -213,8 +201,8 @@ class Ftl {
   };
   GcStep background_collect_step(std::uint32_t max_pages);
 
-  /// Background-reclaims until at least `target_pages` of additional free
-  /// space exist (or no victim is eligible). Returns total time spent.
+  /// Background-reclaims, a whole victim per step, until at least
+  /// `target_pages` more pages are free (or none is eligible). Returns time.
   TimeUs background_reclaim(std::uint64_t target_pages);
 
   // -- Capacity queries -------------------------------------------------------
@@ -423,11 +411,14 @@ class Ftl {
     return config_.enforce_endurance || config_.fault.enabled();
   }
 
-  /// Migrates all valid pages out of `victim`, erases it, returns result.
-  GcResult collect_block(std::uint32_t victim, bool foreground);
-
   /// Runs foreground GC until the free pool is above the watermark.
   TimeUs foreground_collect();
+
+  /// Moves valid page `page` of `src_block` into block `dest` (a program
+  /// retry may swap `dest` for a fresh block), remaps and invalidates it, and
+  /// adds its time to `cost`. Callers pick `dest` and call note_program().
+  void migrate_page(std::uint32_t src_block, std::uint32_t page, std::uint32_t& dest,
+                    TimeUs& cost);
 
   void ensure_gc_active_block();
 

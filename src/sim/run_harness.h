@@ -32,6 +32,10 @@ namespace jitgc::sim {
 
 class MetricsSink;
 
+/// Random overwrites in both simulators' scramble phase (preconditioning),
+/// as a multiple of the working-set size.
+inline constexpr double kPreconditionOverwriteFactor = 1.0;
+
 /// The device-specific steps of establishing the post-precondition state.
 /// `footprint` and `ws` are the workload's footprint and working set, in
 /// pages, clamped to the user capacity.

@@ -60,7 +60,7 @@ void Simulator::precondition(Lba footprint, Lba ws) {
   if (ws > 0) {
     Rng rng(config_.seed ^ 0xA6E5C0DE);
     const auto overwrites =
-        static_cast<std::uint64_t>(config_.precondition_overwrite_factor * static_cast<double>(ws));
+        static_cast<std::uint64_t>(kPreconditionOverwriteFactor * static_cast<double>(ws));
     for (std::uint64_t i = 0; i < overwrites; ++i) {
       ftl.write(rng.uniform(ws));
       count_write();
@@ -113,7 +113,7 @@ void Simulator::run_bgc_until(TimeUs now) {
     TimeUs start = std::max(service_.next_free(), bgc_allowed_from_);
     // Idle detection: the first step of a GC streak waits for the device to
     // have been visibly idle; continuing a streak does not.
-    if (service_.next_free() != bgc_last_step_end_) start += config_.bgc_idle_detect;
+    if (service_.next_free() != bgc_last_step_end_) start += kBgcIdleDetect;
     if (start >= now) break;
     // Page-granular preemptible GC: fill the idle gap with as many migration
     // steps as fit (at least one; a trailing erase may overrun slightly).

@@ -42,18 +42,19 @@ namespace jitgc::sim {
 
 class MetricsSink;
 
+/// Idle-detection threshold: opportunistic BGC starts only after the
+/// device has been quiet this long (controllers defer cleaning rather than
+/// risk stalling imminent host I/O). Think-time gaps inside a burst stay
+/// below this, so reserves drain during bursts and replenish in real idle
+/// periods — the dynamic the paper's reserved-capacity tradeoff rests on.
+/// Urgent (JIT D_reclaim) GC ignores it.
+inline constexpr TimeUs kBgcIdleDetect = milliseconds(100);
+
 struct SimConfig {
   SsdConfig ssd;
   host::PageCacheConfig cache;
   /// Measured run length (after preconditioning).
   TimeUs duration = seconds(300);
-  /// Idle-detection threshold: opportunistic BGC starts only after the
-  /// device has been quiet this long (controllers defer cleaning rather
-  /// than risk stalling imminent host I/O). Think-time gaps inside a burst
-  /// stay below this, so reserves drain during bursts and replenish in real
-  /// idle periods — the dynamic the paper's reserved-capacity tradeoff
-  /// rests on. Urgent (JIT D_reclaim) GC ignores it.
-  TimeUs bgc_idle_detect = milliseconds(100);
   /// QoS cap on opportunistic background GC, bytes of net reclaim per
   /// second (0 = unlimited). Real firmware rate-limits BGC to bound its
   /// interference with host latency; the cap does not apply to urgent
@@ -62,8 +63,6 @@ struct SimConfig {
   /// Fill the workload's footprint and scramble the working set first, then
   /// reset all metrics, so runs start from a realistic aged device.
   bool precondition = true;
-  /// Random overwrites during preconditioning, as a multiple of the WS size.
-  double precondition_overwrite_factor = 1.0;
   std::uint64_t seed = 1;
   /// Sudden power-off injection (sim/engine.h kSpo events): cut power this
   /// many seconds into the measured run (< 0 = never). The device loses all

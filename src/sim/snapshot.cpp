@@ -132,7 +132,6 @@ std::string precondition_fingerprint(const SimConfig& config, Lba footprint_page
   out += "\n";
   append_ssd_fingerprint_fields(out, config.ssd);
   append_u64(out, "run.seed", config.seed);
-  append_f64(out, "run.precondition_overwrite_factor", config.precondition_overwrite_factor);
   append_u64(out, "run.footprint_pages", footprint_pages);
   append_u64(out, "run.working_set_pages", working_set_pages);
   // SPO config joins the fingerprint only when a power cut can fire during

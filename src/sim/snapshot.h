@@ -49,7 +49,9 @@ struct SimConfig;
 /// count and the heal list are gone).
 /// v4: the FTL payload loses the mapping-cache blob (the map always lives in
 /// DRAM); the fingerprint drops the program-retry limit and the cache size.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+/// v5: the Ssd payload loses the BGC cycle-time EWMA (nothing read it); the
+/// fingerprint drops the scramble overwrite factor, now a constant.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /// Where a run's post-precondition state came from.
 enum class SnapshotSource : std::uint8_t {

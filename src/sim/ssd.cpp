@@ -13,7 +13,6 @@ Ssd::Ssd(const SsdConfig& config) : config_(config), ftl_(config.ftl) {
       static_cast<double>(t.block_erase_us);
   const double freed_bytes = (1.0 - u) * g.pages_per_block * static_cast<double>(g.page_size);
   gc_bps_ewma_ = freed_bytes / (raw_cycle_us / g.parallelism()) * 1e6;
-  cycle_time_ewma_ = static_cast<TimeUs>(raw_cycle_us) / g.parallelism();
 }
 
 TimeUs Ssd::write_page(Lba lba) { return scale(ftl_.write(lba)); }
@@ -39,7 +38,6 @@ void Ssd::send_sip_update(const host::SipDelta& delta, std::uint64_t sip_size, T
 void Ssd::save_state(BinaryWriter& w) const {
   ftl_.save_state(w);
   w.f64(gc_bps_ewma_);
-  w.u64(cycle_time_ewma_);
   w.u64(step_migrated_accum_);
   w.u64(step_time_accum_);
 }
@@ -47,12 +45,11 @@ void Ssd::save_state(BinaryWriter& w) const {
 void Ssd::restore_state(BinaryReader& r) {
   ftl_.restore_state(r);
   gc_bps_ewma_ = r.f64();
-  cycle_time_ewma_ = r.u64();
   step_migrated_accum_ = r.u64();
   step_time_accum_ = r.u64();
 }
 
-void Ssd::update_gc_estimates(std::uint64_t net_freed_pages, TimeUs scaled_time) {
+void Ssd::update_gc_estimate(std::uint64_t net_freed_pages, TimeUs scaled_time) {
   if (scaled_time <= 0) return;
   // In multi-queue mode, per-queue (raw) cycle time understates the
   // device-wide reclaim rate by the queue count: GC steps overlap.
@@ -63,15 +60,6 @@ void Ssd::update_gc_estimates(std::uint64_t net_freed_pages, TimeUs scaled_time)
       (static_cast<double>(scaled_time) / 1e6);
   constexpr double kAlpha = 0.05;
   gc_bps_ewma_ = (1.0 - kAlpha) * gc_bps_ewma_ + kAlpha * sample_bps;
-  cycle_time_ewma_ = static_cast<TimeUs>((1.0 - kAlpha) * static_cast<double>(cycle_time_ewma_) +
-                                         kAlpha * static_cast<double>(scaled_time));
-}
-
-ftl::GcResult Ssd::bgc_collect_once() {
-  ftl::GcResult r = ftl_.background_collect_once();
-  r.time_us = scale(r.time_us);
-  if (r.collected) update_gc_estimates(r.freed_pages, r.time_us);
-  return r;
 }
 
 ftl::Ftl::GcStep Ssd::bgc_collect_step(std::uint32_t max_pages) {
@@ -83,7 +71,7 @@ ftl::Ftl::GcStep Ssd::bgc_collect_step(std::uint32_t max_pages) {
     if (step.erased) {
       const std::uint64_t net =
           step.freed_pages > step_migrated_accum_ ? step.freed_pages - step_migrated_accum_ : 0;
-      update_gc_estimates(net, step_time_accum_);
+      update_gc_estimate(net, step_time_accum_);
       step_migrated_accum_ = 0;
       step_time_accum_ = 0;
     }

@@ -56,11 +56,10 @@ class Ssd {
   /// spares the device the O(|L_SIP|) rebuild.
   void send_sip_update(const host::SipDelta& delta, std::uint64_t sip_size, TimeUs& overhead);
 
-  /// Runs one background-GC cycle; GcResult::time_us is service-scaled.
-  ftl::GcResult bgc_collect_once();
-
   /// Incremental BGC: migrates up to `max_pages` pages (service-scaled time).
-  /// The simulator sizes `max_pages` to the idle gap it is filling.
+  /// The simulator sizes `max_pages` to the idle gap it is filling. The step
+  /// that erases a victim feeds gc_bandwidth_bps() one sample: the victim's
+  /// net freed pages over the summed time of all its steps.
   ftl::Ftl::GcStep bgc_collect_step(std::uint32_t max_pages);
 
   /// Effective service time of migrating one page during BGC.
@@ -93,12 +92,6 @@ class Ssd {
   /// completed BGC cycles.
   double gc_bandwidth_bps() const { return gc_bps_ewma_; }
 
-  /// Expected service time of one BGC cycle (victim migration + erase),
-  /// EWMA-tracked. The scheduler only launches a cycle into an idle gap at
-  /// least this long — a controller does not start cleaning a block when a
-  /// host request is about to arrive.
-  TimeUs estimated_bgc_cycle_time() const { return cycle_time_ewma_; }
-
   // -- Introspection ----------------------------------------------------------
 
   const ftl::Ftl& ftl() const { return ftl_; }
@@ -107,7 +100,7 @@ class Ssd {
   std::uint32_t parallelism() const { return config_.ftl.geometry.parallelism(); }
 
   // -- Warm-state snapshots (sim/snapshot.h) ----------------------------------
-  // The FTL/NAND state plus the GC bandwidth estimators. The service model
+  // The FTL/NAND state plus the GC bandwidth estimator. The service model
   // and page cache live above the Ssd and are rebuilt by the simulator.
 
   void save_state(BinaryWriter& w) const;
@@ -126,12 +119,11 @@ class Ssd {
   }
 
  private:
-  void update_gc_estimates(std::uint64_t net_freed_pages, TimeUs raw_time);
+  void update_gc_estimate(std::uint64_t net_freed_pages, TimeUs scaled_time);
 
   SsdConfig config_;
   ftl::Ftl ftl_;
   double gc_bps_ewma_ = 0.0;
-  TimeUs cycle_time_ewma_ = 0;
   // Per-victim accumulation for the incremental path's bandwidth sample.
   std::uint64_t step_migrated_accum_ = 0;
   TimeUs step_time_accum_ = 0;

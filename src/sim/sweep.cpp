@@ -202,8 +202,8 @@ std::string sweep_fingerprint(const SweepOptions& options, const std::vector<Swe
       << " snapshots=" << (options.snapshot_cache_dir.empty() ? 0 : 1) << '\n'
       << "duration_us=" << options.base.duration
       << " precondition=" << (options.base.precondition ? 1 : 0)
-      << " overwrite_factor=" << options.base.precondition_overwrite_factor
-      << " bgc_idle_detect_us=" << options.base.bgc_idle_detect
+      << " overwrite_factor=" << kPreconditionOverwriteFactor
+      << " bgc_idle_detect_us=" << kBgcIdleDetect
       << " bgc_rate_limit_bps=" << options.base.bgc_rate_limit_bps << '\n'
       << "geometry=" << g.channels << 'x' << g.dies_per_channel << 'x' << g.planes_per_die
       << 'x' << g.blocks_per_plane << 'x' << g.pages_per_block << 'x' << g.page_size

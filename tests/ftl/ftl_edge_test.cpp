@@ -96,8 +96,8 @@ TEST(FtlEdge, SipPenaltyComposesWithCostBenefit) {
   ftl.write(8);
   ftl.set_sip_list({1, 2, 3, 4, 5, 6, 7});  // block A is SIP-heavy
 
-  const GcResult r = ftl.background_collect_once();
-  ASSERT_TRUE(r.collected);
+  const Ftl::GcStep r = ftl.background_collect_step(ftl.pages_per_block());
+  ASSERT_TRUE(r.progressed);
   // Block A had the better (older) cost-benefit score but the SIP penalty
   // must push selection to block B; either way the stats stay coherent.
   EXPECT_EQ(ftl.stats().victim_selections, 1u);

@@ -96,7 +96,7 @@ TEST(FtlFault, MappingIntegrityAcrossFailuresAndRetirements) {
           ftl.trim(lba);
           shadow.erase(lba);
         } else {
-          ftl.background_collect_once();
+          ftl.background_collect_step(ftl.pages_per_block());
         }
       } catch (const DeviceWornOut&) {
         // The host write may have landed before a later retirement step blew

@@ -126,7 +126,7 @@ TEST_P(FtlFuzzTest, RandomOpsPreserveInvariants) {
       } else if (roll < 0.90) {
         ftl.read(lba);
       } else if (roll < 0.95) {
-        ftl.background_collect_once();
+        ftl.background_collect_step(ftl.pages_per_block());
       } else {
         ftl.background_collect_step(static_cast<std::uint32_t>(rng.uniform_range(1, 16)));
       }
@@ -156,7 +156,7 @@ TEST_P(FtlFuzzTest, DeterministicReplay) {
     Rng rng(77);
     for (int i = 0; i < 4000; ++i) {
       ftl.write(rng.uniform(ftl.user_pages() / 2));
-      if (i % 97 == 0) ftl.background_collect_once();
+      if (i % 97 == 0) ftl.background_collect_step(ftl.pages_per_block());
     }
     return std::tuple{ftl.nand().stats().page_programs, ftl.nand().stats().block_erases,
                       ftl.free_pages()};

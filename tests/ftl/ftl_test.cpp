@@ -141,8 +141,8 @@ TEST(Ftl, BackgroundReclaimCreatesFreeSpace) {
 
 TEST(Ftl, BackgroundCollectOnFreshDeviceIsNoop) {
   Ftl ftl(tiny_config());
-  const GcResult r = ftl.background_collect_once();
-  EXPECT_FALSE(r.collected);
+  const Ftl::GcStep r = ftl.background_collect_step(ftl.pages_per_block());
+  EXPECT_FALSE(r.progressed);
   EXPECT_EQ(ftl.background_reclaim(100), 0);
 }
 
@@ -150,7 +150,7 @@ TEST(Ftl, InvariantFreePlusValidPlusInvalidIsTotal) {
   Ftl ftl(tiny_config());
   for (int round = 0; round < 20; ++round) {
     for (Lba lba = 0; lba < 40; ++lba) ftl.write(lba);
-    ftl.background_collect_once();
+    ftl.background_collect_step(ftl.pages_per_block());
   }
   std::uint64_t free = 0, valid = 0, invalid = 0;
   for (std::uint32_t b = 0; b < ftl.nand().num_blocks(); ++b) {
@@ -186,8 +186,8 @@ TEST(Ftl, SipPenaltySteersVictimSelection) {
   // Mark block A's surviving pages soon-to-be-invalidated.
   ftl.set_sip_list({1, 2, 3, 4, 5, 6, 7});
 
-  const GcResult r = ftl.background_collect_once();
-  ASSERT_TRUE(r.collected);
+  const Ftl::GcStep r = ftl.background_collect_step(ftl.pages_per_block());
+  ASSERT_TRUE(r.progressed);
   // The SIP-heavy block lost the (otherwise tied) selection.
   EXPECT_TRUE(r.sip_filtered);
   EXPECT_EQ(ftl.stats().sip_filtered_selections, 1u);
@@ -207,11 +207,11 @@ TEST(Ftl, SipPenaltyYieldsWhenAlternativeTooExpensive) {
   ftl.write(8);                                      // one invalid page in B
   ftl.set_sip_list({7});                             // A's survivor is SIP
 
-  const GcResult r = ftl.background_collect_once();
-  ASSERT_TRUE(r.collected);
+  const Ftl::GcStep r = ftl.background_collect_step(ftl.pages_per_block());
+  ASSERT_TRUE(r.progressed);
   // Penalized score of A (1 + 2 = 3) still beats B (7): no filtering.
   EXPECT_FALSE(r.sip_filtered);
-  EXPECT_LE(r.migrated_pages, 3u);
+  EXPECT_LE(r.migrated, 3u);
 }
 
 TEST(Ftl, FullUserCapacityAlwaysFits) {

@@ -8,7 +8,8 @@
 // agree exactly:
 //   - the same blocks are erased in the same order (the victim sequence),
 //     and every background-GC call returns the same result;
-//   - the same NAND program and erase counts, and the same free pages;
+//   - the same NAND program and erase counts, the same free pages and the
+//     same number of static wear-leveling moves;
 //   - mapping(π(l)) in the relabelled run equals mapping(l) in the plain one.
 // No golden and no model is needed. A failure names a hidden dependence on
 // LBA order, such as a victim tie broken by LBA.
@@ -28,6 +29,7 @@ struct RelabelParam {
   VictimPolicyKind victim;
   bool hot_cold;
   bool sip_filter;
+  bool wear_level = false;
 
   std::string label() const {
     std::ostringstream out;
@@ -40,6 +42,7 @@ struct RelabelParam {
     }
     if (hot_cold) out << "_hotcold";
     if (sip_filter) out << "_sip";
+    if (wear_level) out << "_wl";
     return out.str();
   }
 };
@@ -73,6 +76,9 @@ class LbaRelabelTest : public ::testing::TestWithParam<RelabelParam> {
     cfg.victim_policy = GetParam().victim;
     cfg.enable_hot_cold_separation = GetParam().hot_cold;
     cfg.enable_sip_filter = GetParam().sip_filter;
+    cfg.enable_static_wear_leveling = GetParam().wear_level;
+    // Low enough that cold blocks move a few hundred times per run.
+    cfg.wl_spread_threshold = 4;
     return cfg;
   }
 
@@ -103,14 +109,12 @@ class LbaRelabelTest : public ::testing::TestWithParam<RelabelParam> {
         ftl.write(lba);
       } else if (roll < 0.96) {
         ftl.trim(lba);
-      } else if (roll < 0.97) {
-        const GcResult r = ftl.background_collect_once();
-        log.bgc.push_back(r.collected ? (std::uint64_t{r.victim_block} << 32) |
-                                            (std::uint64_t{r.migrated_pages} << 1) |
-                                            (r.sip_filtered ? 1 : 0)
-                                      : ~std::uint64_t{0});
       } else {
-        const auto max_pages = static_cast<std::uint32_t>(rng.uniform_range(1, 16));
+        // One background-GC call in four asks for a whole victim; the rest
+        // are partial steps.
+        const auto max_pages = roll < 0.97
+                                   ? ftl.pages_per_block()
+                                   : static_cast<std::uint32_t>(rng.uniform_range(1, 16));
         const Ftl::GcStep s = ftl.background_collect_step(max_pages);
         log.bgc.push_back((std::uint64_t{s.migrated} << 32) | (std::uint64_t{s.freed_pages} << 3) |
                           (s.progressed ? 4 : 0) | (s.erased ? 2 : 0) | (s.sip_filtered ? 1 : 0));
@@ -152,9 +156,14 @@ TEST_P(LbaRelabelTest, RelabelledRunMatchesExactly) {
   ASSERT_GT(a.erased.size(), 200u);
   EXPECT_GT(plain.stats().foreground_gc_cycles, 0u);
   EXPECT_GT(plain.stats().background_gc_cycles, 0u);
-  // FIFO scores by fill order alone, so the SIP penalty never moves it.
-  if (GetParam().sip_filter && GetParam().victim != VictimPolicyKind::kFifo) {
+  // FIFO and random scores ignore valid pages, so the SIP penalty never
+  // moves them.
+  if (GetParam().sip_filter && GetParam().victim != VictimPolicyKind::kFifo &&
+      GetParam().victim != VictimPolicyKind::kRandom) {
     EXPECT_GT(plain.stats().sip_filtered_selections, 0u);
+  }
+  if (GetParam().wear_level) {
+    EXPECT_GT(plain.stats().wear_level_moves, 0u);
   }
 
   ASSERT_EQ(a.erased.size(), b.erased.size());
@@ -167,6 +176,7 @@ TEST_P(LbaRelabelTest, RelabelledRunMatchesExactly) {
   EXPECT_EQ(plain.nand().stats().block_erases, relabelled.nand().stats().block_erases);
   EXPECT_EQ(plain.free_pages(), relabelled.free_pages());
   EXPECT_EQ(plain.stats().sip_filtered_selections, relabelled.stats().sip_filtered_selections);
+  EXPECT_EQ(plain.stats().wear_level_moves, relabelled.stats().wear_level_moves);
 
   for (Lba l = 0; l < user; ++l) {
     const nand::Ppa want = plain.mapping(l);
@@ -191,7 +201,18 @@ INSTANTIATE_TEST_SUITE_P(
                       RelabelParam{VictimPolicyKind::kFifo, false, false},
                       RelabelParam{VictimPolicyKind::kFifo, false, true},
                       RelabelParam{VictimPolicyKind::kFifo, true, false},
-                      RelabelParam{VictimPolicyKind::kFifo, true, true}),
+                      RelabelParam{VictimPolicyKind::kFifo, true, true},
+                      RelabelParam{VictimPolicyKind::kRandom, false, false},
+                      RelabelParam{VictimPolicyKind::kRandom, true, true},
+                      RelabelParam{VictimPolicyKind::kSampledGreedy, false, false},
+                      RelabelParam{VictimPolicyKind::kSampledGreedy, true, true},
+                      // Static wear leveling. FIFO is left out: collecting in
+                      // fill order wears blocks evenly, so it never moves any.
+                      RelabelParam{VictimPolicyKind::kGreedy, false, false, true},
+                      RelabelParam{VictimPolicyKind::kGreedy, true, true, true},
+                      RelabelParam{VictimPolicyKind::kCostBenefit, false, true, true},
+                      RelabelParam{VictimPolicyKind::kRandom, false, true, true},
+                      RelabelParam{VictimPolicyKind::kSampledGreedy, true, false, true}),
     [](const ::testing::TestParamInfo<RelabelParam>& info) { return info.param.label(); });
 
 }  // namespace

@@ -344,6 +344,10 @@ TEST(SweepCli, DefaultsRunTheFullFig7MatrixOnTheDefaultDevice) {
   expected.base = default_sim_config();
   EXPECT_EQ(sweep_fingerprint(opt->options, opt->cells),
             sweep_fingerprint(expected, paper_matrix_cells()));
+  // Checkpoints written before these two became constants must still resume.
+  EXPECT_NE(sweep_fingerprint(opt->options, opt->cells)
+                .find(" overwrite_factor=1 bgc_idle_detect_us=100000 "),
+            std::string::npos);
   EXPECT_EQ(opt->options.format, SweepFormat::kJsonl);
   EXPECT_FALSE(opt->options.base.frontend.enabled());
 }

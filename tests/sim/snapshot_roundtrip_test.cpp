@@ -197,17 +197,22 @@ TEST_F(SnapshotRobustnessTest, FormatVersionMismatchFallsBackCold) {
 }
 
 TEST_F(SnapshotRobustnessTest, PreviousFormatVersionFallsBackColdWithNamedWarning) {
-  // A v3 file still carries the mapping-cache blob in its FTL payload; it
-  // must be refused by version, before the payload is ever parsed.
-  std::string bytes = read_snap();
-  ASSERT_EQ(static_cast<unsigned char>(bytes[8]), kSnapshotFormatVersion);
-  bytes.replace(8, 4, std::string("\x03\x00\x00\x00", 4));
-  write_snap(bytes);
-  testing::internal::CaptureStderr();
-  expect_cold_fallback();
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("snapshot format version mismatch"), std::string::npos) << err;
-  EXPECT_NE(err.find("falling back to cold preconditioning"), std::string::npos) << err;
+  // Each older layout must be refused by version, before the payload is ever
+  // parsed: a v3 file still carries the mapping-cache blob in its FTL
+  // payload, a v4 file the BGC cycle-time EWMA in its Ssd payload. The cold
+  // fallback re-stores a current file, so every round starts from one.
+  for (std::uint32_t version = 3; version < kSnapshotFormatVersion; ++version) {
+    SCOPED_TRACE("format version " + std::to_string(version));
+    std::string bytes = read_snap();
+    ASSERT_EQ(static_cast<unsigned char>(bytes[8]), kSnapshotFormatVersion);
+    bytes.replace(8, 4, std::string{static_cast<char>(version), '\0', '\0', '\0'});
+    write_snap(bytes);
+    testing::internal::CaptureStderr();
+    expect_cold_fallback();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("snapshot format version mismatch"), std::string::npos) << err;
+    EXPECT_NE(err.find("falling back to cold preconditioning"), std::string::npos) << err;
+  }
 }
 
 TEST_F(SnapshotRobustnessTest, PayloadCorruptionFallsBackCold) {

@@ -46,7 +46,6 @@ TEST(Ssd, WriteBandwidthMatchesTiming) {
 TEST(Ssd, GcBandwidthStartsFromAnalyticPrior) {
   Ssd ssd(test_config());
   EXPECT_GT(ssd.gc_bandwidth_bps(), 0.0);
-  EXPECT_GT(ssd.estimated_bgc_cycle_time(), 0);
 }
 
 TEST(Ssd, GcEstimatesTrackRealCycles) {
@@ -57,8 +56,43 @@ TEST(Ssd, GcEstimatesTrackRealCycles) {
   for (int round = 0; round < 30; ++round) {
     for (Lba lba = 0; lba < 8; ++lba) ssd.write_page(lba);
   }
-  for (int i = 0; i < 10; ++i) ssd.bgc_collect_once();
+  for (int i = 0; i < 10; ++i) ssd.bgc_collect_step(ssd.ftl().pages_per_block());
   EXPECT_NE(ssd.gc_bandwidth_bps(), prior);
+}
+
+TEST(Ssd, GcBandwidthUpdatesOncePerVictimFromItsSummedSteps) {
+  Ssd ssd(test_config());
+  // Blocks A (LBAs 0-7) and B (8-15) fill up; rewriting 0-2 leaves A with 5
+  // valid pages, the only block with anything to reclaim.
+  for (Lba lba = 0; lba < 16; ++lba) ssd.write_page(lba);
+  for (Lba lba = 0; lba < 3; ++lba) ssd.write_page(lba);
+  const double prior = ssd.gc_bandwidth_bps();
+
+  // One page per step: four partial steps, then the fifth migrates the last
+  // valid page and erases A.
+  std::uint64_t migrated = 0;
+  TimeUs time = 0;
+  for (int i = 0; i < 4; ++i) {
+    const ftl::Ftl::GcStep step = ssd.bgc_collect_step(1);
+    ASSERT_TRUE(step.progressed);
+    ASSERT_FALSE(step.erased);
+    migrated += step.migrated;
+    time += step.time_us;
+    EXPECT_EQ(ssd.gc_bandwidth_bps(), prior) << "partial step " << i;
+  }
+  const ftl::Ftl::GcStep last = ssd.bgc_collect_step(1);
+  ASSERT_TRUE(last.erased);
+  migrated += last.migrated;
+  time += last.time_us;
+  EXPECT_EQ(migrated, 5u);
+  const auto& timing = test_config().ftl.timing;
+  EXPECT_EQ(time, 4 * ssd.scale(timing.migrate_cost()) +
+                      ssd.scale(timing.migrate_cost() + timing.block_erase_us));
+
+  // One EWMA update (alpha 0.05) with the net pages (8 freed - 5 migrated)
+  // over the summed service time of all five steps.
+  const double sample_bps = 3.0 * 4096.0 / (static_cast<double>(time) / 1e6);
+  EXPECT_DOUBLE_EQ(ssd.gc_bandwidth_bps(), 0.95 * prior + 0.05 * sample_bps);
 }
 
 TEST(Ssd, ExtendedInterfaceChargesOverhead) {

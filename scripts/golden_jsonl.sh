@@ -32,6 +32,9 @@ CASES=(
   "ssd_ycsb_jit_nosip|cli|--workload=ycsb --policy=jit --no-sip --seconds=20"
   "ssd_tpcc_lazy|cli|--workload=tpcc --policy=lazy --seconds=20"
   "ssd_spo|cli|--workload=ycsb --policy=jit --spo-at=5 --spo-every=5 --seconds=20"
+  # A power cut while the device is aged: write 150000 falls inside the
+  # footprint fill, before the scramble.
+  "ssd_spo_precondition|cli|--workload=ycsb --policy=jit --spo-precondition-writes=150000 --seconds=20"
   "ssd_fault|cli|--workload=ycsb --policy=aggressive --fault-program=0.00002 --spare-blocks=16 --seconds=20"
   "ssd_fault_worn_out|cli|--workload=ycsb --policy=aggressive --fault-program=0.0001 --spare-blocks=16 --seconds=20"
   # Cost-benefit victims, hot/cold write streams and mapping checkpoints.

@@ -11,7 +11,12 @@
 //
 // Emits one JSONL bench record per cell; when a baseline JSONL (a previous
 // invocation's output, committed under bench/baselines/) is supplied, also a
-// bench_summary per cell with the current/baseline throughput ratio.
+// bench_summary per cell with the current/baseline throughput ratio. The
+// record splits the cell's wall time at the workload's first next() call:
+// `setup_s` is construction plus preconditioning, and `ns_per_op` is the
+// measured run (report assembly included) per completed op, the boundary
+// perfbench times at. `wall_s` and `ops_per_sec` still span the whole cell,
+// which is what the baseline ratio compares.
 // scripts/bench_smoke.sh validates the records and gates the array ratio
 // against a budget floor.
 //
@@ -22,6 +27,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "array/array_simulator.h"
@@ -34,38 +40,68 @@ namespace {
 
 using namespace jitgc;
 
+using Clock = std::chrono::steady_clock;
+
 struct Measurement {
   std::uint64_t ops = 0;
   double wall_s = 0.0;
   double ops_per_sec = 0.0;
+  double setup_s = 0.0;
+  double ns_per_op = 0.0;
 };
 
+/// Forwards a generator and stamps its first next() call: the simulators
+/// ask for the first op only once preconditioning is done.
+class FirstNextStamp final : public wl::WorkloadGenerator {
+ public:
+  FirstNextStamp(wl::WorkloadGenerator& inner, std::optional<Clock::time_point>& stamp)
+      : inner_(inner), stamp_(stamp) {}
+  std::string name() const override { return inner_.name(); }
+  std::optional<wl::AppOp> next() override {
+    if (!stamp_) stamp_ = Clock::now();
+    return inner_.next();
+  }
+  Lba footprint_pages() const override { return inner_.footprint_pages(); }
+  Lba working_set_pages() const override { return inner_.working_set_pages(); }
+
+ private:
+  wl::WorkloadGenerator& inner_;
+  std::optional<Clock::time_point>& stamp_;
+};
+
+/// Times one cell; `run` receives the first-next() stamp to wrap its
+/// generator with.
 template <typename Run>
 Measurement timed(Run&& run) {
-  using Clock = std::chrono::steady_clock;
+  std::optional<Clock::time_point> first_next;
   const auto start = Clock::now();
-  const sim::SimReport report = run();
-  const auto elapsed = Clock::now() - start;
+  const sim::SimReport report = run(first_next);
+  const auto end = Clock::now();
+  JITGC_ENSURE_MSG(first_next.has_value(), "the measured run never asked for an op");
   Measurement m;
   m.ops = report.ops_completed;
-  m.wall_s = std::chrono::duration<double>(elapsed).count();
+  m.wall_s = std::chrono::duration<double>(end - start).count();
   m.ops_per_sec = static_cast<double>(m.ops) / m.wall_s;
+  m.setup_s = std::chrono::duration<double>(*first_next - start).count();
+  m.ns_per_op = std::chrono::duration<double, std::nano>(end - *first_next).count() /
+                static_cast<double>(m.ops);
   return m;
 }
 
 Measurement run_single(double sim_seconds) {
-  return timed([&] {
+  return timed([&](std::optional<Clock::time_point>& first_next) {
     sim::SimConfig config = sim::default_sim_config(1);
     config.duration = seconds(sim_seconds);
     sim::Simulator simulator(config);
     wl::SyntheticWorkload gen(wl::ycsb_spec(), simulator.ssd().ftl().user_pages(), config.seed);
+    FirstNextStamp stamped(gen, first_next);
     const auto policy = sim::make_policy(sim::PolicyKind::kJit, config);
-    return simulator.run(gen, *policy);
+    return simulator.run(stamped, *policy);
   });
 }
 
 Measurement run_array(double sim_seconds) {
-  return timed([&] {
+  return timed([&](std::optional<Clock::time_point>& first_next) {
     const sim::SimConfig base = sim::default_sim_config(1);
     array::ArraySimConfig config;
     config.ssd = base.ssd;
@@ -84,7 +120,8 @@ Measurement run_array(double sim_seconds) {
     wl::WorkloadSpec spec = wl::ycsb_spec();
     spec.ops_per_sec *= 0.30;
     wl::SyntheticWorkload gen(spec, simulator.ssd_array().user_pages(), config.seed);
-    return simulator.run(gen);
+    FirstNextStamp stamped(gen, first_next);
+    return simulator.run(stamped);
   });
 }
 
@@ -145,8 +182,10 @@ void report_cell(const char* config, Measurement (*run)(double), double sim_seco
   const Measurement m = run(sim_seconds);
   std::printf(
       "{\"type\":\"bench\",\"name\":\"sim_throughput\",\"config\":\"%s\","
-      "\"sim_seconds\":%g,\"ops\":%llu,\"wall_s\":%.3f,\"ops_per_sec\":%.1f}\n",
-      config, sim_seconds, static_cast<unsigned long long>(m.ops), m.wall_s, m.ops_per_sec);
+      "\"sim_seconds\":%g,\"ops\":%llu,\"wall_s\":%.3f,\"ops_per_sec\":%.1f,"
+      "\"setup_s\":%.4f,\"ns_per_op\":%.1f}\n",
+      config, sim_seconds, static_cast<unsigned long long>(m.ops), m.wall_s, m.ops_per_sec,
+      m.setup_s, m.ns_per_op);
   const auto it = baseline.find(config);
   if (it != baseline.end()) {
     // Same simulated duration as the recording means the deterministic

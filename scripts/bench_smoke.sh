@@ -455,7 +455,8 @@ if [ -n "${SIM_THROUGHPUT_BIN:-}" ]; then
 import json
 import sys
 
-BENCH_FIELDS = {"type", "name", "config", "sim_seconds", "ops", "wall_s", "ops_per_sec"}
+BENCH_FIELDS = {"type", "name", "config", "sim_seconds", "ops", "wall_s", "ops_per_sec",
+                "setup_s", "ns_per_op"}
 SUMMARY_FIELDS = {"type", "name", "config", "baseline_ops_per_sec", "ratio"}
 
 ops_per_sec = {}  # config -> ops/sec
@@ -470,6 +471,8 @@ with open(sys.argv[1]) as f:
                 sys.exit(f"line {lineno}: unexpected bench name {rec['name']!r}")
             if rec["ops_per_sec"] <= 0:
                 sys.exit(f"line {lineno}: non-positive ops_per_sec")
+            if not 0 < rec["setup_s"] < rec["wall_s"] or rec["ns_per_op"] <= 0:
+                sys.exit(f"line {lineno}: setup_s outside (0, wall_s) or non-positive ns_per_op")
             ops_per_sec[rec["config"]] = rec["ops_per_sec"]
         elif rec["type"] == "bench_summary":
             if set(rec) != SUMMARY_FIELDS:

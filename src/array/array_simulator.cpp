@@ -48,26 +48,20 @@ ArraySimulator::ArraySimulator(const ArraySimConfig& config)
 }
 
 void ArraySimulator::precondition(Lba footprint, Lba ws) {
-  // Each slot device ages independently: its share of the striped footprint
-  // (including mirror copies and parity chunks under a redundant layout) is
-  // a contiguous device-local prefix, and the scramble draws from its share
-  // of the working set with a per-slot derived seed. Tasks touch only their
-  // own device, so the fan-out is deterministic regardless of thread count.
-  // Hot spares stay factory-fresh — they idle outside the volume.
+  // Each slot device ages independently through sim::age_device: its share
+  // of the striped footprint (including mirror copies and parity chunks
+  // under a redundant layout) is a contiguous device-local prefix, and the
+  // scramble draws from its share of the working set with a per-slot
+  // derived seed. Tasks touch only their own device, so the fan-out is
+  // deterministic regardless of thread count. Hot spares stay
+  // factory-fresh — they idle outside the volume.
   const RedundancyLayout& layout = array_.layout();
   pool_.parallel_for(array_.device_count(), [&](std::size_t d) {
     const auto slot = static_cast<std::uint32_t>(d);
     ftl::Ftl& ftl = array_.device_at_slot(slot).mutable_ftl();
-    const Lba fill = layout.fill_pages_on_slot(footprint, slot);
-    for (Lba lba = 0; lba < fill; ++lba) ftl.write(lba);
-
-    const Lba ws_d = layout.fill_pages_on_slot(ws, slot);
-    if (ws_d > 0) {
-      Rng rng(derive_seed(config_.seed ^ 0xA6E5C0DE, d));
-      const auto overwrites = static_cast<std::uint64_t>(sim::kPreconditionOverwriteFactor *
-                                                         static_cast<double>(ws_d));
-      for (std::uint64_t i = 0; i < overwrites; ++i) ftl.write(rng.uniform(ws_d));
-    }
+    Rng rng(derive_seed(config_.seed ^ 0xA6E5C0DE, d));
+    sim::age_device(ftl, layout.fill_pages_on_slot(footprint, slot),
+                    layout.fill_pages_on_slot(ws, slot), rng);
 
     // Rest the device: aging leaves free space at rock bottom, and the array
     // coordinator only acts at flush ticks — without a restored OP reserve the

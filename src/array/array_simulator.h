@@ -190,6 +190,9 @@ class ArraySimulator {
     bool worn_out = false;  ///< the device died collecting (handled post-barrier)
   };
 
+  /// Ages every slot device cold, in parallel: sim::age_device() on the
+  /// slot's share of the footprint and working set with a per-slot seed,
+  /// then a background-GC rest back to the OP reserve.
   void precondition(Lba footprint, Lba ws);
   /// Everything that determines the post-precondition array state (the
   /// per-device fingerprint fields plus the stripe/redundancy shape).

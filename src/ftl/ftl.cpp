@@ -399,6 +399,72 @@ TimeUs Ftl::write(Lba lba) {
   return cost;
 }
 
+TimeUs Ftl::fill(Lba first, Lba count) {
+  JITGC_ENSURE_MSG(first <= user_pages_ && count <= user_pages_ - first,
+                   "fill beyond user capacity");
+  const Lba end = first + count;
+  TimeUs cost = 0;
+  // A run may start only right after a write() that drew no fault decision
+  // and made no wear-leveling move. The run then changes nothing but its own
+  // open block, which the wear-leveling spread check excludes, so the check
+  // write() would run after each page of the run finds what it found after
+  // that write: nothing to move.
+  bool run_ok = false;
+  Lba lba = first;
+  while (lba < end) {
+    if (run_ok) {
+      run_ok = false;
+      const Lba n = fill_run(lba, end);
+      if (n > 0) {
+        lba += n;
+        cost += static_cast<TimeUs>(n) * config_.timing.program_cost();
+        continue;
+      }
+    }
+    const std::uint64_t moves = stats_.wear_level_moves;
+    cost += write(lba++);
+    run_ok = !config_.fault.enabled() && stats_.wear_level_moves == moves;
+  }
+  return cost;
+}
+
+Lba Ftl::fill_run(Lba lba, Lba end) {
+  // write() puts an unmapped LBA on the cold stream under hot/cold
+  // separation unless its recency calls it hot; runs keep to cold LBAs.
+  const bool separate = config_.enable_hot_cold_separation;
+  const std::uint32_t active = separate ? user_active_cold_ : user_active_;
+  if (active == kNoBlock) return 0;
+  const Lba room = std::min<Lba>(nand_.block(active).free_count(), end - lba);
+  Lba n = 0;
+  for (; n < room; ++n) {
+    if (map_[lba + n] != kNoPpa) break;
+    if (separate) {
+      // write() classifies at its sequence number before the increment.
+      const std::uint64_t last = lba_last_write_seq_[lba + n];
+      if (last != 0 && write_seq_ + n - last < hot_window_) break;
+    }
+  }
+  if (n == 0) return 0;
+
+  const std::uint64_t first_seq = write_seq_ + 1;
+  const std::uint32_t first_page =
+      nand_.program_run(active, lba, static_cast<std::uint32_t>(n), first_seq);
+  const bool any_sip = !sip_.empty();
+  for (Lba i = 0; i < n; ++i) {
+    map_[lba + i] = codec_.pack(nand::Ppa{active, first_page + static_cast<std::uint32_t>(i)});
+    if (any_sip && sip_.contains(lba + i)) ++block_sip_count_[active];
+    if (separate) lba_last_write_seq_[lba + i] = first_seq + i;
+  }
+  write_seq_ += n;
+  note_program(active);
+  JITGC_ENSURE(free_pages_ >= n);
+  free_pages_ -= n;
+  valid_pages_ += n;
+  stats_.host_pages_written += n;
+  refresh_block_index(active);
+  return n;
+}
+
 TimeUs Ftl::read(Lba lba) const {
   JITGC_ENSURE_MSG(lba < user_pages_, "LBA beyond user capacity");
   const std::uint32_t entry = map_[lba];
@@ -669,19 +735,8 @@ TimeUs Ftl::maybe_static_wear_level() {
   const VictimIndex::Excluded excl{user_active_, user_active_cold_, gc_active_};
   const std::uint32_t coldest = index_.select_coldest_full(excl).block;
   if (config_.verify_victim_selection) {
-    std::uint32_t ref = kNoBlock;
-    std::uint64_t ref_wear = std::numeric_limits<std::uint64_t>::max();
-    for (std::uint32_t b = 0; b < nand_.num_blocks(); ++b) {
-      if (b == user_active_ || b == user_active_cold_ || b == gc_active_) continue;
-      if (block_health_[b] != BlockHealth::kGood) continue;
-      const nand::Block& blk = nand_.block(b);
-      if (!blk.is_full() || blk.valid_count() != blk.pages_per_block()) continue;
-      if (blk.erase_count() < ref_wear) {
-        ref_wear = blk.erase_count();
-        ref = b;
-      }
-    }
-    JITGC_ENSURE_MSG(coldest == ref, "wear-level tracker diverged from the reference scan");
+    JITGC_ENSURE_MSG(coldest == coldest_full_reference(),
+                     "wear-level tracker diverged from the reference scan");
   }
   if (coldest == kNoBlock) return 0;
   const std::uint64_t coldest_wear = nand_.block(coldest).erase_count();
@@ -705,6 +760,114 @@ TimeUs Ftl::maybe_static_wear_level() {
   cost += config_.timing.block_erase_us;
   ++stats_.wear_level_moves;
   return cost;
+}
+
+std::uint32_t Ftl::coldest_full_reference() const {
+  std::uint32_t coldest = kNoBlock;
+  std::uint64_t coldest_wear = std::numeric_limits<std::uint64_t>::max();
+  for (std::uint32_t b = 0; b < nand_.num_blocks(); ++b) {
+    if (b == user_active_ || b == user_active_cold_ || b == gc_active_) continue;
+    if (block_health_[b] != BlockHealth::kGood) continue;
+    const nand::Block& blk = nand_.block(b);
+    if (!blk.is_full() || blk.valid_count() != blk.pages_per_block()) continue;
+    if (blk.erase_count() < coldest_wear) {
+      coldest_wear = blk.erase_count();
+      coldest = b;
+    }
+  }
+  return coldest;
+}
+
+std::vector<std::uint32_t> Ftl::recount_sip_pages() const {
+  std::vector<std::uint32_t> count(nand_.num_blocks(), 0);
+  for (const Lba lba : sip_.sorted()) {
+    if (lba >= user_pages_) continue;
+    const std::uint32_t entry = map_[lba];
+    if (entry != kNoPpa) ++count[codec_.block(entry)];
+  }
+  return count;
+}
+
+void Ftl::check_invariants() const {
+  const std::uint32_t nblocks = nand_.num_blocks();
+  const std::uint32_t ppb = config_.geometry.pages_per_block;
+  std::vector<std::uint8_t> is_spare(nblocks, 0);
+  for (const std::uint32_t b : spare_pool_) is_spare[b] = 1;
+
+  // Page economy and per-block valid counts, recounted from page states.
+  // Spares and retired blocks are wholly offline; a grown-bad block keeps
+  // its valid pages on the books until retirement moves them out.
+  std::uint64_t free = 0;
+  std::uint64_t valid = 0;
+  std::uint64_t invalid = 0;
+  std::uint64_t offline = 0;
+  for (std::uint32_t b = 0; b < nblocks; ++b) {
+    const nand::Block& blk = nand_.block(b);
+    std::uint32_t v = 0;
+    for (std::uint32_t p = 0; p < ppb; ++p) v += blk.page_state(p) == nand::PageState::kValid;
+    JITGC_ENSURE_MSG(v == blk.valid_count(),
+                     "invariant: a block's valid count differs from a recount of its pages");
+    if (block_health_[b] == BlockHealth::kRetired || is_spare[b]) {
+      offline += ppb;
+    } else if (block_health_[b] == BlockHealth::kGrownBad) {
+      valid += v;
+      offline += ppb - v;
+    } else {
+      valid += v;
+      free += blk.free_count();
+      invalid += blk.invalid_count();
+    }
+  }
+  // invalid_pages() is the total less the other three counters, so this
+  // also checks that the four add up to the device's pages.
+  JITGC_ENSURE_MSG(free == free_pages_ && valid == valid_pages_ && offline == offline_pages_ &&
+                       invalid == invalid_pages(),
+                   "invariant: free + valid + invalid + offline pages differ from a recount");
+
+  // L2P against OOB: each mapped LBA's page is valid and names the LBA, so
+  // mapped LBAs pick distinct valid pages; as many of them as there are
+  // valid pages leaves no valid page unmapped.
+  std::uint64_t mapped = 0;
+  for (Lba lba = 0; lba < user_pages_; ++lba) {
+    const std::uint32_t entry = map_[lba];
+    if (entry == kNoPpa) continue;
+    ++mapped;
+    const nand::Ppa ppa = codec_.unpack(entry);
+    const nand::Block& blk = nand_.block(ppa.block);
+    JITGC_ENSURE_MSG(
+        blk.page_state(ppa.page) == nand::PageState::kValid && blk.page_lba(ppa.page) == lba,
+        "invariant: an L2P entry maps to a page that is not valid or whose OOB names another LBA");
+  }
+  JITGC_ENSURE_MSG(mapped == valid, "invariant: a valid page is not the one its OOB LBA maps to");
+
+  JITGC_ENSURE_MSG(recount_sip_pages() == block_sip_count_,
+                   "invariant: a block's SIP count differs from a recount");
+
+  const VictimChoice indexed = select_victim_indexed();
+  const VictimChoice reference = select_victim_reference();
+  JITGC_ENSURE_MSG(
+      indexed.block == reference.block && indexed.sip_filtered == reference.sip_filtered,
+      "invariant: the victim index disagrees with the reference scan");
+  flush_victim_index_wl();
+  const VictimIndex::Excluded excl{user_active_, user_active_cold_, gc_active_};
+  JITGC_ENSURE_MSG(index_.select_coldest_full(excl).block == coldest_full_reference(),
+                   "invariant: the wear-level tracker disagrees with the reference scan");
+
+  // The free pool: each erased, in-service, unopened block once, keyed by
+  // its erase count (the key orders the least-worn-first allocation).
+  std::vector<std::uint8_t> pooled(nblocks, 0);
+  for (const auto& [erases, b] : free_pool_) {
+    JITGC_ENSURE_MSG(b < nblocks && !pooled[b] && erases == nand_.block(b).erase_count(),
+                     "invariant: a free-pool entry is a repeat or is keyed off its erase count");
+    pooled[b] = 1;
+  }
+  for (std::uint32_t b = 0; b < nblocks; ++b) {
+    const bool open = b == user_active_ || b == user_active_cold_ || b == gc_active_;
+    const bool belongs = block_health_[b] == BlockHealth::kGood && !is_spare[b] &&
+                         nand_.block(b).is_erased() && !open;
+    JITGC_ENSURE_MSG(static_cast<bool>(pooled[b]) == belongs,
+                     "invariant: the free pool is not exactly the erased in-service blocks");
+  }
 }
 
 namespace {

@@ -158,6 +158,30 @@ class Ftl {
   /// at the watermark; that stall time is included in the returned cost.
   TimeUs write(Lba lba);
 
+  /// Writes LBAs [first, first + count) in ascending order, leaving exactly
+  /// the state, stats and summed cost of one write() per LBA (preconditioning
+  /// fills a device this way). An unmapped LBA that lands on an open block
+  /// behind a write() is programmed with the rest of its run in one NAND
+  /// program run, and the map, stats and victim index are updated once per
+  /// run. write() itself takes the page at each block boundary, every page
+  /// with fault injection configured (each draws its own fault decision),
+  /// every LBA already mapped, every LBA hot/cold separation calls hot, and
+  /// the page after a write that made a static wear-leveling move.
+  TimeUs fill(Lba first, Lba count);
+
+  /// Prefetch hints for an upcoming write(lba), with no effect on state:
+  /// prefetch_mapping() touches its L2P entry (and recency slot); once that
+  /// has landed, prefetch_old_page() touches the page it maps to, which the
+  /// write will invalidate.
+  void prefetch_mapping(Lba lba) const {
+    __builtin_prefetch(&map_[lba]);
+    if (!lba_last_write_seq_.empty()) __builtin_prefetch(&lba_last_write_seq_[lba]);
+  }
+  void prefetch_old_page(Lba lba) const {
+    const std::uint32_t entry = map_[lba];
+    if (entry != kNoPpa) nand_.prefetch_page(codec_.unpack(entry));
+  }
+
   /// Reads one page. Unmapped LBAs cost a transfer only (device returns zeros).
   /// The page's OOB LBA must be `lba` ("mapping/OOB disagreement" otherwise).
   TimeUs read(Lba lba) const;
@@ -320,6 +344,25 @@ class Ftl {
   /// Write amplification factor: NAND page programs / host page writes.
   double waf() const;
 
+  /// Per-block count of SIP LBAs mapped to the block, recounted from scratch
+  /// through the SIP index and the L2P map (the oracle for
+  /// block_sip_count(), sharing nothing with its incremental upkeep).
+  std::vector<std::uint32_t> recount_sip_pages() const;
+
+  /// Checks the FTL's bookkeeping against a recount from the media and the
+  /// tables, and throws std::logic_error naming the first check that fails:
+  ///  * free, valid, invalid and offline pages each match a recount from the
+  ///    blocks' states, and together make the device's total pages;
+  ///  * every mapped LBA's page is valid and carries the LBA in its OOB, and
+  ///    every valid page is the one its OOB LBA maps to;
+  ///  * each block's valid count and SIP count match a recount;
+  ///  * the victim index picks what the reference scan picks (victim and
+  ///    wear-leveling source);
+  ///  * the free pool holds exactly the erased in-service blocks that no
+  ///    stream has open, each keyed by its real erase count.
+  /// O(total pages + user pages); meant for tests and debugging.
+  void check_invariants() const;
+
   static constexpr std::uint32_t kNoBlock = nand::PpaCodec::kNoBlock;
 
   /// A failed program is retried on a fresh block at most this many times
@@ -430,6 +473,14 @@ class Ftl {
   /// Post-program bookkeeping: recency touch + fill-sequence stamp.
   void note_program(std::uint32_t block_id);
   TimeUs maybe_static_wear_level();
+  /// Reference scan for the static wear-leveling source: the least-worn
+  /// fully-valid good block no stream has open (kNoBlock when none).
+  std::uint32_t coldest_full_reference() const;
+  /// One bulk run of fill(): programs LBAs from `lba` (below `end`) into the
+  /// open block an unmapped cold LBA's write() would use, stopping at that
+  /// block's end or at the first LBA write() would treat differently.
+  /// Returns the pages programmed (0 when no run can start here).
+  Lba fill_run(Lba lba, Lba end);
 
   /// Valid count after the SIP penalty, shared by the index and the
   /// reference scan so both re-score a candidate identically.

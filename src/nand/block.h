@@ -126,17 +126,20 @@ class Block {
   /// programmed page index.
   std::uint32_t program(Lba lba, std::uint64_t seq = 0, std::uint64_t stamp = 0) {
     JITGC_ENSURE_MSG(!is_full(), "programming a full block");
-    JITGC_ENSURE_MSG(lba < PageOob::kNoLba, "LBA does not fit the 32-bit OOB record");
-    JITGC_ENSURE_MSG(seq < PageOob::kStampLimit,
-                     "program sequence does not fit the 48-bit OOB field");
-    JITGC_ENSURE_MSG(stamp < PageOob::kStampLimit,
-                     "content stamp does not fit the 48-bit OOB field");
-    const std::uint32_t page = write_ptr_++;
-    JITGC_ENSURE(states_[page] == PageState::kFree);
-    states_[page] = PageState::kValid;
-    oob_[page] = PageOob::programmed(static_cast<std::uint32_t>(lba), seq, stamp);
-    ++valid_count_;
-    return page;
+    return store(lba, seq, stamp);
+  }
+
+  /// Programs the next `count` pages in one run: page i of the run holds
+  /// `first_lba + i` with program sequence and content stamp `first_seq + i`
+  /// (a host write's stamps). State-identical to `count` program() calls,
+  /// with the same per-page checks. Returns the run's first page index.
+  std::uint32_t program_run(Lba first_lba, std::uint32_t count, std::uint64_t first_seq) {
+    JITGC_ENSURE_MSG(count <= free_count(), "programming past the end of the block");
+    const std::uint32_t first = write_ptr_;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      store(first_lba + i, first_seq + i, first_seq + i);
+    }
+    return first;
   }
 
   /// Records a failed program: the page is consumed (the program pulse ran
@@ -225,6 +228,23 @@ class Block {
   }
 
  private:
+  /// Programs the write pointer's page: checks that it is free and that the
+  /// values fit the OOB record, writes its state and record, and advances
+  /// the write pointer. Returns the page index.
+  std::uint32_t store(Lba lba, std::uint64_t seq, std::uint64_t stamp) {
+    JITGC_ENSURE_MSG(lba < PageOob::kNoLba, "LBA does not fit the 32-bit OOB record");
+    JITGC_ENSURE_MSG(seq < PageOob::kStampLimit,
+                     "program sequence does not fit the 48-bit OOB field");
+    JITGC_ENSURE_MSG(stamp < PageOob::kStampLimit,
+                     "content stamp does not fit the 48-bit OOB field");
+    const std::uint32_t page = write_ptr_++;
+    JITGC_ENSURE(states_[page] == PageState::kFree);
+    states_[page] = PageState::kValid;
+    oob_[page] = PageOob::programmed(static_cast<std::uint32_t>(lba), seq, stamp);
+    ++valid_count_;
+    return page;
+  }
+
   PageState* states_ = nullptr;
   PageOob* oob_ = nullptr;
   std::uint32_t pages_ = 0;

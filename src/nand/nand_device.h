@@ -99,6 +99,29 @@ class NandDevice {
     return ProgramResult{NandStatus::kOk, Ppa{block_id, page}};
   }
 
+  /// Host-programs the next `count` pages of `block_id` in one run (see
+  /// Block::program_run): the stats and latency of `count` program_page()
+  /// calls with seq == stamp. Only a device without fault injection can
+  /// take it, since every page there would draw its own fault decision.
+  /// Returns the run's first page index.
+  std::uint32_t program_run(std::uint32_t block_id, Lba first_lba, std::uint32_t count,
+                            std::uint64_t first_seq) {
+    JITGC_ENSURE_MSG(!faults_, "a program run cannot draw per-page fault decisions");
+    Block& blk = blocks_.at(block_id);
+    const std::uint32_t first = blk.program_run(first_lba, count, first_seq);
+    stats_.page_programs += count;
+    stats_.busy_time_us += static_cast<TimeUs>(count) * timing_.program_cost();
+    return first;
+  }
+
+  /// Prefetch hint for an upcoming invalidation of `ppa`: its state byte
+  /// and its block's bookkeeping. No effect on state.
+  void prefetch_page(const Ppa& ppa) const {
+    __builtin_prefetch(&blocks_[ppa.block]);
+    __builtin_prefetch(&state_arena_[static_cast<std::size_t>(ppa.block) * geom_.pages_per_block +
+                                     ppa.page]);
+  }
+
   /// Records a program pulse torn by sudden power-off at `block_id`'s open
   /// write frontier (the block must not be full). No latency: power is
   /// already gone. Returns the torn page.

@@ -1,6 +1,7 @@
 #include "sim/run_harness.h"
 
 #include <algorithm>
+#include <array>
 #include <exception>
 
 #include "common/ensure.h"
@@ -29,6 +30,41 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
+
+void age_device(ftl::Ftl& ftl, Lba footprint, Lba ws, Rng& rng,
+                std::uint64_t spo_after_writes) {
+  const std::uint64_t cut = spo_after_writes;
+  if (cut > 0 && cut <= footprint) {
+    ftl.fill(0, cut);
+    ftl.sudden_power_off();
+    ftl.fill(cut, footprint - cut);
+  } else {
+    ftl.fill(0, footprint);
+  }
+
+  // Overwrite i is the device's write number footprint + i + 1. Its LBA is
+  // drawn kLookahead overwrites early, when its L2P entry is prefetched;
+  // the page that entry maps to is prefetched one overwrite early, once the
+  // entry has landed.
+  constexpr std::uint64_t kLookahead = 4;
+  const auto overwrites =
+      static_cast<std::uint64_t>(kPreconditionOverwriteFactor * static_cast<double>(ws));
+  std::array<Lba, kLookahead> ahead{};
+  for (std::uint64_t i = 0; i < std::min(kLookahead, overwrites); ++i) {
+    ahead[i] = rng.uniform(ws);
+    ftl.prefetch_mapping(ahead[i]);
+  }
+  for (std::uint64_t i = 0; i < overwrites; ++i) {
+    const Lba lba = ahead[i % kLookahead];
+    if (i + kLookahead < overwrites) {
+      ahead[i % kLookahead] = rng.uniform(ws);
+      ftl.prefetch_mapping(ahead[i % kLookahead]);
+    }
+    if (i + 1 < overwrites) ftl.prefetch_old_page(ahead[(i + 1) % kLookahead]);
+    ftl.write(lba);
+    if (footprint + i + 1 == cut) ftl.sudden_power_off();
+  }
+}
 
 void RunHarness::bind_frontend(wl::WorkloadGenerator& workload) {
   frontend_ = dynamic_cast<frontend::HostFrontend*>(&workload);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "ftl/ftl.h"
 #include "sim/metrics.h"
@@ -36,6 +37,21 @@ class MetricsSink;
 /// as a multiple of the working-set size.
 inline constexpr double kPreconditionOverwriteFactor = 1.0;
 
+/// Ages one device the way both simulators precondition it. The fill writes
+/// LBAs [0, footprint) in order, so every LBA the workload may touch holds
+/// valid data (an aged device, the enterprise measurement norm). The
+/// scramble then makes kPreconditionOverwriteFactor × `ws` overwrites of
+/// LBAs drawn uniformly from [0, ws) by `rng`, which mixes hot and cold
+/// pages within blocks so GC victims have realistic valid counts. With
+/// `spo_after_writes` > 0, power is cut silently right after that many
+/// writes, fill and scramble counted together.
+///
+/// The state left is exactly that of one Ftl::write() per write: the fill
+/// goes through Ftl::fill(), and the scramble draws a few LBAs ahead (in
+/// the same RNG order) to prefetch what their writes will touch.
+void age_device(ftl::Ftl& ftl, Lba footprint, Lba ws, Rng& rng,
+                std::uint64_t spo_after_writes = 0);
+
 /// The device-specific steps of establishing the post-precondition state.
 /// `footprint` and `ws` are the workload's footprint and working set, in
 /// pages, clamped to the user capacity.
@@ -46,7 +62,7 @@ struct PreconditionSteps {
   std::function<void(BinaryReader&)> restore;
   /// Rebuilds factory-fresh devices after a failed, half-applied restore.
   std::function<void()> reset;
-  /// The cold fill-and-scramble.
+  /// The cold fill-and-scramble (age_device() on each device).
   std::function<void(Lba footprint, Lba ws)> precondition;
   std::function<void(BinaryWriter&)> save;
 };

@@ -37,35 +37,11 @@ Simulator::Simulator(const SimConfig& config)
 }
 
 void Simulator::precondition(Lba footprint, Lba ws) {
-  ftl::Ftl& ftl = ssd_.mutable_ftl();
-
-  // Mid-precondition power cut (spo_precondition_after_writes): silent —
+  // A mid-precondition power cut (spo_precondition_after_writes) is silent —
   // state only, no metrics — so a warm restore of the same fingerprint
   // reproduces a cold run's output byte-for-byte.
-  std::uint64_t writes_until_spo = config_.spo_precondition_after_writes;
-  const auto count_write = [&] {
-    if (writes_until_spo == 0 || --writes_until_spo > 0) return;
-    ssd_.sudden_power_off();
-  };
-
-  // Fill phase: every LBA the workload may touch holds valid data (an aged
-  // device, the enterprise measurement norm).
-  for (Lba lba = 0; lba < footprint; ++lba) {
-    ftl.write(lba);
-    count_write();
-  }
-
-  // Scramble phase: random overwrites of the hot working set mix hot and
-  // cold pages within blocks, so GC victims have realistic valid counts.
-  if (ws > 0) {
-    Rng rng(config_.seed ^ 0xA6E5C0DE);
-    const auto overwrites =
-        static_cast<std::uint64_t>(kPreconditionOverwriteFactor * static_cast<double>(ws));
-    for (std::uint64_t i = 0; i < overwrites; ++i) {
-      ftl.write(rng.uniform(ws));
-      count_write();
-    }
-  }
+  Rng rng(config_.seed ^ 0xA6E5C0DE);
+  age_device(ssd_.mutable_ftl(), footprint, ws, rng, config_.spo_precondition_after_writes);
 }
 
 TimeUs Simulator::device_write(Lba lba, std::uint32_t pages, TimeUs earliest_start) {

@@ -140,6 +140,8 @@ class Simulator {
     return completion;
   }
 
+  /// Ages the device cold: age_device() with the run's scramble seed and the
+  /// spo_precondition_after_writes power cut.
   void precondition(Lba footprint, Lba ws);
   void run_bgc_until(TimeUs now);
   /// Executes one app op at `issue`; returns its completion time.

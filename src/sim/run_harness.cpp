@@ -33,11 +33,10 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start) {
 
 void age_device(ftl::Ftl& ftl, Lba footprint, Lba ws, Rng& rng,
                 std::uint64_t spo_after_writes) {
-  const std::uint64_t cut = spo_after_writes;
-  if (cut > 0 && cut <= footprint) {
-    ftl.fill(0, cut);
+  if (spo_after_writes > 0 && spo_after_writes <= footprint) {
+    ftl.fill(0, spo_after_writes);
     ftl.sudden_power_off();
-    ftl.fill(cut, footprint - cut);
+    ftl.fill(spo_after_writes, footprint - spo_after_writes);
   } else {
     ftl.fill(0, footprint);
   }
@@ -45,7 +44,8 @@ void age_device(ftl::Ftl& ftl, Lba footprint, Lba ws, Rng& rng,
   // Overwrite i is the device's write number footprint + i + 1. Its LBA is
   // drawn kLookahead overwrites early, when its L2P entry is prefetched;
   // the page that entry maps to is prefetched one overwrite early, once the
-  // entry has landed.
+  // entry has landed. Both miss the CPU caches once the map outgrows them
+  // (a multi-GiB device). The LBAs come out of `rng` in the same order.
   constexpr std::uint64_t kLookahead = 4;
   const auto overwrites =
       static_cast<std::uint64_t>(kPreconditionOverwriteFactor * static_cast<double>(ws));
@@ -62,7 +62,7 @@ void age_device(ftl::Ftl& ftl, Lba footprint, Lba ws, Rng& rng,
     }
     if (i + 1 < overwrites) ftl.prefetch_old_page(ahead[(i + 1) % kLookahead]);
     ftl.write(lba);
-    if (footprint + i + 1 == cut) ftl.sudden_power_off();
+    if (footprint + i + 1 == spo_after_writes) ftl.sudden_power_off();
   }
 }
 

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <sstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -199,7 +199,9 @@ std::vector<AgeCase> age_cases() {
        .hot_cold = true,
        .checkpoint_every = 4,
        .spo = S::kInFill},
-      {.name = "spo_in_scramble_wear_level", .wear_level = true, .pre_worn = true,
+      {.name = "spo_in_scramble_wear_level",
+       .wear_level = true,
+       .pre_worn = true,
        .spo = S::kInScramble},
   };
 }
@@ -251,7 +253,9 @@ TEST(FtlInvariants, CatchAPlantedMappingSwap) {
   const std::size_t map_at = nand_only.take().size() + 8;
   std::string blob = state_of(ftl);
   ASSERT_TRUE(ftl.is_mapped(10) && ftl.is_mapped(20));
-  for (std::size_t k = 0; k < 8; ++k) std::swap(blob[map_at + 8 * 10 + k], blob[map_at + 8 * 20 + k]);
+  for (std::size_t k = 0; k < 8; ++k) {
+    std::swap(blob[map_at + 8 * 10 + k], blob[map_at + 8 * 20 + k]);
+  }
 
   ftl::Ftl doctored(config_for({.name = "planted"}));
   BinaryReader r(blob);

@@ -344,8 +344,7 @@ TimeUs Ftl::write(Lba lba) {
 
   bool hot = true;
   if (config_.enable_hot_cold_separation) {
-    const std::uint64_t last = lba_last_write_seq_[lba];
-    hot = last != 0 && write_seq_ - last < hot_window_;
+    hot = is_hot(lba, write_seq_);
     lba_last_write_seq_[lba] = write_seq_ + 1;
     if (hot) ++stats_.hot_stream_writes;
   }
@@ -362,6 +361,7 @@ TimeUs Ftl::write(Lba lba) {
 
   const bool lba_on_sip = !sip_.empty() && sip_.contains(lba);
 
+  // fill_run() below mirrors this bookkeeping for a run of unmapped LBAs.
   // Out-place update, new copy first: until the program sticks, the old
   // mapping stays valid, so an injected program failure cannot lose the LBA.
   // (With faults off this is state-equivalent to invalidate-first.)
@@ -399,11 +399,10 @@ TimeUs Ftl::write(Lba lba) {
   return cost;
 }
 
-TimeUs Ftl::fill(Lba first, Lba count) {
+void Ftl::fill(Lba first, Lba count) {
   JITGC_ENSURE_MSG(first <= user_pages_ && count <= user_pages_ - first,
                    "fill beyond user capacity");
   const Lba end = first + count;
-  TimeUs cost = 0;
   // A run may start only right after a write() that drew no fault decision
   // and made no wear-leveling move. The run then changes nothing but its own
   // open block, which the wear-leveling spread check excludes, so the check
@@ -417,15 +416,13 @@ TimeUs Ftl::fill(Lba first, Lba count) {
       const Lba n = fill_run(lba, end);
       if (n > 0) {
         lba += n;
-        cost += static_cast<TimeUs>(n) * config_.timing.program_cost();
         continue;
       }
     }
     const std::uint64_t moves = stats_.wear_level_moves;
-    cost += write(lba++);
+    write(lba++);
     run_ok = !config_.fault.enabled() && stats_.wear_level_moves == moves;
   }
-  return cost;
 }
 
 Lba Ftl::fill_run(Lba lba, Lba end) {
@@ -438,11 +435,7 @@ Lba Ftl::fill_run(Lba lba, Lba end) {
   Lba n = 0;
   for (; n < room; ++n) {
     if (map_[lba + n] != kNoPpa) break;
-    if (separate) {
-      // write() classifies at its sequence number before the increment.
-      const std::uint64_t last = lba_last_write_seq_[lba + n];
-      if (last != 0 && write_seq_ + n - last < hot_window_) break;
-    }
+    if (separate && is_hot(lba + n, write_seq_ + n)) break;
   }
   if (n == 0) return 0;
 

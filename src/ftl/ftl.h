@@ -159,7 +159,7 @@ class Ftl {
   TimeUs write(Lba lba);
 
   /// Writes LBAs [first, first + count) in ascending order, leaving exactly
-  /// the state, stats and summed cost of one write() per LBA (preconditioning
+  /// the state and stats of one write() per LBA (preconditioning
   /// fills a device this way). An unmapped LBA that lands on an open block
   /// behind a write() is programmed with the rest of its run in one NAND
   /// program run, and the map, stats and victim index are updated once per
@@ -167,20 +167,7 @@ class Ftl {
   /// with fault injection configured (each draws its own fault decision),
   /// every LBA already mapped, every LBA hot/cold separation calls hot, and
   /// the page after a write that made a static wear-leveling move.
-  TimeUs fill(Lba first, Lba count);
-
-  /// Prefetch hints for an upcoming write(lba), with no effect on state:
-  /// prefetch_mapping() touches its L2P entry (and recency slot); once that
-  /// has landed, prefetch_old_page() touches the page it maps to, which the
-  /// write will invalidate.
-  void prefetch_mapping(Lba lba) const {
-    __builtin_prefetch(&map_[lba]);
-    if (!lba_last_write_seq_.empty()) __builtin_prefetch(&lba_last_write_seq_[lba]);
-  }
-  void prefetch_old_page(Lba lba) const {
-    const std::uint32_t entry = map_[lba];
-    if (entry != kNoPpa) nand_.prefetch_page(codec_.unpack(entry));
-  }
+  void fill(Lba first, Lba count);
 
   /// Reads one page. Unmapped LBAs cost a transfer only (device returns zeros).
   /// The page's OOB LBA must be `lba` ("mapping/OOB disagreement" otherwise).
@@ -476,10 +463,20 @@ class Ftl {
   /// Reference scan for the static wear-leveling source: the least-worn
   /// fully-valid good block no stream has open (kNoBlock when none).
   std::uint32_t coldest_full_reference() const;
+  /// Hot/cold separation's classification of a write to `lba` made when the
+  /// device's write sequence number is `seq` (before that write's
+  /// increment): hot when the LBA was last written within the recency
+  /// window. write() and fill_run() both decide by it.
+  bool is_hot(Lba lba, std::uint64_t seq) const {
+    const std::uint64_t last = lba_last_write_seq_[lba];
+    return last != 0 && seq - last < hot_window_;
+  }
   /// One bulk run of fill(): programs LBAs from `lba` (below `end`) into the
   /// open block an unmapped cold LBA's write() would use, stopping at that
   /// block's end or at the first LBA write() would treat differently.
-  /// Returns the pages programmed (0 when no run can start here).
+  /// Returns the pages programmed (0 when no run can start here). Its
+  /// bookkeeping mirrors write()'s for a run of unmapped LBAs; a change to
+  /// one must be made to the other.
   Lba fill_run(Lba lba, Lba end);
 
   /// Valid count after the SIP penalty, shared by the index and the

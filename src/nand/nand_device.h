@@ -114,14 +114,6 @@ class NandDevice {
     return first;
   }
 
-  /// Prefetch hint for an upcoming invalidation of `ppa`: its state byte
-  /// and its block's bookkeeping. No effect on state.
-  void prefetch_page(const Ppa& ppa) const {
-    __builtin_prefetch(&blocks_[ppa.block]);
-    __builtin_prefetch(&state_arena_[static_cast<std::size_t>(ppa.block) * geom_.pages_per_block +
-                                     ppa.page]);
-  }
-
   /// Records a program pulse torn by sudden power-off at `block_id`'s open
   /// write frontier (the block must not be full). No latency: power is
   /// already gone. Returns the torn page.

@@ -1,7 +1,6 @@
 #include "sim/run_harness.h"
 
 #include <algorithm>
-#include <array>
 #include <exception>
 
 #include "common/ensure.h"
@@ -41,27 +40,10 @@ void age_device(ftl::Ftl& ftl, Lba footprint, Lba ws, Rng& rng,
     ftl.fill(0, footprint);
   }
 
-  // Overwrite i is the device's write number footprint + i + 1. Its LBA is
-  // drawn kLookahead overwrites early, when its L2P entry is prefetched;
-  // the page that entry maps to is prefetched one overwrite early, once the
-  // entry has landed. Both miss the CPU caches once the map outgrows them
-  // (a multi-GiB device). The LBAs come out of `rng` in the same order.
-  constexpr std::uint64_t kLookahead = 4;
   const auto overwrites =
       static_cast<std::uint64_t>(kPreconditionOverwriteFactor * static_cast<double>(ws));
-  std::array<Lba, kLookahead> ahead{};
-  for (std::uint64_t i = 0; i < std::min(kLookahead, overwrites); ++i) {
-    ahead[i] = rng.uniform(ws);
-    ftl.prefetch_mapping(ahead[i]);
-  }
   for (std::uint64_t i = 0; i < overwrites; ++i) {
-    const Lba lba = ahead[i % kLookahead];
-    if (i + kLookahead < overwrites) {
-      ahead[i % kLookahead] = rng.uniform(ws);
-      ftl.prefetch_mapping(ahead[i % kLookahead]);
-    }
-    if (i + 1 < overwrites) ftl.prefetch_old_page(ahead[(i + 1) % kLookahead]);
-    ftl.write(lba);
+    ftl.write(rng.uniform(ws));
     if (footprint + i + 1 == spo_after_writes) ftl.sudden_power_off();
   }
 }

@@ -47,8 +47,7 @@ inline constexpr double kPreconditionOverwriteFactor = 1.0;
 /// writes, fill and scramble counted together.
 ///
 /// The state left is exactly that of one Ftl::write() per write: the fill
-/// goes through Ftl::fill(), and the scramble draws a few LBAs ahead (in
-/// the same RNG order) to prefetch what their writes will touch.
+/// goes through Ftl::fill(), the scramble through Ftl::write().
 void age_device(ftl::Ftl& ftl, Lba footprint, Lba ws, Rng& rng,
                 std::uint64_t spo_after_writes = 0);
 

@@ -1,9 +1,9 @@
 // State-equality oracle for device aging (sim::age_device and Ftl::fill).
 //
 // The reference is the per-page preconditioning both simulators ran before
-// the bulk fill and the prefetched scramble existed: one Ftl::write per
-// footprint LBA in order, then one Ftl::write per overwrite drawn from the
-// same RNG, with the power cut counted write by write. Every case ages one
+// the bulk fill existed: one Ftl::write per footprint LBA in order, then one
+// Ftl::write per overwrite drawn from the same RNG, with the power cut
+// counted write by write. Every case ages one
 // device each way and byte-compares Ftl::save_state (NAND pages and OOB,
 // map, free pool, streams, recency, fill stamps, SIP counts, checkpoint,
 // stats), then runs Ftl::check_invariants on the aged device. The single-SSD
@@ -209,7 +209,7 @@ std::vector<AgeCase> age_cases() {
 INSTANTIATE_TEST_SUITE_P(Cases, AgeDeviceFtl, ::testing::ValuesIn(age_cases()),
                          [](const auto& info) { return info.param.name; });
 
-TEST(AgeDevice, FillReturnsTheSummedCostOfPerPageWrites) {
+TEST(AgeDevice, FillOfAMidBlockRangeMatchesPerPageWrites) {
   for (const bool wear_level : {false, true}) {
     const ftl::FtlConfig cfg =
         config_for({.name = "fill", .wear_level = wear_level, .pre_worn = true});
@@ -221,10 +221,8 @@ TEST(AgeDevice, FillReturnsTheSummedCostOfPerPageWrites) {
     // mid-block.
     const Lba first = 37;
     const Lba count = filled.user_pages() - first - 101;
-    const TimeUs cost = filled.fill(first, count);
-    TimeUs expected = 0;
-    for (Lba lba = first; lba < first + count; ++lba) expected += reference.write(lba);
-    EXPECT_EQ(cost, expected) << "wear_level=" << wear_level;
+    filled.fill(first, count);
+    for (Lba lba = first; lba < first + count; ++lba) reference.write(lba);
     EXPECT_TRUE(same_state(state_of(filled), state_of(reference))) << "wear_level=" << wear_level;
     EXPECT_NO_THROW(filled.check_invariants());
   }
